@@ -5,82 +5,33 @@ lets a passive array realize any complex weight of modulus at most 2, so
 amplitude-and-phase designs such as the regularized multi-target (MVDR)
 beamformer become reachable.  This package provides the array model, the
 reference beamformers, the quantized two-phasor synthesis, and the
-experiment harness plus CLI that exercise them.
+experiment harness plus CLI that exercise them.  The package namespace
+holds the quick-start names and the experiment entry points; everything
+else is imported from its submodule.
 """
 
-from .array_model import (
-    ArrayConfig,
-    BeampatternTrace,
-    angle_grid_deg,
-    beampattern_power,
-    beampattern_trace,
-    rms_diff_db,
-    steering_matrix,
-    steering_vector,
-    trace_from_powers,
-)
-from .beamformers import TargetScenario, mvdr_beamformer, steering_beamformer
-from .dps_quantize import (
-    Decomposition,
-    DpsBeamformer,
-    PhaseGrid,
-    approximate,
-    circular_distance,
-    decompose,
-    exhaustive_oracle,
-    nearest_phases,
-    normalize_to_max,
-    quantize_pesa,
-    recompose,
-)
+from .array_model import ArrayConfig, beampattern_trace
+from .beamformers import TargetScenario, mvdr_beamformer
+from .dps_quantize import PhaseGrid, approximate
 from .experiments import (
     ScenarioSpec,
-    SweepResult,
-    SweepRow,
-    TargetLevels,
-    TrialResult,
-    draw_target_angles,
     run_monte_carlo,
     run_mvdr_clutter,
     run_single_target,
-    trial_rng,
 )
 
 __version__ = "0.1.0"
 
 __all__ = [
     "ArrayConfig",
-    "BeampatternTrace",
-    "Decomposition",
-    "DpsBeamformer",
     "PhaseGrid",
     "ScenarioSpec",
-    "SweepResult",
-    "SweepRow",
-    "TargetLevels",
     "TargetScenario",
-    "TrialResult",
-    "angle_grid_deg",
     "approximate",
-    "beampattern_power",
     "beampattern_trace",
-    "circular_distance",
-    "decompose",
-    "draw_target_angles",
-    "exhaustive_oracle",
     "mvdr_beamformer",
-    "nearest_phases",
-    "normalize_to_max",
-    "quantize_pesa",
-    "recompose",
-    "rms_diff_db",
     "run_monte_carlo",
     "run_mvdr_clutter",
     "run_single_target",
-    "steering_beamformer",
-    "steering_matrix",
-    "steering_vector",
-    "trace_from_powers",
-    "trial_rng",
     "__version__",
 ]

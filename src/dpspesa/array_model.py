@@ -8,6 +8,7 @@ consumer (experiments, CSV output) works in.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,11 +60,15 @@ class BeampatternTrace:
         return float(self.power_db[self.index_of(angle_deg)])
 
 
-def _check_angle(theta: float) -> float:
-    theta = float(theta)
-    if not abs(theta) <= HALF_PI:
-        raise ValueError(f"look direction must lie in [-pi/2, pi/2], got {theta}")
-    return theta
+def _check_angles(thetas) -> np.ndarray:
+    """Look directions (radians) as a float array; each must lie in [-pi/2, pi/2]."""
+    thetas = np.asarray(thetas, dtype=float)
+    bad = ~(np.abs(thetas) <= HALF_PI)
+    if bad.any():
+        raise ValueError(
+            f"look direction must lie in [-pi/2, pi/2], got {thetas[bad].flat[0]}"
+        )
+    return thetas
 
 
 def _as_weights(config: ArrayConfig, w) -> np.ndarray:
@@ -83,26 +88,18 @@ def steering_vector(config: ArrayConfig, theta: float) -> np.ndarray:
     Entry ``n`` is ``exp(1j * 2*pi * n * d/lambda * sin(theta))``; entry 0
     is exactly 1 and all entries have unit modulus.
     """
-    theta = _check_angle(theta)
+    theta = float(theta)
+    _check_angles(theta)
     n = np.arange(config.n_antennas)
     return np.exp(1j * TWO_PI * n * config.spacing_wavelengths * np.sin(theta))
 
 
 def steering_matrix(config: ArrayConfig, thetas) -> np.ndarray:
     """Stack steering vectors row-wise: shape ``(len(thetas), n_antennas)``."""
-    thetas = np.asarray(thetas, dtype=float)
-    for t in np.atleast_1d(thetas):
-        _check_angle(t)
+    thetas = _check_angles(thetas)
     n = np.arange(config.n_antennas)
     phase = TWO_PI * config.spacing_wavelengths * np.outer(np.sin(thetas), n)
     return np.exp(1j * phase)
-
-
-def beampattern_power(config: ArrayConfig, w, theta: float) -> float:
-    """Radiated power ``|a(theta)^H w|^2`` toward direction ``theta`` (radians)."""
-    w = _as_weights(config, w)
-    a = steering_vector(config, theta)
-    return float(abs(np.vdot(a, w)) ** 2)
 
 
 def trace_from_powers(angles_deg, power_linear,
@@ -132,9 +129,24 @@ def trace_from_powers(angles_deg, power_linear,
     return BeampatternTrace(angles_deg, power_linear.copy(), power_db, float(floor_db))
 
 
-def beampattern_trace(config: ArrayConfig, w, angles_deg,
+# Eight geometries at most; one entry at N=24 on the 0.1-degree grid is ~0.7 MB.
+@functools.lru_cache(maxsize=8)
+def _grid_response(config: ArrayConfig, step_deg: float):
+    """Read-only degree grid and conjugate steering matrix for one geometry."""
+    grid_deg = angle_grid_deg(step_deg)
+    response = steering_matrix(config, np.radians(grid_deg)).conj()
+    grid_deg.setflags(write=False)
+    response.setflags(write=False)
+    return grid_deg, response
+
+
+def beampattern_trace(config: ArrayConfig, w,
+                      step_deg: float = DEFAULT_GRID_STEP_DEG,
                       floor_db: float = DEFAULT_FLOOR_DB) -> BeampatternTrace:
-    """Sample the power pattern of ``w`` over a degree grid.
+    """Sample the power pattern of ``w`` over ``angle_grid_deg(step_deg)``.
+
+    The grid and its steering matrix are cached per ``(config, step_deg)``,
+    so repeated traces of one geometry cost one matrix-vector product.
 
     Parameters
     ----------
@@ -142,17 +154,14 @@ def beampattern_trace(config: ArrayConfig, w, angles_deg,
         Array geometry.
     w : array_like
         Complex weights, length ``config.n_antennas``.
-    angles_deg : array_like
-        Strictly increasing grid of look angles in degrees, within [-90, 90].
+    step_deg : float
+        Grid step in degrees; must divide 180 evenly.
     floor_db : float
         Clamp for the peak-normalized dB pattern (must be negative).
     """
     w = _as_weights(config, w)
-    angles_deg = np.asarray(angles_deg, dtype=float)
-    if angles_deg.size == 0:
-        raise ValueError("angle grid must be non-empty")
-    response = steering_matrix(config, np.radians(angles_deg)).conj() @ w
-    return trace_from_powers(angles_deg, np.abs(response) ** 2, floor_db)
+    grid_deg, response = _grid_response(config, float(step_deg))
+    return trace_from_powers(grid_deg, np.abs(response @ w) ** 2, floor_db)
 
 
 def angle_grid_deg(step_deg: float = DEFAULT_GRID_STEP_DEG) -> np.ndarray:

@@ -1,4 +1,8 @@
-"""Reference beamformers: conjugate steering and regularized MVDR."""
+"""Reference multi-target beamformer: regularized MVDR.
+
+The single-target reference is the steering vector itself
+(`array_model.steering_vector`).
+"""
 
 from __future__ import annotations
 
@@ -8,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
-from .array_model import ArrayConfig, _check_angle, steering_vector
+from .array_model import ArrayConfig, _check_angles, steering_vector
 
 
 @dataclass(frozen=True)
@@ -23,8 +27,7 @@ class TargetScenario:
         object.__setattr__(self, "target_angles", angles)
         if len(angles) < 1:
             raise ValueError("at least one target angle is required")
-        for t in angles:
-            _check_angle(t)
+        _check_angles(angles)
         if len(set(angles)) != len(angles):
             raise ValueError("target angles must be pairwise distinct")
         if not 0 <= self.desired_index < len(angles):
@@ -37,11 +40,6 @@ class TargetScenario:
     @property
     def desired_angle(self) -> float:
         return self.target_angles[self.desired_index]
-
-
-def steering_beamformer(config: ArrayConfig, theta0: float) -> np.ndarray:
-    """Single-target beamformer: the steering vector toward ``theta0`` (radians)."""
-    return steering_vector(config, theta0)
 
 
 def mvdr_beamformer(config: ArrayConfig, scenario: TargetScenario,

@@ -19,14 +19,17 @@ import os
 import sys
 
 import numpy as np
+from numpy.linalg import LinAlgError
 
 from .array_model import (
+    DEFAULT_FLOOR_DB,
+    DEFAULT_GRID_STEP_DEG,
     ArrayConfig,
     BeampatternTrace,
-    angle_grid_deg,
     beampattern_trace,
+    steering_vector,
 )
-from .beamformers import TargetScenario, mvdr_beamformer, steering_beamformer
+from .beamformers import TargetScenario, mvdr_beamformer
 from .dps_quantize import (
     PhaseGrid,
     approximate,
@@ -35,6 +38,7 @@ from .dps_quantize import (
     quantize_pesa,
 )
 from .experiments import (
+    DEFAULT_GAMMA,
     ScenarioSpec,
     draw_target_angles,
     run_monte_carlo,
@@ -55,8 +59,8 @@ DEFAULTS = {
     "candidates": 3,
     "norm": 2.0,
     "norms": "1,1.5,2",
-    "grid_step": 0.1,
-    "floor_db": -80.0,
+    "grid_step": DEFAULT_GRID_STEP_DEG,
+    "floor_db": DEFAULT_FLOOR_DB,
     "trials": None,
     "seed": None,
     "workers": 1,
@@ -119,8 +123,6 @@ def _resolve(args, key, cast=None):
     if isinstance(value, str):
         try:
             return cast(value)
-        except UsageError:
-            raise
         except ValueError as exc:
             raise UsageError(f"invalid value for --{key.replace('_', '-')}: "
                              f"{value!r}") from exc
@@ -202,26 +204,25 @@ def cmd_pattern(args) -> int:
     def mvdr_weights():
         scenario = TargetScenario(tuple(math.radians(t) for t in targets), idx)
         return mvdr_beamformer(config, scenario,
-                               gamma if gamma is not None else 0.1)
+                               gamma if gamma is not None else DEFAULT_GAMMA)
 
     if kind == "steering":
-        w = steering_beamformer(config, theta0)
+        w = steering_vector(config, theta0)
     elif kind == "mvdr":
         w = mvdr_weights()
     elif kind == "dps":
         w = mvdr_weights() if (len(targets) > 1 or gamma is not None) \
-            else steering_beamformer(config, theta0)
+            else steering_vector(config, theta0)
         w = approximate(w, PhaseGrid(common["bits"]), common["candidates_l"],
                         common["norm_target"]).realized
     elif kind == "pesa-quantized":
-        w = quantize_pesa(steering_beamformer(config, theta0),
+        w = quantize_pesa(steering_vector(config, theta0),
                           PhaseGrid(common["bits"]))
     else:
         raise UsageError(f"unknown beamformer {kind!r}")
 
-    trace = beampattern_trace(
-        config, w, angle_grid_deg(common["grid_step_deg"]), common["floor_db"]
-    )
+    trace = beampattern_trace(config, w, common["grid_step_deg"],
+                              common["floor_db"])
     out = _out_dir(args)
     path = os.path.join(out, "pattern.csv")
     _write_trace_csv(path, trace)
@@ -268,7 +269,8 @@ def cmd_clutter(args) -> int:
     idx = _desired_index(targets, _resolve(args, "desired", float))
     gamma = _resolve(args, "gamma", float)
     spec = ScenarioSpec(target_angles_deg=targets, desired_index=idx,
-                        gamma=gamma if gamma is not None else 0.1, **common)
+                        gamma=gamma if gamma is not None else DEFAULT_GAMMA,
+                        **common)
     result = run_mvdr_clutter(spec)
 
     items = [
@@ -303,7 +305,8 @@ def cmd_sweep(args) -> int:
 
     # Target draw is per trial; the placeholder angle is never used.
     spec = ScenarioSpec(target_angles_deg=(0.0,),
-                        gamma=gamma if gamma is not None else 0.1, **common)
+                        gamma=gamma if gamma is not None else DEFAULT_GAMMA,
+                        **common)
     result = run_monte_carlo(spec, bits_sweep, norm_sweep, trials,
                              workers=workers)
 
@@ -433,10 +436,11 @@ def main(argv=None) -> int:
         config_path = getattr(args, "config", None)
         args._config_values = _load_config_file(config_path) if config_path else {}
         return args.func(args)
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
+    except LinAlgError as exc:  # a ValueError subclass, so caught first
+        print(f"ill-conditioned solve ({exc}); increase --gamma",
+              file=sys.stderr)
         return 2
-    except ValueError as exc:
+    except (UsageError, ValueError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

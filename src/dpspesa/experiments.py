@@ -8,8 +8,10 @@ count or execution order.
 
 from __future__ import annotations
 
+import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import partial
 from typing import NamedTuple
 
 import numpy as np
@@ -19,12 +21,11 @@ from .array_model import (
     DEFAULT_GRID_STEP_DEG,
     ArrayConfig,
     BeampatternTrace,
-    angle_grid_deg,
+    beampattern_trace,
     rms_diff_db,
-    steering_matrix,
-    trace_from_powers,
+    steering_vector,
 )
-from .beamformers import TargetScenario, mvdr_beamformer, steering_beamformer
+from .beamformers import TargetScenario, mvdr_beamformer
 from .dps_quantize import PhaseGrid, approximate, quantize_pesa
 
 DEFAULT_GAMMA = 0.1
@@ -102,31 +103,6 @@ class SweepResult:
     rows: tuple
 
 
-_SAMPLERS: dict = {}
-
-
-def _sampler(config: ArrayConfig, step_deg: float):
-    """Cached (degree grid, conjugate steering matrix) per geometry."""
-    key = (config.n_antennas, config.spacing_wavelengths, step_deg)
-    hit = _SAMPLERS.get(key)
-    if hit is None:
-        grid_deg = angle_grid_deg(step_deg)
-        response = steering_matrix(config, np.radians(grid_deg)).conj()
-        hit = (grid_deg, response)
-        _SAMPLERS[key] = hit
-    return hit
-
-
-def _trace(grid_deg, response, w, floor_db) -> BeampatternTrace:
-    return trace_from_powers(grid_deg, np.abs(response @ w) ** 2, floor_db)
-
-
-def _grid_indices(grid_deg, angles_deg) -> np.ndarray:
-    return np.array(
-        [int(np.argmin(np.abs(grid_deg - a))) for a in angles_deg], dtype=int
-    )
-
-
 def trial_rng(seed: int, trial_index: int) -> np.random.Generator:
     """Independent, order-insensitive generator for one trial."""
     return np.random.default_rng(np.random.SeedSequence([seed, trial_index]))
@@ -139,23 +115,32 @@ def draw_target_angles(rng: np.random.Generator, count: int = 3,
 
     Uniform over [-span_deg, span_deg]; re-drawn until every pair is at
     least ``min_sep_deg`` apart, which keeps the multi-target solve away
-    from near-coincident steering vectors.
+    from near-coincident steering vectors.  Raises `ValueError` when
+    ``count`` such angles cannot fit in the span.
     """
     lo, hi = -int(span_deg), int(span_deg)
+    if count > 1 and min_sep_deg > 0:
+        capacity = (hi - lo) // math.ceil(min_sep_deg) + 1
+        if count > capacity:
+            raise ValueError(
+                f"{count} integer angles {min_sep_deg:g} degrees apart do not "
+                f"fit in [{lo}, {hi}] (at most {capacity})"
+            )
     while True:
         angles = rng.integers(lo, hi + 1, size=count).astype(float)
         if count == 1 or np.diff(np.sort(angles)).min() >= min_sep_deg:
             return angles
 
 
-def _levels(grid_deg, traces, target_angles_deg) -> dict:
-    idx = _grid_indices(grid_deg, target_angles_deg)
-    out = {}
-    for angle, i in zip(target_angles_deg, idx):
-        out[float(angle)] = TargetLevels(
-            *(float(t.power_db[i]) for t in traces)
-        )
-    return out
+def _levels(traces, target_angles_deg) -> dict:
+    return {
+        float(angle): TargetLevels(*(t.level_db(angle) for t in traces))
+        for angle in target_angles_deg
+    }
+
+
+def _pattern(spec: ScenarioSpec, w) -> BeampatternTrace:
+    return beampattern_trace(spec.config, w, spec.grid_step_deg, spec.floor_db)
 
 
 def run_single_target(spec: ScenarioSpec) -> TrialResult:
@@ -165,22 +150,18 @@ def run_single_target(spec: ScenarioSpec) -> TrialResult:
         raise ValueError("single-target run requires exactly one target")
     if spec.gamma is not None:
         raise ValueError("single-target run takes no gamma")
-    grid_deg, response = _sampler(spec.config, spec.grid_step_deg)
     grid = PhaseGrid(spec.bits)
 
-    w_ref = steering_beamformer(spec.config, spec.scenario.desired_angle)
+    w_ref = steering_vector(spec.config, spec.scenario.desired_angle)
     dps = approximate(w_ref, grid, spec.candidates_l, spec.norm_target)
     w_pesa = quantize_pesa(w_ref, grid)
 
-    traces = tuple(
-        _trace(grid_deg, response, w, spec.floor_db)
-        for w in (w_ref, dps.realized, w_pesa)
-    )
+    traces = tuple(_pattern(spec, w) for w in (w_ref, dps.realized, w_pesa))
     return TrialResult(
         *traces,
         rms_dps_db=rms_diff_db(traces[0], traces[1]),
         rms_pesa_db=rms_diff_db(traces[0], traces[2]),
-        levels_at_targets_db=_levels(grid_deg, traces, spec.target_angles_deg),
+        levels_at_targets_db=_levels(traces, spec.target_angles_deg),
     )
 
 
@@ -195,54 +176,45 @@ def run_mvdr_clutter(spec: ScenarioSpec) -> TrialResult:
         raise ValueError("clutter run requires at least two targets")
     if spec.gamma is None:
         raise ValueError("clutter run requires gamma")
-    grid_deg, response = _sampler(spec.config, spec.grid_step_deg)
     grid = PhaseGrid(spec.bits)
 
     w_ref = mvdr_beamformer(spec.config, spec.scenario, spec.gamma)
     dps = approximate(w_ref, grid, spec.candidates_l, spec.norm_target)
     w_pesa = quantize_pesa(
-        steering_beamformer(spec.config, spec.scenario.desired_angle), grid
+        steering_vector(spec.config, spec.scenario.desired_angle), grid
     )
 
-    traces = tuple(
-        _trace(grid_deg, response, w, spec.floor_db)
-        for w in (w_ref, dps.realized, w_pesa)
-    )
-    at = _grid_indices(grid_deg, spec.target_angles_deg)
+    traces = tuple(_pattern(spec, w) for w in (w_ref, dps.realized, w_pesa))
+    at = [traces[0].index_of(a) for a in spec.target_angles_deg]
     return TrialResult(
         *traces,
         rms_dps_db=rms_diff_db(traces[0], traces[1], at),
         rms_pesa_db=rms_diff_db(traces[0], traces[2], at),
-        levels_at_targets_db=_levels(grid_deg, traces, spec.target_angles_deg),
+        levels_at_targets_db=_levels(traces, spec.target_angles_deg),
     )
 
 
-def _sweep_trial(payload):
-    (seed, index, n_antennas, spacing, gamma, candidates_l,
-     step_deg, floor_db, bits_list, norm_list) = payload
-    config = ArrayConfig(n_antennas, spacing)
-    grid_deg, response = _sampler(config, step_deg)
-
-    rng = trial_rng(seed, index)
+def _sweep_trial(spec: ScenarioSpec, bits_list, norm_list, index: int):
+    """RMS errors of trial ``index``: dps per (bits, norm), pesa per bits."""
+    rng = trial_rng(spec.seed, index)
     angles = draw_target_angles(rng, count=3)
     desired = int(rng.integers(angles.size))
     scenario = TargetScenario(tuple(np.radians(angles)), desired)
 
-    w_ref = mvdr_beamformer(config, scenario, gamma)
-    ref_trace = _trace(grid_deg, response, w_ref, floor_db)
-    at = _grid_indices(grid_deg, angles)
-    w_steer = steering_beamformer(config, scenario.desired_angle)
+    w_ref = mvdr_beamformer(spec.config, scenario, spec.gamma)
+    ref_trace = _pattern(spec, w_ref)
+    at = [ref_trace.index_of(a) for a in angles]
+    w_steer = steering_vector(spec.config, scenario.desired_angle)
 
     rms_dps = np.empty((len(bits_list), len(norm_list)))
     rms_pesa = np.empty(len(bits_list))
     for bi, bits in enumerate(bits_list):
         grid = PhaseGrid(bits)
-        pesa_trace = _trace(grid_deg, response, quantize_pesa(w_steer, grid),
-                            floor_db)
+        pesa_trace = _pattern(spec, quantize_pesa(w_steer, grid))
         rms_pesa[bi] = rms_diff_db(ref_trace, pesa_trace, at)
         for ni, norm in enumerate(norm_list):
-            dps = approximate(w_ref, grid, candidates_l, norm)
-            dps_trace = _trace(grid_deg, response, dps.realized, floor_db)
+            dps = approximate(w_ref, grid, spec.candidates_l, norm)
+            dps_trace = _pattern(spec, dps.realized)
             rms_dps[bi, ni] = rms_diff_db(ref_trace, dps_trace, at)
     return rms_dps, rms_pesa
 
@@ -263,20 +235,16 @@ def run_monte_carlo(base: ScenarioSpec, bits_sweep, norm_sweep,
         raise ValueError("trials must be >= 1")
     if not bits_list or not norm_list:
         raise ValueError("bits_sweep and norm_sweep must be non-empty")
-    gamma = base.gamma if base.gamma is not None else DEFAULT_GAMMA
+    if base.gamma is None:
+        base = replace(base, gamma=DEFAULT_GAMMA)
 
-    payloads = [
-        (base.seed, t, base.config.n_antennas, base.config.spacing_wavelengths,
-         gamma, base.candidates_l, base.grid_step_deg, base.floor_db,
-         bits_list, norm_list)
-        for t in range(trials)
-    ]
+    trial = partial(_sweep_trial, base, bits_list, norm_list)
     if workers <= 1:
-        results = [_sweep_trial(p) for p in payloads]
+        results = [trial(t) for t in range(trials)]
     else:
         chunk = max(1, trials // (4 * workers))
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_sweep_trial, payloads, chunksize=chunk))
+            results = list(pool.map(trial, range(trials), chunksize=chunk))
 
     rms_dps = np.stack([r[0] for r in results])
     rms_pesa = np.stack([r[1] for r in results])

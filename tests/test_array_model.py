@@ -8,10 +8,11 @@ from numpy.testing import assert_allclose
 from dpspesa.array_model import (
     ArrayConfig,
     BeampatternTrace,
+    _grid_response,
     angle_grid_deg,
-    beampattern_power,
     beampattern_trace,
     rms_diff_db,
+    steering_matrix,
     steering_vector,
     trace_from_powers,
 )
@@ -67,32 +68,40 @@ def test_steering_rejects_out_of_range_angle():
         steering_vector(cfg, math.pi / 2 + 0.01)
     with pytest.raises(ValueError):
         steering_vector(cfg, -2.0)
+    with pytest.raises(ValueError):
+        steering_vector(cfg, math.nan)
+    for thetas in ([0.0, 0.3, -2.0], [[0.1], [math.nan]]):
+        with pytest.raises(ValueError, match="look direction"):
+            steering_matrix(cfg, thetas)
+    assert steering_matrix(cfg, [-math.pi / 2, math.pi / 2]).shape == (2, 4)
+
+
+def _power_at(config, w, angle_deg):
+    tr = beampattern_trace(config, w, 0.1)
+    return tr.power_linear[tr.index_of(angle_deg)]
 
 
 def test_power_at_look_direction_is_n_squared():
     cfg = ArrayConfig(16, 0.5)
-    theta = math.radians(21.0)
-    w = steering_vector(cfg, theta)
-    assert_allclose(beampattern_power(cfg, w, theta), 256.0, rtol=1e-9)
+    w = steering_vector(cfg, math.radians(21.0))
+    assert_allclose(_power_at(cfg, w, 21.0), 256.0, rtol=1e-9)
 
 
 def test_power_two_element_broadside_null():
     cfg = ArrayConfig(2, 0.5)
     w = steering_vector(cfg, 0.0)
-    assert beampattern_power(cfg, w, math.pi / 2) < 1e-18
+    assert _power_at(cfg, w, 90.0) < 1e-18
 
 
 def test_power_two_element_hand_value():
     # a^H(30deg) [1,1] = 1 + exp(-j*pi/2) = 1 - j, so power 2.
     cfg = ArrayConfig(2, 0.5)
-    assert_allclose(
-        beampattern_power(cfg, [1.0, 1.0], math.radians(30.0)), 2.0, atol=1e-12
-    )
+    assert_allclose(_power_at(cfg, [1.0, 1.0], 30.0), 2.0, atol=1e-12)
 
 
 def test_power_rejects_length_mismatch():
     with pytest.raises(ValueError):
-        beampattern_power(ArrayConfig(4, 0.5), [1.0, 1.0], 0.0)
+        beampattern_trace(ArrayConfig(4, 0.5), [1.0, 1.0])
 
 
 def test_db_normalization_ratio_100_is_minus_20():
@@ -118,8 +127,9 @@ def test_db_all_zero_pattern_is_floor_everywhere():
 def test_trace_contract_errors():
     cfg = ArrayConfig(4, 0.5)
     w = np.ones(4, dtype=complex)
-    with pytest.raises(ValueError):
-        beampattern_trace(cfg, w, [])
+    for step in (0.0, -0.1, 0.07):
+        with pytest.raises(ValueError):
+            beampattern_trace(cfg, w, step)
     with pytest.raises(ValueError):
         trace_from_powers([0.0, 0.0], [1.0, 1.0])
     with pytest.raises(ValueError):
@@ -130,9 +140,8 @@ def test_trace_contract_errors():
 
 def test_trace_peak_is_zero_db_and_at_look_direction():
     cfg = ArrayConfig(16, 0.5)
-    grid = angle_grid_deg(0.1)
     w = steering_vector(cfg, math.radians(30.0))
-    tr = beampattern_trace(cfg, w, grid)
+    tr = beampattern_trace(cfg, w, 0.1)
     assert tr.power_db.max() == 0.0
     peak_angle = tr.angles_deg[np.argmax(tr.power_linear)]
     assert peak_angle == pytest.approx(30.0, abs=1e-9)
@@ -141,12 +150,11 @@ def test_trace_peak_is_zero_db_and_at_look_direction():
 
 def test_trace_scale_invariance():
     cfg = ArrayConfig(16, 0.5)
-    grid = angle_grid_deg(0.5)
     rng = np.random.default_rng(1)
     w = rng.normal(size=16) + 1j * rng.normal(size=16)
     scale = 0.37 - 2.1j
-    a = beampattern_trace(cfg, w, grid)
-    b = beampattern_trace(cfg, scale * w, grid)
+    a = beampattern_trace(cfg, w, 0.5)
+    b = beampattern_trace(cfg, scale * w, 0.5)
     assert_allclose(a.power_db, b.power_db, atol=1e-9)
 
 
@@ -154,10 +162,26 @@ def test_conjugate_symmetry_of_response():
     cfg = ArrayConfig(16, 0.5)
     rng = np.random.default_rng(2)
     w = rng.normal(size=16) + 1j * rng.normal(size=16)
-    for theta in rng.uniform(-math.pi / 2, math.pi / 2, size=50):
-        p1 = beampattern_power(cfg, w, theta)
-        p2 = beampattern_power(cfg, np.conj(w), -theta)
-        assert p1 == pytest.approx(p2, rel=1e-9, abs=1e-12)
+    # The grid is symmetric about 0, so reversing it maps theta to -theta.
+    p1 = beampattern_trace(cfg, w, 0.1).power_linear
+    p2 = beampattern_trace(cfg, np.conj(w), 0.1).power_linear[::-1]
+    assert_allclose(p1, p2, rtol=1e-9, atol=1e-9)
+
+
+def test_sampler_cache_is_bounded_and_read_only():
+    for n in range(4, 4 + 2 * _grid_response.cache_info().maxsize):
+        beampattern_trace(ArrayConfig(n, 0.5), np.ones(n), 0.5)
+    info = _grid_response.cache_info()
+    assert 4 <= info.maxsize <= 16
+    assert info.currsize == info.maxsize
+    grid_deg, response = _grid_response(ArrayConfig(4, 0.5), 0.5)
+    assert not grid_deg.flags.writeable and not response.flags.writeable
+    with pytest.raises(ValueError):
+        response[0, 0] = 0.0
+    # A repeated geometry reuses the cached grid instead of rebuilding it.
+    a = beampattern_trace(ArrayConfig(4, 0.5), np.ones(4), 0.5)
+    b = beampattern_trace(ArrayConfig(4, 0.5), np.full(4, 2j), 0.5)
+    assert a.angles_deg is b.angles_deg is grid_deg
 
 
 def test_default_angle_grid():

@@ -6,15 +6,10 @@ from numpy.testing import assert_allclose
 
 from dpspesa.array_model import (
     ArrayConfig,
-    angle_grid_deg,
     beampattern_trace,
     steering_vector,
 )
-from dpspesa.beamformers import (
-    TargetScenario,
-    mvdr_beamformer,
-    steering_beamformer,
-)
+from dpspesa.beamformers import TargetScenario, mvdr_beamformer
 from dpspesa.experiments import draw_target_angles
 
 FIG3_TARGETS = (-47.0, 30.0, 49.0)
@@ -44,17 +39,17 @@ def test_scenario_validation():
 
 
 def test_steering_beamformer_matches_steering_vector():
+    # The single-target beamformer is the steering vector itself: it peaks
+    # at N^2 toward its own look direction.
     cfg = ArrayConfig(4, 0.5)
-    assert_allclose(steering_beamformer(cfg, 0.0), np.ones(4), rtol=0, atol=0)
+    assert_allclose(steering_vector(cfg, 0.0), np.ones(4), rtol=0, atol=0)
     theta = math.radians(30.0)
     assert_allclose(
-        steering_beamformer(ArrayConfig(2, 0.5), theta), [1.0, 1j], atol=1e-12
+        steering_vector(ArrayConfig(2, 0.5), theta), [1.0, 1j], atol=1e-12
     )
-    theta = 0.4
-    assert_allclose(
-        steering_beamformer(cfg, theta), steering_vector(cfg, theta),
-        rtol=0, atol=0,
-    )
+    tr = beampattern_trace(cfg, steering_vector(cfg, math.radians(-12.0)), 0.1)
+    assert tr.angles_deg[np.argmax(tr.power_linear)] == pytest.approx(-12.0)
+    assert tr.power_linear.max() == pytest.approx(16.0, rel=1e-9)
 
 
 def test_mvdr_single_target_closed_form():
@@ -71,8 +66,7 @@ def test_mvdr_large_gamma_tends_to_steering():
     cfg = ArrayConfig(16, 0.5)
     scenario = _fig3_scenario()
     w = mvdr_beamformer(cfg, scenario, gamma=1e6)
-    grid = angle_grid_deg(0.1)
-    tr = beampattern_trace(cfg, w, grid)
+    tr = beampattern_trace(cfg, w, 0.1)
     assert tr.angles_deg[np.argmax(tr.power_linear)] == pytest.approx(49.0, abs=0.1)
 
 
@@ -81,7 +75,7 @@ def test_mvdr_reference_scenario_nulls():
     scenario = _fig3_scenario()
     w = mvdr_beamformer(cfg, scenario, gamma=0.1)
     assert _residual(cfg, scenario, 0.1, w) < 1e-10 * 4.0
-    tr = beampattern_trace(cfg, w, angle_grid_deg(0.1))
+    tr = beampattern_trace(cfg, w, 0.1)
     # Local minima at the undesired targets.
     for clutter in (-47.0, 30.0):
         i = tr.index_of(clutter)
@@ -138,7 +132,7 @@ def test_mvdr_small_gamma_deep_nulls():
     cfg = ArrayConfig(16, 0.5)
     scenario = TargetScenario(tuple(np.radians([-40.0, 10.0, 49.0])), 1)
     w = mvdr_beamformer(cfg, scenario, gamma=1e-6)
-    tr = beampattern_trace(cfg, w, angle_grid_deg(0.1))
+    tr = beampattern_trace(cfg, w, 0.1)
     desired_level = tr.level_db(10.0)
     for clutter in (-40.0, 49.0):
         assert tr.level_db(clutter) <= desired_level - 40.0
@@ -150,13 +144,12 @@ def test_mvdr_argmax_near_desired_target():
     # so the global argmax no longer tracks the desired angle.
     cfg = ArrayConfig(16, 0.5)
     rng = np.random.default_rng(4)
-    grid = angle_grid_deg(0.1)
     for _ in range(20):
         angles = draw_target_angles(rng, count=3, span_deg=60.0,
                                     min_sep_deg=10.0)
         desired = int(rng.integers(3))
         scenario = TargetScenario(tuple(np.radians(angles)), desired)
         w = mvdr_beamformer(cfg, scenario, gamma=0.1)
-        tr = beampattern_trace(cfg, w, grid)
+        tr = beampattern_trace(cfg, w, 0.1)
         peak = tr.angles_deg[np.argmax(tr.power_linear)]
         assert abs(peak - angles[desired]) <= 1.0

@@ -55,6 +55,19 @@ def test_pattern_other_sources(tmp_path):
         assert len(rows) == 1801
 
 
+def test_pattern_steering_matches_single_reference(tmp_path):
+    # One sampler: the CLI pattern and the experiment reference trace of the
+    # same steering beamformer are the same bytes.
+    for targets in ("37", "-62.5"):
+        pattern, single = tmp_path / f"p{targets}", tmp_path / f"s{targets}"
+        assert run_cli(["pattern", "--beamformer=steering",
+                        f"--targets={targets}", f"--out={pattern}"]) == 0
+        assert run_cli(["single", f"--targets={targets}",
+                        f"--out={single}"]) == 0
+        assert ((pattern / "pattern.csv").read_bytes()
+                == (single / "reference.csv").read_bytes())
+
+
 def test_pattern_rejects_unknown_beamformer(tmp_path):
     assert run_cli(["pattern", "--beamformer=magic",
                     f"--out={tmp_path}"]) == 2
@@ -115,6 +128,14 @@ def test_clutter_usage_errors(tmp_path):
                     f"--out={tmp_path}"]) == 2
     assert run_cli(["clutter", "--targets=-47,30,49",
                     f"--out={tmp_path}"]) == 2
+
+
+def test_clutter_ill_conditioned_solve(tmp_path, capsys):
+    assert run_cli(["clutter", "--targets=-47,30,49", "--desired=49",
+                    "--gamma=1e-30", f"--out={tmp_path}"]) == 2
+    err = capsys.readouterr().err
+    assert "ill-conditioned solve" in err and "increase --gamma" in err
+    assert "usage error" not in err
 
 
 def test_sweep_csv_layout(tmp_path):

@@ -44,6 +44,25 @@ def test_draw_target_angles():
     assert np.array_equal(a, b)
 
 
+def test_draw_target_angles_refuses_a_count_that_cannot_fit():
+    class NoDraws:
+        def integers(self, *args, **kwargs):
+            raise AssertionError("drew before checking the count")
+
+    # 86 integer angles 2 degrees apart fill [-85, 85]; one more cannot fit.
+    with pytest.raises(ValueError, match="do not fit"):
+        draw_target_angles(NoDraws(), count=87)
+    with pytest.raises(ValueError, match="do not fit"):
+        draw_target_angles(NoDraws(), count=100)
+    with pytest.raises(ValueError, match="do not fit"):
+        draw_target_angles(NoDraws(), count=3, span_deg=2.0, min_sep_deg=2.5)
+    # Feasible counts keep the stream they drew before the check existed.
+    assert draw_target_angles(trial_rng(5, 1), count=3).tolist() == [
+        -5.0, 65.0, 33.0]
+    assert draw_target_angles(trial_rng(5, 2), count=12).tolist() == [
+        41.0, -6.0, 8.0, 6.0, -18.0, 83.0, 80.0, -3.0, -55.0, -66.0, 12.0, 74.0]
+
+
 def test_single_target_requires_one_target_and_no_gamma():
     with pytest.raises(ValueError):
         run_single_target(
