@@ -1,7 +1,8 @@
 """Uniform linear array geometry, steering vectors, and beampatterns.
 
-Beamformer weights are plain 1-D complex ndarrays of length
-``config.n_antennas``.  Single angles are radians; sampled angle grids
+A beamformer is a complex ndarray of length ``config.n_antennas``; the
+beampattern sampler and RMS metric also take stacks of them, shape
+``(..., N)``.  Single angles are radians; sampled angle grids
 (`BeampatternTrace`) carry degrees, which is what every downstream
 consumer (experiments, CSV output) works in.
 """
@@ -36,9 +37,11 @@ class ArrayConfig:
 
 @dataclass(frozen=True)
 class BeampatternTrace:
-    """Power pattern sampled on an angle grid.
+    """Power patterns sampled on an angle grid.
 
-    ``power_db`` is peak-normalized (max entry 0 dB when any power is
+    ``power_linear`` and ``power_db`` have shape ``(..., G)`` for a grid of
+    G angles: one pattern, or a stack of them.  ``power_db`` is
+    peak-normalized per pattern (max entry 0 dB when any power is
     positive) and clamped below at ``floor_db``.
     """
 
@@ -56,7 +59,8 @@ class BeampatternTrace:
         return int(np.argmin(np.abs(self.angles_deg - angle_deg)))
 
     def level_db(self, angle_deg: float) -> float:
-        """Peak-normalized dB level at the grid point closest to ``angle_deg``."""
+        """Peak-normalized dB level at the grid point closest to ``angle_deg``
+        (single patterns only)."""
         return float(self.power_db[self.index_of(angle_deg)])
 
 
@@ -73,9 +77,10 @@ def _check_angles(thetas) -> np.ndarray:
 
 def _as_weights(config: ArrayConfig, w) -> np.ndarray:
     w = np.asarray(w, dtype=complex)
-    if w.shape != (config.n_antennas,):
+    if w.ndim == 0 or w.shape[-1] != config.n_antennas:
         raise ValueError(
-            f"expected {config.n_antennas} weights, got shape {w.shape}"
+            f"expected {config.n_antennas} weights along the last axis, "
+            f"got shape {w.shape}"
         )
     if not np.all(np.isfinite(w)):
         raise ValueError("weights must be finite")
@@ -106,7 +111,9 @@ def trace_from_powers(angles_deg, power_linear,
                       floor_db: float = DEFAULT_FLOOR_DB) -> BeampatternTrace:
     """Peak-normalize sampled linear powers into a `BeampatternTrace`.
 
-    An all-zero pattern maps to ``floor_db`` everywhere.
+    ``power_linear`` has shape ``(..., G)`` for the G grid angles; each
+    pattern is normalized along the last axis.  An all-zero pattern maps
+    to ``floor_db`` everywhere.
     """
     angles_deg = np.asarray(angles_deg, dtype=float)
     power_linear = np.asarray(power_linear, dtype=float)
@@ -114,18 +121,15 @@ def trace_from_powers(angles_deg, power_linear,
         raise ValueError("angle grid must be non-empty")
     if angles_deg.size > 1 and not np.all(np.diff(angles_deg) > 0):
         raise ValueError("angle grid must be strictly increasing")
-    if angles_deg.shape != power_linear.shape:
+    if power_linear.shape[-1:] != angles_deg.shape:
         raise ValueError("angles and powers must have matching shapes")
     if not floor_db < 0:
         raise ValueError("floor_db must be negative")
 
-    peak = power_linear.max()
-    if peak > 0:
-        with np.errstate(divide="ignore"):
-            power_db = 10.0 * np.log10(power_linear / peak)
-        power_db = np.maximum(power_db, floor_db)
-    else:
-        power_db = np.full_like(power_linear, floor_db)
+    peak = power_linear.max(axis=-1, keepdims=True)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        power_db = np.maximum(10.0 * np.log10(power_linear / peak), floor_db)
+    power_db = np.where(peak > 0, power_db, floor_db)
     return BeampatternTrace(angles_deg, power_linear.copy(), power_db, float(floor_db))
 
 
@@ -143,17 +147,19 @@ def _grid_response(config: ArrayConfig, step_deg: float):
 def beampattern_trace(config: ArrayConfig, w,
                       step_deg: float = DEFAULT_GRID_STEP_DEG,
                       floor_db: float = DEFAULT_FLOOR_DB) -> BeampatternTrace:
-    """Sample the power pattern of ``w`` over ``angle_grid_deg(step_deg)``.
+    """Sample the power patterns of ``w`` over ``angle_grid_deg(step_deg)``.
 
     The grid and its steering matrix are cached per ``(config, step_deg)``,
-    so repeated traces of one geometry cost one matrix-vector product.
+    so repeated traces of one geometry cost one matrix-vector product per
+    weight vector.
 
     Parameters
     ----------
     config : ArrayConfig
         Array geometry.
     w : array_like
-        Complex weights, length ``config.n_antennas``.
+        Complex weights, shape ``(..., config.n_antennas)``; the trace's
+        power arrays have shape ``(..., G)``.
     step_deg : float
         Grid step in degrees; must divide 180 evenly.
     floor_db : float
@@ -161,7 +167,10 @@ def beampattern_trace(config: ArrayConfig, w,
     """
     w = _as_weights(config, w)
     grid_deg, response = _grid_response(config, float(step_deg))
-    return trace_from_powers(grid_deg, np.abs(response @ w) ** 2, floor_db)
+    # One matrix-vector product per weight vector: a single matrix-matrix
+    # product would sum in another order and change the last bits.
+    field = np.matmul(response, w[..., None])[..., 0]
+    return trace_from_powers(grid_deg, np.abs(field) ** 2, floor_db)
 
 
 def angle_grid_deg(step_deg: float = DEFAULT_GRID_STEP_DEG) -> np.ndarray:
@@ -178,7 +187,8 @@ def rms_diff_db(a: BeampatternTrace, b: BeampatternTrace, at_indices=()) -> floa
     """Root-mean-square difference of two dB patterns over selected grid indices.
 
     An empty ``at_indices`` means all grid points.  Both traces must share
-    one angle grid.
+    one angle grid.  Stacked traces broadcast: the result is a float for
+    two single patterns, else an array over the broadcast leading shape.
     """
     if not np.array_equal(a.angles_deg, b.angles_deg):
         raise ValueError("traces must share the same angle grid")
@@ -188,5 +198,6 @@ def rms_diff_db(a: BeampatternTrace, b: BeampatternTrace, at_indices=()) -> floa
     else:
         if idx.min() < 0 or idx.max() >= a.angles_deg.size:
             raise ValueError("index selection out of range")
-        diff = a.power_db[idx] - b.power_db[idx]
-    return float(np.sqrt(np.mean(diff**2)))
+        diff = a.power_db[..., idx] - b.power_db[..., idx]
+    rms = np.sqrt(np.mean(diff**2, axis=-1))
+    return float(rms) if rms.ndim == 0 else rms

@@ -140,12 +140,11 @@ def _write_lines(path: str, lines) -> None:
 
 
 def _write_trace_csv(path: str, trace: BeampatternTrace) -> None:
-    lines = ["angle_deg,power_linear,power_db"]
-    lines.extend(
-        f"{_fmt(a)},{_fmt(p)},{_fmt(d)}"
-        for a, p, d in zip(trace.angles_deg, trace.power_linear, trace.power_db)
-    )
-    _write_lines(path, lines)
+    # "%.9g" prints a Python float as `_fmt` does, with one call per row.
+    rows = zip(trace.angles_deg.tolist(), trace.power_linear.tolist(),
+               trace.power_db.tolist())
+    _write_lines(path, ["angle_deg,power_linear,power_db"]
+                 + ["%.9g,%.9g,%.9g" % row for row in rows])
 
 
 def _write_summary(path: str, items) -> None:
@@ -418,7 +417,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--norms", help="comma-separated normalization targets")
     p.add_argument("--trials", type=int, help="trials per combination (default 200)")
     p.add_argument("--gamma", type=float, help="null-depth regularizer (default 0.1)")
-    p.add_argument("--workers", type=int, help="parallel trial workers (default 1)")
+    p.add_argument("--workers", type=int,
+                   help="parallel trial workers, at most the CPU count (default 1)")
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("oracle-check",

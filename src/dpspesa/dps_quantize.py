@@ -6,7 +6,9 @@ uniform grid of 2**B phases, so a weight vector is realized by picking,
 per antenna, the pair of grid phases whose phasor sum lands closest to
 the wanted weight.  `approximate` does this with a top-L candidate search
 around the exact split; `exhaustive_oracle` brute-forces all pairs for
-small B and anchors the tests.
+small B and anchors the tests.  `approximate`, `quantize_pesa`,
+`normalize_to_max` and `nearest_phases` take arrays of any leading batch
+shape, weights ``(..., N)``, and run as one array kernel.
 """
 
 from __future__ import annotations
@@ -65,10 +67,11 @@ class Decomposition(NamedTuple):
 
 @dataclass(frozen=True)
 class DpsBeamformer:
-    """Per-antenna grid-phase pairs and the complex weights they realize.
+    """Grid-phase pairs and the complex weights they realize.
 
-    ``pairs`` is an (N, 2) integer array of canonical (lower, upper) grid
-    indices; ``realized[n]`` is the phasor sum of row n, modulus <= 2.
+    For weights of shape ``(..., N)``, ``pairs`` is an ``(..., N, 2)``
+    integer array of canonical (lower, upper) grid indices and
+    ``realized`` holds the ``(..., N)`` phasor sums, modulus <= 2.
     """
 
     grid: PhaseGrid
@@ -80,6 +83,32 @@ class DpsBeamformer:
         self.realized.setflags(write=False)
 
 
+def _map(fn, *arrays) -> np.ndarray:
+    """Apply a scalar ``math`` function elementwise over same-shape arrays."""
+    shape = np.shape(arrays[0])
+    values = map(fn, *(np.ravel(a).tolist() for a in arrays))
+    return np.fromiter(values, float, count=math.prod(shape)).reshape(shape)
+
+
+def _split(c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Phases ``(phi1, phi2)`` in [0, 2*pi) of the phasor pair summing to ``c``.
+
+    The modulus, arctangent and arccosine are the C library's scalar results
+    (``np.hypot`` and the ``math`` functions).  numpy's vectorized
+    ``abs``/``arctan2``/``arccos`` differ from them in the last bit on some
+    hosts, which flips the ranking of a phase sitting on a tie between two
+    candidate grid phases.
+    """
+    a = np.hypot(c.real, c.imag)
+    if np.any(a > 2.0 + 1e-12):
+        raise ValueError(
+            f"amplitude no larger than 2 required, got |c| = {a.max()}"
+        )
+    omega = _map(math.atan2, c.imag, c.real)
+    half = _map(math.acos, np.minimum(a / 2.0, 1.0))
+    return (omega + half) % TWO_PI, (omega - half) % TWO_PI
+
+
 def decompose(c: complex) -> Decomposition:
     """Split ``c`` (modulus <= 2) into two unit phasors.
 
@@ -87,13 +116,8 @@ def decompose(c: complex) -> Decomposition:
     reduced to [0, 2*pi); phi1 carries the positive offset.  The zero
     weight uses the omega = 0 convention, giving (pi/2, 3*pi/2).
     """
-    c = complex(c)
-    a = abs(c)
-    if a > 2.0 + 1e-12:
-        raise ValueError(f"amplitude no larger than 2 required, got |c| = {a}")
-    omega = math.atan2(c.imag, c.real)
-    half = math.acos(min(a / 2.0, 1.0))
-    return Decomposition((omega + half) % TWO_PI, (omega - half) % TWO_PI)
+    phi1, phi2 = _split(np.asarray(c, dtype=complex))
+    return Decomposition(float(phi1), float(phi2))
 
 
 def recompose(d: Decomposition) -> complex:
@@ -101,21 +125,26 @@ def recompose(d: Decomposition) -> complex:
     return cmath.exp(1j * d.phi1) + cmath.exp(1j * d.phi2)
 
 
-def normalize_to_max(w, target: float = 2.0) -> np.ndarray:
-    """Rescale weights so the largest modulus equals ``target``.
+def normalize_to_max(w, target=2.0) -> np.ndarray:
+    """Rescale each weight vector so its largest modulus equals ``target``.
 
-    Splitting is least phase-sensitive for moduli near 2, so the default
-    drives the strongest element to the top of the representable disk.
+    ``w`` has shape ``(..., N)`` and each length-N vector is scaled on its
+    own.  ``target`` is a float or an array broadcasting against the
+    leading shape ``w.shape[:-1]``; the result has the broadcast leading
+    shape.  Splitting is least phase-sensitive for moduli near 2, so the
+    default drives the strongest element to the top of the representable
+    disk.
     """
     w = np.asarray(w, dtype=complex)
-    if not 0.0 < target <= 2.0:
+    target = np.asarray(target, dtype=float)
+    if not np.all((target > 0.0) & (target <= 2.0)):
         raise ValueError("target must lie in (0, 2]")
-    if w.size == 0:
-        raise ValueError("weights must be non-empty")
-    peak = np.abs(w).max()
-    if peak == 0:
+    if w.ndim == 0 or w.size == 0:
+        raise ValueError("weights must be a non-empty (..., N) array")
+    peak = np.abs(w).max(axis=-1)
+    if np.any(peak == 0):
         raise ValueError("all-zero weights cannot be normalized")
-    return w * (target / peak)
+    return w * (target / peak)[..., None]
 
 
 def circular_distance(x: float, y: float) -> float:
@@ -123,84 +152,85 @@ def circular_distance(x: float, y: float) -> float:
     return abs((x - y + math.pi) % TWO_PI - math.pi)
 
 
-def nearest_phases(phi: float, grid: PhaseGrid, count: int) -> np.ndarray:
-    """Indices of the ``count`` grid phases circularly closest to ``phi``.
+def _nearest(phi: np.ndarray, grid: PhaseGrid, count: int) -> np.ndarray:
+    """Indices ``(..., count)`` of the grid phases closest to each ``phi``.
 
-    Sorted by distance ascending; ties broken by the smaller index.
-    ``count`` is clamped to the grid size.
+    ``count`` must not exceed the grid size.  Sorted by distance ascending,
+    ties broken by the smaller index.
     """
-    if count < 1:
-        raise ValueError("count must be a positive integer")
+    if not np.all(np.isfinite(phi)):
+        raise ValueError("phases must be finite")
     n = grid.size
-    count = min(count, n)
     # The top-count set is a contiguous arc around phi, so only a small
     # window of indices ever needs ranking.
     if 2 * count + 2 >= n:
-        ks = np.arange(n)
+        ks = np.broadcast_to(np.arange(n), phi.shape + (n,))
     else:
-        base = int((phi % TWO_PI) / grid.step)
-        ks = (base + np.arange(-count, count + 2)) % n
-    dist = np.abs((grid.phases[ks] - phi + np.pi) % TWO_PI - np.pi)
-    order = np.lexsort((ks, dist))
-    return ks[order[:count]]
+        base = ((phi % TWO_PI) / grid.step).astype(np.int64)
+        ks = (base[..., None] + np.arange(-count, count + 2)) % n
+    dist = np.abs((grid.phases[ks] - phi[..., None] + np.pi) % TWO_PI - np.pi)
+    order = np.lexsort((ks, dist), axis=-1)
+    return np.take_along_axis(ks, order[..., :count], axis=-1)
 
 
-def _best_pair(c: complex, phasors: np.ndarray, idx_a: np.ndarray,
-               idx_b: np.ndarray) -> tuple[int, int, complex]:
-    """Canonical pair from idx_a x idx_b whose phasor sum is closest to c.
+def nearest_phases(phi, grid: PhaseGrid, count: int) -> np.ndarray:
+    """Indices ``(..., count)`` of the grid phases circularly closest to ``phi``.
 
-    Exact ties resolve to the lexicographically smallest (lower, upper)
-    pair, matching `exhaustive_oracle`.
+    ``phi`` is a phase or an array of phases.  Sorted by distance
+    ascending; ties broken by the smaller index.  ``count`` is clamped to
+    the grid size.
     """
-    ca = np.repeat(idx_a, idx_b.size)
-    cb = np.tile(idx_b, idx_a.size)
-    lo = np.minimum(ca, cb)
-    hi = np.maximum(ca, cb)
-    err = np.abs(phasors[lo] + phasors[hi] - c)
-    k = np.lexsort((hi, lo, err))[0]
-    return int(lo[k]), int(hi[k]), complex(phasors[lo[k]] + phasors[hi[k]])
+    if count < 1:
+        raise ValueError("count must be a positive integer")
+    return _nearest(np.asarray(phi, dtype=float), grid, min(count, grid.size))
 
 
 def approximate(w, grid: PhaseGrid, candidates: int = 3,
-                norm_target: float = 2.0) -> DpsBeamformer:
-    """Realize a beamformer on a quantized double-phase-shifter array.
+                norm_target=2.0) -> DpsBeamformer:
+    """Realize beamformers on a quantized double-phase-shifter array.
 
-    Normalizes ``w`` to maximum modulus ``norm_target``, splits each
-    element into two unit phasors, collects the ``candidates`` nearest
-    grid phases for each, and keeps the pair combination whose sum is
-    closest to the element.
+    Normalizes ``w`` to maximum modulus ``norm_target`` along its last
+    axis, splits each element into two unit phasors, collects the
+    ``candidates`` nearest grid phases for each, and keeps the pair
+    combination whose sum is closest to the element.  Exact ties resolve
+    to the lexicographically smallest (lower, upper) pair, as in
+    `exhaustive_oracle`.
 
     Parameters
     ----------
     w : array_like
-        Complex weights, not all zero.
+        Complex weights of shape ``(..., N)``; no length-N vector all zero.
     grid : PhaseGrid
         Realizable phases of the shifters.
     candidates : int
         Top-L list length per phasor (clamped to the grid size).
-    norm_target : float
-        Maximum modulus after normalization, in (0, 2].
+    norm_target : float or array_like
+        Maximum modulus after normalization, in (0, 2]; an array broadcasts
+        against ``w.shape[:-1]`` (see `normalize_to_max`).
 
     Returns
     -------
     DpsBeamformer
-        Selected index pairs and the weights they realize.
+        Selected index pairs and the weights they realize, with the
+        normalized weights' shape.
     """
     if candidates < 1:
         raise ValueError("candidates must be a positive integer")
     wn = normalize_to_max(w, norm_target)
-    phasors = grid.phasors
-    pairs = np.empty((wn.size, 2), dtype=np.int64)
-    realized = np.empty(wn.size, dtype=complex)
-    for i, c in enumerate(wn):
-        c = complex(c)
-        dec = decompose(c)
-        idx_a = nearest_phases(dec.phi1, grid, candidates)
-        idx_b = nearest_phases(dec.phi2, grid, candidates)
-        lo, hi, value = _best_pair(c, phasors, idx_a, idx_b)
-        pairs[i] = lo, hi
-        realized[i] = value
-    return DpsBeamformer(grid=grid, pairs=pairs, realized=realized)
+    idx_a, idx_b = _nearest(np.stack(_split(wn)), grid,
+                            min(candidates, grid.size))
+    idx_a, idx_b = idx_a[..., :, None], idx_b[..., None, :]
+    lo = np.minimum(idx_a, idx_b).reshape(wn.shape + (-1,))
+    hi = np.maximum(idx_a, idx_b).reshape(wn.shape + (-1,))
+    sums = grid.phasors[lo] + grid.phasors[hi]
+    err = np.abs(sums - wn[..., None])
+    best = np.lexsort((hi, lo, err), axis=-1)[..., :1]
+
+    def pick(x):
+        return np.take_along_axis(x, best, axis=-1)[..., 0]
+
+    pairs = np.stack((pick(lo), pick(hi)), axis=-1)
+    return DpsBeamformer(grid=grid, pairs=pairs, realized=pick(sums))
 
 
 def exhaustive_oracle(w_n: complex, grid: PhaseGrid) -> tuple[int, int]:
@@ -229,14 +259,11 @@ def exhaustive_oracle(w_n: complex, grid: PhaseGrid) -> tuple[int, int]:
 def quantize_pesa(w, grid: PhaseGrid) -> np.ndarray:
     """Phase-only quantization: snap each weight's phase to the grid.
 
-    Returns unit-modulus weights; the modulus of the input is discarded,
-    which is all a single-shifter array can realize.
+    Returns unit-modulus weights of the input's shape; the modulus of the
+    input is discarded, which is all a single-shifter array can realize.
     """
     w = np.asarray(w, dtype=complex)
     if np.any(w == 0):
         raise ValueError("zero weights have no phase to quantize")
-    idx = [
-        int(nearest_phases(math.atan2(c.imag, c.real), grid, 1)[0])
-        for c in w
-    ]
-    return grid.phasors[idx].copy()
+    phase = _map(math.atan2, w.imag, w.real)
+    return grid.phasors[_nearest(phase, grid, 1)[..., 0]]

@@ -3,15 +3,16 @@ Monte-Carlo sweep over shifter resolution and normalization scale.
 
 All runs are deterministic given the scenario seed; Monte-Carlo trials
 re-seed from ``(seed, trial_index)`` so results do not depend on worker
-count or execution order.
+count, block boundaries or execution order.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
-from functools import partial
+from itertools import repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -31,6 +32,11 @@ from .dps_quantize import PhaseGrid, approximate, quantize_pesa
 DEFAULT_GAMMA = 0.1
 TARGET_DRAW_RANGE_DEG = 85
 TARGET_MIN_SEPARATION_DEG = 2.0
+# Whole-set rejection draws before `draw_target_angles` places the angles
+# directly; every count the sweep uses is accepted far sooner.
+TARGET_DRAW_ATTEMPTS = 1000
+# Trials quantized together; bounds a block's arrays whatever the trial count.
+SWEEP_BLOCK_TRIALS = 64
 
 
 @dataclass(frozen=True)
@@ -115,21 +121,30 @@ def draw_target_angles(rng: np.random.Generator, count: int = 3,
 
     Uniform over [-span_deg, span_deg]; re-drawn until every pair is at
     least ``min_sep_deg`` apart, which keeps the multi-target solve away
-    from near-coincident steering vectors.  Raises `ValueError` when
-    ``count`` such angles cannot fit in the span.
+    from near-coincident steering vectors.  A count so dense that
+    `TARGET_DRAW_ATTEMPTS` whole draws all fail is placed directly: a
+    uniform choice of the gaps left after the minimum separations, in
+    random order.  Raises `ValueError` when ``count`` such angles cannot
+    fit in the span.
     """
     lo, hi = -int(span_deg), int(span_deg)
-    if count > 1 and min_sep_deg > 0:
-        capacity = (hi - lo) // math.ceil(min_sep_deg) + 1
+    sep = math.ceil(min_sep_deg) if count > 1 and min_sep_deg > 0 else 0
+    if sep:
+        capacity = (hi - lo) // sep + 1
         if count > capacity:
             raise ValueError(
                 f"{count} integer angles {min_sep_deg:g} degrees apart do not "
                 f"fit in [{lo}, {hi}] (at most {capacity})"
             )
-    while True:
+    for _ in range(TARGET_DRAW_ATTEMPTS):
         angles = rng.integers(lo, hi + 1, size=count).astype(float)
         if count == 1 or np.diff(np.sort(angles)).min() >= min_sep_deg:
             return angles
+    # Sorted angles x_i = lo + y_i + i*(sep - 1) are sep apart exactly when
+    # the y_i are distinct points of a range shortened by (count-1)*(sep-1).
+    free = hi - lo + 1 - (count - 1) * (sep - 1)
+    y = np.sort(rng.choice(free, size=count, replace=False))
+    return rng.permutation(lo + y + np.arange(count) * (sep - 1)).astype(float)
 
 
 def _levels(traces, target_angles_deg) -> dict:
@@ -194,28 +209,54 @@ def run_mvdr_clutter(spec: ScenarioSpec) -> TrialResult:
     )
 
 
-def _sweep_trial(spec: ScenarioSpec, bits_list, norm_list, index: int):
-    """RMS errors of trial ``index``: dps per (bits, norm), pesa per bits."""
-    rng = trial_rng(spec.seed, index)
-    angles = draw_target_angles(rng, count=3)
-    desired = int(rng.integers(angles.size))
-    scenario = TargetScenario(tuple(np.radians(angles)), desired)
+def _trial_blocks(trials: int, workers: int, cpus: int | None):
+    """Worker count and the contiguous trial ranges a sweep runs as blocks.
 
-    w_ref = mvdr_beamformer(spec.config, scenario, spec.gamma)
-    ref_trace = _pattern(spec, w_ref)
-    at = [ref_trace.index_of(a) for a in angles]
-    w_steer = steering_vector(spec.config, scenario.desired_angle)
+    Workers are clamped to ``min(workers, cpus or 1, blocks)``; there is at
+    least one block per worker and none longer than `SWEEP_BLOCK_TRIALS`.
+    """
+    workers = max(1, min(workers, cpus or 1, trials))
+    count = max(workers, math.ceil(trials / SWEEP_BLOCK_TRIALS))
+    edges = [trials * k // count for k in range(count + 1)]
+    return workers, [range(a, b) for a, b in zip(edges, edges[1:])]
 
-    rms_dps = np.empty((len(bits_list), len(norm_list)))
-    rms_pesa = np.empty(len(bits_list))
-    for bi, bits in enumerate(bits_list):
-        grid = PhaseGrid(bits)
-        pesa_trace = _pattern(spec, quantize_pesa(w_steer, grid))
-        rms_pesa[bi] = rms_diff_db(ref_trace, pesa_trace, at)
-        for ni, norm in enumerate(norm_list):
-            dps = approximate(w_ref, grid, spec.candidates_l, norm)
-            dps_trace = _pattern(spec, dps.realized)
-            rms_dps[bi, ni] = rms_diff_db(ref_trace, dps_trace, at)
+
+def _sweep_block(spec: ScenarioSpec, bits_list, norm_list, trials: range):
+    """RMS errors of a block of T trials.
+
+    Returns dps errors ``(T, bits, norms)`` and pesa errors ``(T, bits)``.
+    """
+    angles, w_ref, w_steer = [], [], []
+    for index in trials:
+        rng = trial_rng(spec.seed, index)
+        drawn = draw_target_angles(rng, count=3)
+        desired = int(rng.integers(drawn.size))
+        scenario = TargetScenario(tuple(np.radians(drawn)), desired)
+        angles.append(drawn)
+        w_ref.append(mvdr_beamformer(spec.config, scenario, spec.gamma))
+        w_steer.append(steering_vector(spec.config, scenario.desired_angle))
+
+    # Every trial's reference at every norm, quantized in one call per bits.
+    grids = [PhaseGrid(bits) for bits in bits_list]
+    refs, steers = np.stack(w_ref)[:, None, :], np.stack(w_steer)
+    dps = np.stack([approximate(refs, g, spec.candidates_l, norm_list).realized
+                    for g in grids], axis=1)
+    pesa = np.stack([quantize_pesa(steers, g) for g in grids], axis=1)
+
+    n_bits, n_norms = len(bits_list), len(norm_list)
+    rms_dps = np.empty((len(trials), n_bits, n_norms))
+    rms_pesa = np.empty((len(trials), n_bits))
+    for t, w in enumerate(w_ref):
+        ref_trace = _pattern(spec, w)
+        at = [ref_trace.index_of(a) for a in angles[t]]
+        # One bits value (1 + norms vectors) per sampler call: a whole
+        # trial's stack measured slower, its larger temporaries being
+        # returned to the OS and faulted back in on every call.
+        for bi in range(n_bits):
+            quantized = np.concatenate([pesa[t, bi, None], dps[t, bi]])
+            rms = rms_diff_db(ref_trace, _pattern(spec, quantized), at)
+            rms_pesa[t, bi] = rms[0]
+            rms_dps[t, bi] = rms[1:]
     return rms_dps, rms_pesa
 
 
@@ -226,8 +267,9 @@ def run_monte_carlo(base: ScenarioSpec, bits_sweep, norm_sweep,
     Per trial, three random clutter/target directions are drawn, the
     multi-target reference is built (``base.gamma``, defaulting to 0.1),
     and the quantized realizations are scored at the target angles for
-    every (bits, norm_target) combination.  Deterministic for a given
-    ``base.seed`` regardless of ``workers``.
+    every (bits, norm_target) combination.  Trials run in contiguous
+    blocks, sharded over up to ``workers`` processes (see `_trial_blocks`).
+    Deterministic for a given ``base.seed`` regardless of ``workers``.
     """
     bits_list = tuple(int(b) for b in bits_sweep)
     norm_list = tuple(float(v) for v in norm_sweep)
@@ -238,16 +280,16 @@ def run_monte_carlo(base: ScenarioSpec, bits_sweep, norm_sweep,
     if base.gamma is None:
         base = replace(base, gamma=DEFAULT_GAMMA)
 
-    trial = partial(_sweep_trial, base, bits_list, norm_list)
-    if workers <= 1:
-        results = [trial(t) for t in range(trials)]
+    workers, blocks = _trial_blocks(trials, workers, os.cpu_count())
+    if workers == 1:
+        results = [_sweep_block(base, bits_list, norm_list, b) for b in blocks]
     else:
-        chunk = max(1, trials // (4 * workers))
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(trial, range(trials), chunksize=chunk))
+            results = list(pool.map(_sweep_block, repeat(base), repeat(bits_list),
+                                    repeat(norm_list), blocks))
 
-    rms_dps = np.stack([r[0] for r in results])
-    rms_pesa = np.stack([r[1] for r in results])
+    rms_dps = np.concatenate([r[0] for r in results])
+    rms_pesa = np.concatenate([r[1] for r in results])
     rows = []
     for bi, bits in enumerate(bits_list):
         for ni, norm in enumerate(norm_list):

@@ -1,8 +1,13 @@
 import math
+from pathlib import Path
 
 import numpy as np
+import pytest
 
 from dpspesa import cli
+from dpspesa.array_model import ArrayConfig, beampattern_trace, steering_vector
+
+GOLDEN_SWEEP = Path(__file__).parent / "data" / "sweep_golden.csv"
 
 
 def run_cli(args):
@@ -169,6 +174,35 @@ def test_sweep_deterministic_across_workers(tmp_path):
     ref = (outs[0] / "sweep.csv").read_bytes()
     assert (outs[1] / "sweep.csv").read_bytes() == ref
     assert (outs[2] / "sweep.csv").read_bytes() == ref
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_sweep_matches_golden_csv(tmp_path, workers):
+    # Recorded before the quantizer became one batched kernel.
+    assert run_cli(["sweep", "--bits=2:12", "--norms=1,1.5,2", "--trials=20",
+                    "--seed=20250810", f"--workers={workers}",
+                    f"--out={tmp_path}"]) == 0
+    assert (tmp_path / "sweep.csv").read_bytes() == GOLDEN_SWEEP.read_bytes()
+
+
+def test_trace_csv_rows_match_per_value_formatting(tmp_path):
+    cfg = ArrayConfig(16, 0.5)
+    traces = [
+        beampattern_trace(cfg, steering_vector(cfg, 0.3), 0.1, -20.0),
+        beampattern_trace(cfg, np.zeros(16), 0.5, -80.0),  # floor everywhere
+        beampattern_trace(ArrayConfig(2, 0.5), [1.0, 1.0], 0.1, -300.0),
+    ]
+    for trace in traces:
+        assert (trace.power_db == trace.floor_db).any()
+        path = tmp_path / "t.csv"
+        cli._write_trace_csv(str(path), trace)
+        want = "angle_deg,power_linear,power_db\n" + "".join(
+            f"{format(float(a), '.9g')},{format(float(p), '.9g')},"
+            f"{format(float(d), '.9g')}\n"
+            for a, p, d in zip(trace.angles_deg, trace.power_linear,
+                               trace.power_db)
+        )
+        assert path.read_text() == want
 
 
 def test_sweep_rejects_bad_bits(tmp_path):

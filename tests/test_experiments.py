@@ -3,7 +3,9 @@ import pytest
 
 from dpspesa.array_model import ArrayConfig
 from dpspesa.experiments import (
+    SWEEP_BLOCK_TRIALS,
     ScenarioSpec,
+    _trial_blocks,
     draw_target_angles,
     run_monte_carlo,
     run_mvdr_clutter,
@@ -61,6 +63,39 @@ def test_draw_target_angles_refuses_a_count_that_cannot_fit():
         -5.0, 65.0, 33.0]
     assert draw_target_angles(trial_rng(5, 2), count=12).tolist() == [
         41.0, -6.0, 8.0, 6.0, -18.0, 83.0, 80.0, -3.0, -55.0, -66.0, 12.0, 74.0]
+
+
+def _assert_separated(angles, count, span=85.0, sep=2.0):
+    assert angles.shape == (count,)
+    assert np.all(np.abs(angles) <= span)
+    assert np.all(angles == np.round(angles))
+    assert np.diff(np.sort(angles)).min() >= sep
+
+
+def test_dense_target_counts_are_placed():
+    # 40 of at most 86 is practically never drawn as a whole set.
+    angles = draw_target_angles(trial_rng(5, 2), count=40)
+    _assert_separated(angles, 40)
+    assert np.array_equal(angles, draw_target_angles(trial_rng(5, 2), count=40))
+    full = draw_target_angles(trial_rng(1, 0), count=86)
+    assert np.sort(full).tolist() == list(range(-85, 86, 2))
+    _assert_separated(draw_target_angles(trial_rng(2, 0), count=57,
+                                         min_sep_deg=2.5), 57, sep=2.5)
+
+
+def test_trial_blocks_clamp_workers_and_cover_the_trials():
+    assert _trial_blocks(8, 2, 2) == (2, [range(0, 4), range(4, 8)])
+    assert _trial_blocks(8, 16, 4)[0] == 4
+    assert _trial_blocks(3, 16, 64)[0] == 3
+    assert _trial_blocks(5, 4, None)[0] == 1
+    assert _trial_blocks(5, 0, 8) == (1, [range(0, 5)])
+    for trials, workers, cpus in [(1, 1, 1), (200, 1, 2), (1000, 3, 8),
+                                  (130, 2, 2), (7, 64, 64)]:
+        used, blocks = _trial_blocks(trials, workers, cpus)
+        assert used == min(workers, cpus, len(blocks))
+        assert len(blocks) >= used
+        assert [t for b in blocks for t in b] == list(range(trials))
+        assert max(len(b) for b in blocks) <= SWEEP_BLOCK_TRIALS
 
 
 def test_single_target_requires_one_target_and_no_gamma():
