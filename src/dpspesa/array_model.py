@@ -19,6 +19,9 @@ HALF_PI = 0.5 * np.pi
 
 DEFAULT_FLOOR_DB = -80.0
 DEFAULT_GRID_STEP_DEG = 0.1
+# Bound on grid points x N of one sampled steering matrix: 64 MiB as
+# complex128, about 97 times N=24 on the 0.1-degree grid (43,224).
+MAX_GRID_ENTRIES = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -137,6 +140,7 @@ def trace_from_powers(angles_deg, power_linear,
 @functools.lru_cache(maxsize=8)
 def _grid_response(config: ArrayConfig, step_deg: float):
     """Read-only degree grid and conjugate steering matrix for one geometry."""
+    _grid_points(step_deg, config.n_antennas)
     grid_deg = angle_grid_deg(step_deg)
     response = steering_matrix(config, np.radians(grid_deg)).conj()
     grid_deg.setflags(write=False)
@@ -173,14 +177,28 @@ def beampattern_trace(config: ArrayConfig, w,
     return trace_from_powers(grid_deg, np.abs(field) ** 2, floor_db)
 
 
-def angle_grid_deg(step_deg: float = DEFAULT_GRID_STEP_DEG) -> np.ndarray:
-    """Symmetric degree grid over [-90, 90], inclusive of both endpoints."""
+def _grid_points(step_deg: float, n_antennas: int = 1) -> int:
+    """Point count of ``angle_grid_deg(step_deg)``, checked before any array
+    exists: ``step_deg`` must divide 180 evenly, and the grid's steering
+    matrix, points x ``n_antennas``, must not exceed `MAX_GRID_ENTRIES`."""
     if not step_deg > 0:
         raise ValueError("step_deg must be positive")
-    n_intervals = round(180.0 / step_deg)
+    # Clamped so that a tiny step cannot overflow `round`.
+    n_intervals = round(min(180.0 / step_deg, MAX_GRID_ENTRIES))
+    if (n_intervals + 1) * n_antennas > MAX_GRID_ENTRIES:
+        raise ValueError(
+            f"a {step_deg:g}-degree grid for {n_antennas} antennas exceeds "
+            f"{MAX_GRID_ENTRIES} steering-matrix entries (grid points x "
+            "antennas); use a coarser grid step"
+        )
     if n_intervals < 1 or abs(n_intervals * step_deg - 180.0) > 1e-9:
         raise ValueError("step_deg must divide 180 degrees evenly")
-    return np.linspace(-90.0, 90.0, n_intervals + 1)
+    return n_intervals + 1
+
+
+def angle_grid_deg(step_deg: float = DEFAULT_GRID_STEP_DEG) -> np.ndarray:
+    """Symmetric degree grid over [-90, 90], inclusive of both endpoints."""
+    return np.linspace(-90.0, 90.0, _grid_points(step_deg))
 
 
 def rms_diff_db(a: BeampatternTrace, b: BeampatternTrace, at_indices=()) -> float:

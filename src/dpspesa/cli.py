@@ -6,9 +6,10 @@ experiment), ``clutter`` (multi-target clutter-reduction experiment),
 candidate search against the exhaustive oracle).
 
 Angles are degrees everywhere on this surface.  Scenario values may come
-from a ``key=value`` config file (``--config``); inline flags win on
-conflict, and ``DPS_SEED`` overrides the built-in default seed.  Exit
-codes: 0 success, 1 I/O failure, 2 usage, 3 validation failure.
+from a ``key=value`` config file (``--config``) whose keys name flags;
+inline flags win on conflict, and ``DPS_SEED`` overrides the built-in
+default seed.  Exit codes: 0 success, 1 I/O failure, 2 usage, 3 validation
+failure.
 """
 
 from __future__ import annotations
@@ -30,13 +31,7 @@ from .array_model import (
     steering_vector,
 )
 from .beamformers import TargetScenario, mvdr_beamformer
-from .dps_quantize import (
-    PhaseGrid,
-    approximate,
-    exhaustive_oracle,
-    normalize_to_max,
-    quantize_pesa,
-)
+from .dps_quantize import PhaseGrid, approximate, oracle_mismatches, quantize_pesa
 from .experiments import (
     DEFAULT_GAMMA,
     ScenarioSpec,
@@ -49,6 +44,7 @@ from .experiments import (
 
 MAX_ORACLE_CHECK_BITS = 4
 
+# One entry per flag and config-file key; None means "not given".
 DEFAULTS = {
     "antennas": 16,
     "spacing": 0.5,
@@ -62,10 +58,17 @@ DEFAULTS = {
     "grid_step": DEFAULT_GRID_STEP_DEG,
     "floor_db": DEFAULT_FLOOR_DB,
     "trials": None,
-    "seed": None,
+    "seed": 0,
     "workers": 1,
     "out": ".",
     "beamformer": "steering",
+}
+# Per-subcommand overrides of `DEFAULTS`.  Pattern keeps gamma None: it
+# picks the steering vector or the MVDR reference for ``dps``.
+COMMAND_DEFAULTS = {
+    "sweep": {"bits": "2:12", "trials": 200, "gamma": DEFAULT_GAMMA},
+    "clutter": {"gamma": DEFAULT_GAMMA},
+    "oracle-check": {"trials": 1000},
 }
 
 
@@ -104,20 +107,24 @@ def _load_config_file(path: str) -> dict:
                 continue
             if "=" not in line:
                 raise UsageError(f"{path}:{lineno}: expected key=value")
-            key, value = line.split("=", 1)
-            values[key.strip().replace("-", "_")] = value.strip()
+            key, value = (part.strip() for part in line.split("=", 1))
+            name = key.replace("-", "_")
+            if name not in DEFAULTS:
+                raise UsageError(f"{path}:{lineno}: unknown key '{key}'")
+            values[name] = value
     return values
 
 
 def _resolve(args, key, cast=None):
-    """Inline flag, then config file, then DPS_SEED (seed only), then default."""
+    """Inline flag, then config file, then DPS_SEED (seed only), then the
+    subcommand's `COMMAND_DEFAULTS`, then `DEFAULTS`."""
     value = getattr(args, key, None)
     if value is None:
-        value = getattr(args, "_config_values", {}).get(key)
+        value = args._config_values.get(key)
     if value is None and key == "seed":
         value = os.environ.get("DPS_SEED")
     if value is None:
-        value = DEFAULTS.get(key)
+        value = COMMAND_DEFAULTS.get(args.command, {}).get(key, DEFAULTS[key])
     if value is None or cast is None:
         return value
     if isinstance(value, str):
@@ -168,7 +175,7 @@ def _scenario_common(args, with_bits: bool = True) -> dict:
         "norm_target": _resolve(args, "norm", float),
         "grid_step_deg": _resolve(args, "grid_step", float),
         "floor_db": _resolve(args, "floor_db", float),
-        "seed": _resolve(args, "seed", int) or 0,
+        "seed": _resolve(args, "seed", int),
     }
     if with_bits:
         common["bits"] = _resolve(args, "bits", int)
@@ -266,10 +273,8 @@ def cmd_clutter(args) -> int:
     if targets is None or len(targets) < 2:
         raise UsageError("clutter requires --targets with at least two angles")
     idx = _desired_index(targets, _resolve(args, "desired", float))
-    gamma = _resolve(args, "gamma", float)
     spec = ScenarioSpec(target_angles_deg=targets, desired_index=idx,
-                        gamma=gamma if gamma is not None else DEFAULT_GAMMA,
-                        **common)
+                        gamma=_resolve(args, "gamma", float), **common)
     result = run_mvdr_clutter(spec)
 
     items = [
@@ -293,19 +298,13 @@ def cmd_clutter(args) -> int:
 
 def cmd_sweep(args) -> int:
     common = _scenario_common(args, with_bits=False)
-    raw_bits = getattr(args, "bits", None) \
-        or args._config_values.get("bits") or "2:12"
-    bits_sweep = _parse_bits_sweep(raw_bits)
+    bits_sweep = _resolve(args, "bits", _parse_bits_sweep)
     norm_sweep = _resolve(args, "norms", _parse_float_list)
     trials = _resolve(args, "trials", int)
-    trials = 200 if trials is None else trials
     workers = _resolve(args, "workers", int)
-    gamma = _resolve(args, "gamma", float)
 
-    # Target draw is per trial; the placeholder angle is never used.
-    spec = ScenarioSpec(target_angles_deg=(0.0,),
-                        gamma=gamma if gamma is not None else DEFAULT_GAMMA,
-                        **common)
+    # Targets are drawn per trial.
+    spec = ScenarioSpec(gamma=_resolve(args, "gamma", float), **common)
     result = run_monte_carlo(spec, bits_sweep, norm_sweep, trials,
                              workers=workers)
 
@@ -323,39 +322,30 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_oracle_check(args) -> int:
-    bits = int(_resolve(args, "bits", int))
+    bits = _resolve(args, "bits", int)
     if not 1 <= bits <= MAX_ORACLE_CHECK_BITS:
         raise UsageError(
             f"oracle-check requires 1 <= bits <= {MAX_ORACLE_CHECK_BITS}"
         )
     count = _resolve(args, "trials", int)
-    count = 1000 if count is None else count
-    seed = _resolve(args, "seed", int) or 0
+    if count < 1:
+        raise UsageError("oracle-check requires --trials >= 1")
 
     grid = PhaseGrid(bits)
-    rng = trial_rng(seed, 0)
+    rng = trial_rng(_resolve(args, "seed", int), 0)
     mismatches = 0
     checked = 0
     while checked < count:
+        # Weights are drawn and normalized 16 at a time; what a seed
+        # checks depends on that block size, so keep it.
         block = min(16, count - checked)
         radius = 2.0 * np.sqrt(rng.random(block))
         angle = rng.random(block) * 2.0 * np.pi
-        w = radius * np.exp(1j * angle)
-        wn = normalize_to_max(w, 2.0)
-        dps = approximate(w, grid, candidates=grid.size, norm_target=2.0)
-        for n in range(block):
-            pair = exhaustive_oracle(wn[n], grid)
-            err_fast = abs(complex(dps.realized[n]) - complex(wn[n]))
-            err_oracle = abs(
-                complex(grid.phasors[pair[0]] + grid.phasors[pair[1]])
-                - complex(wn[n])
-            )
-            if err_fast != err_oracle or tuple(dps.pairs[n]) != pair:
-                mismatches += 1
-                print(
-                    f"mismatch: w={wn[n]!r} search pair={tuple(dps.pairs[n])} "
-                    f"err={err_fast!r} oracle pair={pair} err={err_oracle!r}"
-                )
+        for m in oracle_mismatches(radius * np.exp(1j * angle), grid):
+            mismatches += 1
+            print(f"mismatch: w={m.weight!r} search pair={m.search_pair} "
+                  f"err={m.search_error!r} oracle pair={m.oracle_pair} "
+                  f"err={m.oracle_error!r}")
         checked += block
     if mismatches:
         print(f"oracle check FAILED: {mismatches}/{checked} mismatches")

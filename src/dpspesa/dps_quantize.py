@@ -6,7 +6,8 @@ uniform grid of 2**B phases, so a weight vector is realized by picking,
 per antenna, the pair of grid phases whose phasor sum lands closest to
 the wanted weight.  `approximate` does this with a top-L candidate search
 around the exact split; `exhaustive_oracle` brute-forces all pairs for
-small B and anchors the tests.  `approximate`, `quantize_pesa`,
+small B, and `oracle_mismatches` compares the two for the tests and the
+CLI's ``oracle-check``.  `approximate`, `quantize_pesa`,
 `normalize_to_max` and `nearest_phases` take arrays of any leading batch
 shape, weights ``(..., N)``, and run as one array kernel.
 """
@@ -254,6 +255,41 @@ def exhaustive_oracle(w_n: complex, grid: PhaseGrid) -> tuple[int, int]:
         if err[j] < best[0]:
             best = (float(err[j]), i, i + j)
     return best[1], best[2]
+
+
+class OracleMismatch(NamedTuple):
+    """One weight on which the candidate search and the oracle disagree."""
+
+    weight: complex
+    search_pair: tuple
+    search_error: float
+    oracle_pair: tuple
+    oracle_error: float
+
+
+def oracle_mismatches(w, grid: PhaseGrid) -> list[OracleMismatch]:
+    """Compare the full-grid candidate search with `exhaustive_oracle`.
+
+    ``w`` of shape ``(..., N)`` is quantized by `approximate` with every
+    grid phase as a candidate and normalization target 2; each normalized
+    element is then solved by the oracle.  Returns, in element order, the
+    weights whose pair or exact phasor-sum error differs.
+    """
+    wn = normalize_to_max(w, 2.0)
+    dps = approximate(w, grid, candidates=grid.size, norm_target=2.0)
+    phasors = grid.phasors
+    mismatches = []
+    for c, pair, realized in zip(wn.reshape(-1), dps.pairs.reshape(-1, 2),
+                                 dps.realized.reshape(-1)):
+        search_pair = tuple(pair)
+        search_error = abs(complex(realized) - complex(c))
+        oracle_pair = exhaustive_oracle(c, grid)
+        oracle_error = abs(complex(phasors[oracle_pair[0]]
+                                   + phasors[oracle_pair[1]]) - complex(c))
+        if search_error != oracle_error or search_pair != oracle_pair:
+            mismatches.append(OracleMismatch(c, search_pair, search_error,
+                                             oracle_pair, oracle_error))
+    return mismatches
 
 
 def quantize_pesa(w, grid: PhaseGrid) -> np.ndarray:

@@ -42,10 +42,11 @@ SWEEP_BLOCK_TRIALS = 64
 @dataclass(frozen=True)
 class ScenarioSpec:
     """One experiment configuration; defaults follow the reference setup
-    (N=16, half-wavelength spacing, 4-bit shifters, L=3, normalization 2)."""
+    (N=16, half-wavelength spacing, 4-bit shifters, L=3, normalization 2).
+    The Monte-Carlo sweep draws its targets per trial and gives none."""
 
     config: ArrayConfig
-    target_angles_deg: tuple
+    target_angles_deg: tuple = ()
     desired_index: int = 0
     gamma: float | None = None
     bits: int = 4
@@ -60,7 +61,8 @@ class ScenarioSpec:
             self, "target_angles_deg",
             tuple(float(t) for t in self.target_angles_deg),
         )
-        if not 0 <= self.desired_index < len(self.target_angles_deg):
+        n_targets = len(self.target_angles_deg)
+        if n_targets and not 0 <= self.desired_index < n_targets:
             raise ValueError("desired_index out of range")
         if self.gamma is not None and not self.gamma > 0:
             raise ValueError("gamma must be strictly positive when present")
@@ -158,6 +160,28 @@ def _pattern(spec: ScenarioSpec, w) -> BeampatternTrace:
     return beampattern_trace(spec.config, w, spec.grid_step_deg, spec.floor_db)
 
 
+def _quantized_trial(spec: ScenarioSpec, w_ref, w_steer,
+                     rms_angles_deg) -> TrialResult:
+    """Score the DPS realization of ``w_ref`` and the phase-only (PESA)
+    quantization of the steering vector ``w_steer`` against ``w_ref``.
+
+    RMS errors are taken at the grid points nearest ``rms_angles_deg``, or
+    over the whole grid when it is empty.
+    """
+    grid = PhaseGrid(spec.bits)
+    dps = approximate(w_ref, grid, spec.candidates_l, spec.norm_target)
+    w_pesa = quantize_pesa(w_steer, grid)
+
+    traces = tuple(_pattern(spec, w) for w in (w_ref, dps.realized, w_pesa))
+    at = [traces[0].index_of(a) for a in rms_angles_deg]
+    return TrialResult(
+        *traces,
+        rms_dps_db=rms_diff_db(traces[0], traces[1], at),
+        rms_pesa_db=rms_diff_db(traces[0], traces[2], at),
+        levels_at_targets_db=_levels(traces, spec.target_angles_deg),
+    )
+
+
 def run_single_target(spec: ScenarioSpec) -> TrialResult:
     """Track one target: steering-vector reference vs. its quantized
     realizations.  RMS errors are taken over the whole angle grid."""
@@ -165,19 +189,8 @@ def run_single_target(spec: ScenarioSpec) -> TrialResult:
         raise ValueError("single-target run requires exactly one target")
     if spec.gamma is not None:
         raise ValueError("single-target run takes no gamma")
-    grid = PhaseGrid(spec.bits)
-
-    w_ref = steering_vector(spec.config, spec.scenario.desired_angle)
-    dps = approximate(w_ref, grid, spec.candidates_l, spec.norm_target)
-    w_pesa = quantize_pesa(w_ref, grid)
-
-    traces = tuple(_pattern(spec, w) for w in (w_ref, dps.realized, w_pesa))
-    return TrialResult(
-        *traces,
-        rms_dps_db=rms_diff_db(traces[0], traces[1]),
-        rms_pesa_db=rms_diff_db(traces[0], traces[2]),
-        levels_at_targets_db=_levels(traces, spec.target_angles_deg),
-    )
+    w_steer = steering_vector(spec.config, spec.scenario.desired_angle)
+    return _quantized_trial(spec, w_steer, w_steer, rms_angles_deg=())
 
 
 def run_mvdr_clutter(spec: ScenarioSpec) -> TrialResult:
@@ -191,22 +204,9 @@ def run_mvdr_clutter(spec: ScenarioSpec) -> TrialResult:
         raise ValueError("clutter run requires at least two targets")
     if spec.gamma is None:
         raise ValueError("clutter run requires gamma")
-    grid = PhaseGrid(spec.bits)
-
     w_ref = mvdr_beamformer(spec.config, spec.scenario, spec.gamma)
-    dps = approximate(w_ref, grid, spec.candidates_l, spec.norm_target)
-    w_pesa = quantize_pesa(
-        steering_vector(spec.config, spec.scenario.desired_angle), grid
-    )
-
-    traces = tuple(_pattern(spec, w) for w in (w_ref, dps.realized, w_pesa))
-    at = [traces[0].index_of(a) for a in spec.target_angles_deg]
-    return TrialResult(
-        *traces,
-        rms_dps_db=rms_diff_db(traces[0], traces[1], at),
-        rms_pesa_db=rms_diff_db(traces[0], traces[2], at),
-        levels_at_targets_db=_levels(traces, spec.target_angles_deg),
-    )
+    w_steer = steering_vector(spec.config, spec.scenario.desired_angle)
+    return _quantized_trial(spec, w_ref, w_steer, spec.target_angles_deg)
 
 
 def _trial_blocks(trials: int, workers: int, cpus: int | None):

@@ -15,11 +15,10 @@ from dpspesa.array_model import ArrayConfig, steering_vector
 from dpspesa.beamformers import TargetScenario, mvdr_beamformer
 from dpspesa.dps_quantize import (
     PhaseGrid,
-    approximate,
     circular_distance,
     decompose,
     exhaustive_oracle,
-    normalize_to_max,
+    oracle_mismatches,
     recompose,
 )
 from dpspesa.experiments import (
@@ -144,15 +143,7 @@ def test_criterion_5_oracle_equivalence():
         while checked < 1000:
             block = min(16, 1000 - checked)
             w = _random_disk(rng, size=block)
-            wn = normalize_to_max(w, 2.0)
-            dps = approximate(w, grid, candidates=grid.size, norm_target=2.0)
-            for n in range(block):
-                pair = exhaustive_oracle(wn[n], grid)
-                err_fast = abs(complex(dps.realized[n]) - complex(wn[n]))
-                best = grid.phasors[pair[0]] + grid.phasors[pair[1]]
-                err_oracle = abs(complex(best) - complex(wn[n]))
-                if err_fast != err_oracle or tuple(dps.pairs[n]) != pair:
-                    mismatches += 1
+            mismatches += len(oracle_mismatches(w, grid))
             checked += block
         checks.append((mismatches == 0,
                        f"B={bits}: {mismatches}/1000 mismatches "

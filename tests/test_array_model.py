@@ -5,9 +5,12 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from dpspesa import array_model
 from dpspesa.array_model import (
+    MAX_GRID_ENTRIES,
     ArrayConfig,
     BeampatternTrace,
+    _grid_points,
     _grid_response,
     angle_grid_deg,
     beampattern_trace,
@@ -193,6 +196,29 @@ def test_default_angle_grid():
         angle_grid_deg(0.0)
     with pytest.raises(ValueError):
         angle_grid_deg(0.07)
+
+
+def test_grid_size_bound_is_checked_before_allocation():
+    # Only the pure count is exercised: no grid or matrix is built here.
+    assert _grid_points(0.1) == _grid_points(0.1, 24) == 1801
+    most = MAX_GRID_ENTRIES // 1801
+    assert most > 24 * 50
+    assert _grid_points(0.1, most) == 1801
+    for step, n in ((0.1, most + 1), (1e-6, 16), (180 / MAX_GRID_ENTRIES, 1),
+                    (5e-324, 1)):
+        with pytest.raises(ValueError, match="steering-matrix entries"):
+            _grid_points(step, n)
+    for step in (0.0, -0.1, math.nan, 0.07, math.inf):
+        with pytest.raises(ValueError, match="step_deg"):
+            _grid_points(step, 16)
+
+
+def test_sampler_checks_grid_size_first(monkeypatch):
+    # A lowered bound on a geometry no other test caches: nothing large is
+    # built whether or not the check runs.
+    monkeypatch.setattr(array_model, "MAX_GRID_ENTRIES", 100)
+    with pytest.raises(ValueError, match="steering-matrix entries"):
+        beampattern_trace(ArrayConfig(7, 0.37), np.ones(7), 9.0)
 
 
 def _trace_from_db(power_db):

@@ -1,11 +1,13 @@
+import argparse
 import math
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from dpspesa import cli
+from dpspesa import cli, dps_quantize
 from dpspesa.array_model import ArrayConfig, beampattern_trace, steering_vector
+from dpspesa.experiments import DEFAULT_GAMMA
 
 GOLDEN_SWEEP = Path(__file__).parent / "data" / "sweep_golden.csv"
 
@@ -223,10 +225,67 @@ def test_oracle_check_refuses_large_bits():
 
 def test_oracle_check_reports_mismatch(monkeypatch, capsys):
     # Force a wrong oracle answer to exercise the mismatch exit path.
-    monkeypatch.setattr(cli, "exhaustive_oracle", lambda w, grid: (0, 0))
+    monkeypatch.setattr(dps_quantize, "exhaustive_oracle", lambda w, grid: (0, 0))
     assert run_cli(["oracle-check", "--bits=2", "--trials=8",
                     "--seed=1"]) == 3
     assert "mismatch" in capsys.readouterr().out
+
+
+def test_oracle_check_rejects_non_positive_trials(capsys):
+    for trials in ("0", "-3"):
+        assert run_cli(["oracle-check", "--bits=2", f"--trials={trials}"]) == 2
+        captured = capsys.readouterr()
+        assert "--trials >= 1" in captured.err
+        assert "passed" not in captured.out
+
+
+def test_defaults_table_resolves_per_subcommand(monkeypatch):
+    monkeypatch.delenv("DPS_SEED", raising=False)
+
+    def resolved(command, key, cast=None):
+        args = argparse.Namespace(command=command, _config_values={})
+        return cli._resolve(args, key, cast)
+
+    assert resolved("sweep", "bits", cli._parse_bits_sweep) == tuple(range(2, 13))
+    assert resolved("sweep", "trials") == 200
+    assert resolved("oracle-check", "trials") == 1000
+    for command in ("sweep", "clutter"):
+        assert resolved(command, "gamma") == DEFAULT_GAMMA
+    assert resolved("pattern", "gamma") is None
+    assert resolved("clutter", "bits") == "4"
+    for command in ("pattern", "single", "clutter", "sweep", "oracle-check"):
+        assert resolved(command, "seed") == 0
+
+
+def test_defaults_table_keys_are_the_flags():
+    dests = set()
+    for action in cli.build_parser()._subparsers._group_actions:
+        for sub in action.choices.values():
+            dests |= {a.dest for a in sub._actions} - {"help", "config"}
+    assert dests == set(cli.DEFAULTS)
+    for overlay in cli.COMMAND_DEFAULTS.values():
+        assert set(overlay) <= dests
+
+
+def test_config_file_rejects_unknown_key(tmp_path, capsys):
+    cfg = tmp_path / "typo.cfg"
+    cfg.write_text("targets=-47,30,49\ndesired=49\n bitz = 3\n")
+    with pytest.raises(cli.UsageError) as info:
+        cli._load_config_file(str(cfg))
+    assert str(info.value) == f"{cfg}:3: unknown key 'bitz'"
+    assert run_cli(["clutter", f"--config={cfg}", f"--out={tmp_path}"]) == 2
+    assert "unknown key 'bitz'" in capsys.readouterr().err
+    assert not (tmp_path / "summary.txt").exists()
+
+
+def test_config_file_bits_range_drives_sweep(tmp_path):
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text("bits=2:4\nnorms=1,2\ngrid-step=0.5\n")
+    assert run_cli(["sweep", f"--config={cfg}", "--trials=2",
+                    f"--out={tmp_path}"]) == 0
+    _, rows = read_csv(tmp_path / "sweep.csv")
+    assert [(r[0], r[1]) for r in rows] == [
+        (b, n) for b in ("2", "3", "4") for n in ("1", "2")]
 
 
 def test_io_error_exit_code(tmp_path):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from dpspesa import dps_quantize
 from dpspesa.dps_quantize import (
     Decomposition,
     PhaseGrid,
@@ -14,6 +15,7 @@ from dpspesa.dps_quantize import (
     exhaustive_oracle,
     nearest_phases,
     normalize_to_max,
+    oracle_mismatches,
     quantize_pesa,
     recompose,
 )
@@ -232,15 +234,24 @@ def test_oracle_matches_candidate_search():
     rng = np.random.default_rng(10)
     for bits in (2, 3):
         grid = PhaseGrid(bits)
-        w = _random_disk(rng, size=200)
-        wn = normalize_to_max(w, 2.0)
-        dps = approximate(w, grid, candidates=grid.size)
-        for n in range(w.size):
-            pair = exhaustive_oracle(wn[n], grid)
-            best = grid.phasors[pair[0]] + grid.phasors[pair[1]]
-            assert abs(complex(dps.realized[n]) - complex(wn[n])) == \
-                abs(complex(best) - complex(wn[n]))
-            assert tuple(dps.pairs[n]) == pair
+        assert oracle_mismatches(_random_disk(rng, size=200), grid) == []
+    # Each row of a stack is normalized on its own.
+    assert oracle_mismatches(_random_disk(rng, size=(4, 16)), PhaseGrid(3)) == []
+
+
+def test_oracle_mismatches_reports_wrong_oracle(monkeypatch):
+    grid = PhaseGrid(2)
+    w = np.array([2.0, 2.0j, -1.0 + 0.5j])
+    # On {1, j, -1, -j} the best pairs are 1 + 1, j + j and j - 1, so the
+    # patched answer (0, 0) is right for the first weight only.
+    monkeypatch.setattr(dps_quantize, "exhaustive_oracle", lambda c, g: (0, 0))
+    found = oracle_mismatches(w, grid)
+    assert [m.weight for m in found] == list(normalize_to_max(w, 2.0)[1:])
+    assert [m.search_pair for m in found] == [(1, 1), (1, 2)]
+    for m in found:
+        assert m.oracle_pair == (0, 0)
+        assert m.oracle_error == abs(2.0 - complex(m.weight))
+        assert m.search_error < m.oracle_error
 
 
 def test_oracle_error_non_increasing_with_bits():

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -21,6 +23,17 @@ def test_spec_validation():
         ScenarioSpec(config=CFG, target_angles_deg=(0.0,), desired_index=1)
     with pytest.raises(ValueError):
         ScenarioSpec(config=CFG, target_angles_deg=(0.0, 10.0), gamma=0.0)
+
+
+def test_spec_without_targets_serves_only_the_sweep():
+    spec = ScenarioSpec(config=CFG, desired_index=3, gamma=0.1)
+    assert spec.target_angles_deg == ()
+    with pytest.raises(ValueError):
+        run_single_target(replace(spec, gamma=None))
+    with pytest.raises(ValueError):
+        run_mvdr_clutter(spec)
+    result = run_monte_carlo(spec, (3,), (2.0,), trials=2)
+    assert len(result.rows) == 1 and result.rows[0].trials == 2
 
 
 def test_spec_defaults_cover_reference_setup():
@@ -121,6 +134,11 @@ def test_single_target_traces_peak_at_target():
     for trace in (result.reference_trace, result.dps_trace, result.pesa_trace):
         peak = trace.angles_deg[np.argmax(trace.power_linear)]
         assert abs(peak - 49.0) <= 0.1 + 1e-9
+    # RMS errors are taken over the whole grid.
+    for rms, trace in ((result.rms_dps_db, result.dps_trace),
+                       (result.rms_pesa_db, result.pesa_trace)):
+        diff = result.reference_trace.power_db - trace.power_db
+        assert rms == pytest.approx(np.sqrt(np.mean(diff**2)), rel=1e-12)
 
 
 def test_single_target_main_beam_covers_target():
@@ -170,6 +188,11 @@ def test_clutter_run_structure():
     peak = ref.angles_deg[np.argmax(ref.power_linear)]
     assert abs(peak - 49.0) <= 0.1 + 1e-9
     assert result.levels_at_targets_db[49.0].reference == 0.0
+    # RMS errors are taken at the three target angles only.
+    levels = result.levels_at_targets_db.values()
+    for rms, field in ((result.rms_dps_db, "dps"), (result.rms_pesa_db, "pesa")):
+        diff = [lv.reference - getattr(lv, field) for lv in levels]
+        assert rms == pytest.approx(np.sqrt(np.mean(np.square(diff))), rel=1e-12)
     assert result.rms_dps_db >= 0.0 and result.rms_pesa_db >= 0.0
 
 
