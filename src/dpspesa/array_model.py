@@ -1,10 +1,10 @@
 """Uniform linear array geometry, steering vectors, and beampatterns.
 
 A beamformer is a complex ndarray of length ``config.n_antennas``; the
-beampattern sampler and RMS metric also take stacks of them, shape
-``(..., N)``.  Single angles are radians; sampled angle grids
-(`BeampatternTrace`) carry degrees, which is what every downstream
-consumer (experiments, CSV output) works in.
+beampattern sampler, the level sampler `levels_db` and the RMS metric
+also take stacks of them, shape ``(..., N)``.  Single angles are
+radians; sampled angle grids (`BeampatternTrace`) carry degrees, which
+is what every downstream consumer (experiments, CSV output) works in.
 """
 
 from __future__ import annotations
@@ -59,12 +59,21 @@ class BeampatternTrace:
 
     def index_of(self, angle_deg: float) -> int:
         """Index of the grid point closest to ``angle_deg``."""
-        return int(np.argmin(np.abs(self.angles_deg - angle_deg)))
+        return int(_nearest_indices(self.angles_deg, angle_deg))
 
     def level_db(self, angle_deg: float) -> float:
         """Peak-normalized dB level at the grid point closest to ``angle_deg``
         (single patterns only)."""
         return float(self.power_db[self.index_of(angle_deg)])
+
+
+def _nearest_indices(grid_deg: np.ndarray, angles_deg) -> np.ndarray:
+    """Index of the grid point closest to each of ``angles_deg`` (the first
+    one on a tie), with the shape of ``angles_deg``."""
+    angles_deg = np.asarray(angles_deg, dtype=float)
+    if not np.all(np.isfinite(angles_deg)):
+        raise ValueError("angles must be finite")
+    return np.argmin(np.abs(grid_deg - angles_deg[..., None]), axis=-1)
 
 
 def _check_angles(thetas) -> np.ndarray:
@@ -126,14 +135,20 @@ def trace_from_powers(angles_deg, power_linear,
         raise ValueError("angle grid must be strictly increasing")
     if power_linear.shape[-1:] != angles_deg.shape:
         raise ValueError("angles and powers must have matching shapes")
-    if not floor_db < 0:
-        raise ValueError("floor_db must be negative")
 
     peak = power_linear.max(axis=-1, keepdims=True)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        power_db = np.maximum(10.0 * np.log10(power_linear / peak), floor_db)
-    power_db = np.where(peak > 0, power_db, floor_db)
+    power_db = _normalized_db(power_linear, peak, floor_db)
     return BeampatternTrace(angles_deg, power_linear.copy(), power_db, float(floor_db))
+
+
+def _normalized_db(power: np.ndarray, peak: np.ndarray, floor_db: float) -> np.ndarray:
+    """``power`` in dB relative to ``peak`` (broadcasting), clamped below at
+    ``floor_db``; ``floor_db`` wherever the peak is zero."""
+    if not floor_db < 0:
+        raise ValueError("floor_db must be negative")
+    with np.errstate(divide="ignore", invalid="ignore"):
+        power_db = np.maximum(10.0 * np.log10(power / peak), floor_db)
+    return np.where(peak > 0, power_db, floor_db)
 
 
 # Eight geometries at most; one entry at N=24 on the 0.1-degree grid is ~0.7 MB.
@@ -169,12 +184,35 @@ def beampattern_trace(config: ArrayConfig, w,
     floor_db : float
         Clamp for the peak-normalized dB pattern (must be negative).
     """
+    grid_deg, power = _grid_powers(config, w, step_deg)
+    return trace_from_powers(grid_deg, power, floor_db)
+
+
+def levels_db(config: ArrayConfig, w, angles_deg,
+              step_deg: float = DEFAULT_GRID_STEP_DEG,
+              floor_db: float = DEFAULT_FLOOR_DB) -> np.ndarray:
+    """Peak-normalized dB levels of ``w`` at the grid points nearest
+    ``angles_deg``.
+
+    Equal, bit for bit, to ``beampattern_trace(config, w, step_deg,
+    floor_db).power_db[..., idx]`` with ``idx`` the grid indices that
+    `BeampatternTrace.index_of` picks, but the dB conversion runs only at
+    those K points.  ``w`` has shape ``(..., N)``; the result ``(..., K)``.
+    """
+    grid_deg, power = _grid_powers(config, w, step_deg)
+    idx = _nearest_indices(grid_deg, np.ravel(angles_deg))
+    peak = power.max(axis=-1, keepdims=True)
+    return _normalized_db(power[..., idx], peak, floor_db)
+
+
+def _grid_powers(config: ArrayConfig, w, step_deg: float):
+    """Cached degree grid and the linear powers ``(..., G)`` of ``w`` on it."""
     w = _as_weights(config, w)
     grid_deg, response = _grid_response(config, float(step_deg))
     # One matrix-vector product per weight vector: a single matrix-matrix
     # product would sum in another order and change the last bits.
     field = np.matmul(response, w[..., None])[..., 0]
-    return trace_from_powers(grid_deg, np.abs(field) ** 2, floor_db)
+    return grid_deg, np.abs(field) ** 2
 
 
 def _grid_points(step_deg: float, n_antennas: int = 1) -> int:

@@ -27,6 +27,7 @@ from .array_model import (
     DEFAULT_GRID_STEP_DEG,
     ArrayConfig,
     BeampatternTrace,
+    _grid_points,
     beampattern_trace,
     steering_vector,
 )
@@ -179,6 +180,8 @@ def _scenario_common(args, with_bits: bool = True) -> dict:
     }
     if with_bits:
         common["bits"] = _resolve(args, "bits", int)
+    # The grid bound, checked before any steering vector or O(N^2) solve.
+    _grid_points(common["grid_step_deg"], common["config"].n_antennas)
     return common
 
 

@@ -215,11 +215,18 @@ def approximate(w, grid: PhaseGrid, candidates: int = 3,
         Selected index pairs and the weights they realize, with the
         normalized weights' shape.
     """
+    wn = normalize_to_max(w, norm_target)
+    return _search(wn, np.stack(_split(wn)), grid, candidates)
+
+
+def _search(wn: np.ndarray, split: np.ndarray, grid: PhaseGrid,
+            candidates: int) -> DpsBeamformer:
+    """The candidate search of `approximate` on normalized weights ``wn``
+    and their stacked split ``np.stack(_split(wn))``; the split does not
+    depend on the grid, so callers sweeping bits compute it once."""
     if candidates < 1:
         raise ValueError("candidates must be a positive integer")
-    wn = normalize_to_max(w, norm_target)
-    idx_a, idx_b = _nearest(np.stack(_split(wn)), grid,
-                            min(candidates, grid.size))
+    idx_a, idx_b = _nearest(split, grid, min(candidates, grid.size))
     idx_a, idx_b = idx_a[..., :, None], idx_b[..., None, :]
     lo = np.minimum(idx_a, idx_b).reshape(wn.shape + (-1,))
     hi = np.maximum(idx_a, idx_b).reshape(wn.shape + (-1,))
@@ -279,13 +286,15 @@ def oracle_mismatches(w, grid: PhaseGrid) -> list[OracleMismatch]:
     dps = approximate(w, grid, candidates=grid.size, norm_target=2.0)
     phasors = grid.phasors
     mismatches = []
-    for c, pair, realized in zip(wn.reshape(-1), dps.pairs.reshape(-1, 2),
-                                 dps.realized.reshape(-1)):
+    # Python scalars throughout, so a mismatch prints without numpy reprs.
+    for c, pair, realized in zip(wn.reshape(-1).tolist(),
+                                 dps.pairs.reshape(-1, 2).tolist(),
+                                 dps.realized.reshape(-1).tolist()):
         search_pair = tuple(pair)
-        search_error = abs(complex(realized) - complex(c))
+        search_error = abs(realized - c)
         oracle_pair = exhaustive_oracle(c, grid)
         oracle_error = abs(complex(phasors[oracle_pair[0]]
-                                   + phasors[oracle_pair[1]]) - complex(c))
+                                   + phasors[oracle_pair[1]]) - c)
         if search_error != oracle_error or search_pair != oracle_pair:
             mismatches.append(OracleMismatch(c, search_pair, search_error,
                                              oracle_pair, oracle_error))

@@ -23,11 +23,19 @@ from .array_model import (
     ArrayConfig,
     BeampatternTrace,
     beampattern_trace,
+    levels_db,
     rms_diff_db,
     steering_vector,
 )
 from .beamformers import TargetScenario, mvdr_beamformer
-from .dps_quantize import PhaseGrid, approximate, quantize_pesa
+from .dps_quantize import (
+    PhaseGrid,
+    _search,
+    _split,
+    approximate,
+    normalize_to_max,
+    quantize_pesa,
+)
 
 DEFAULT_GAMMA = 0.1
 TARGET_DRAW_RANGE_DEG = 85
@@ -156,10 +164,6 @@ def _levels(traces, target_angles_deg) -> dict:
     }
 
 
-def _pattern(spec: ScenarioSpec, w) -> BeampatternTrace:
-    return beampattern_trace(spec.config, w, spec.grid_step_deg, spec.floor_db)
-
-
 def _quantized_trial(spec: ScenarioSpec, w_ref, w_steer,
                      rms_angles_deg) -> TrialResult:
     """Score the DPS realization of ``w_ref`` and the phase-only (PESA)
@@ -172,7 +176,9 @@ def _quantized_trial(spec: ScenarioSpec, w_ref, w_steer,
     dps = approximate(w_ref, grid, spec.candidates_l, spec.norm_target)
     w_pesa = quantize_pesa(w_steer, grid)
 
-    traces = tuple(_pattern(spec, w) for w in (w_ref, dps.realized, w_pesa))
+    traces = tuple(beampattern_trace(spec.config, w, spec.grid_step_deg,
+                                     spec.floor_db)
+                   for w in (w_ref, dps.realized, w_pesa))
     at = [traces[0].index_of(a) for a in rms_angles_deg]
     return TrialResult(
         *traces,
@@ -222,9 +228,11 @@ def _trial_blocks(trials: int, workers: int, cpus: int | None):
 
 
 def _sweep_block(spec: ScenarioSpec, bits_list, norm_list, trials: range):
-    """RMS errors of a block of T trials.
+    """RMS errors of a block of T trials at each trial's target angles.
 
-    Returns dps errors ``(T, bits, norms)`` and pesa errors ``(T, bits)``.
+    Returns dps errors ``(T, bits, norms)`` and pesa errors ``(T, bits)``,
+    computed as `rms_diff_db` computes them (reference minus quantized dB)
+    from `levels_db` at the targets instead of whole traces.
     """
     angles, w_ref, w_steer = [], [], []
     for index in trials:
@@ -236,28 +244,26 @@ def _sweep_block(spec: ScenarioSpec, bits_list, norm_list, trials: range):
         w_ref.append(mvdr_beamformer(spec.config, scenario, spec.gamma))
         w_steer.append(steering_vector(spec.config, scenario.desired_angle))
 
-    # Every trial's reference at every norm, quantized in one call per bits.
+    # Every trial's reference at every norm, normalized and split once and
+    # searched once per bits value.
     grids = [PhaseGrid(bits) for bits in bits_list]
-    refs, steers = np.stack(w_ref)[:, None, :], np.stack(w_steer)
-    dps = np.stack([approximate(refs, g, spec.candidates_l, norm_list).realized
+    refs = normalize_to_max(np.stack(w_ref)[:, None, :], norm_list)
+    split = np.stack(_split(refs))
+    steers = np.stack(w_steer)
+    dps = np.stack([_search(refs, split, g, spec.candidates_l).realized
                     for g in grids], axis=1)
     pesa = np.stack([quantize_pesa(steers, g) for g in grids], axis=1)
 
     n_bits, n_norms = len(bits_list), len(norm_list)
-    rms_dps = np.empty((len(trials), n_bits, n_norms))
-    rms_pesa = np.empty((len(trials), n_bits))
+    rms = np.empty((len(trials), n_bits * (1 + n_norms)))
     for t, w in enumerate(w_ref):
-        ref_trace = _pattern(spec, w)
-        at = [ref_trace.index_of(a) for a in angles[t]]
-        # One bits value (1 + norms vectors) per sampler call: a whole
-        # trial's stack measured slower, its larger temporaries being
-        # returned to the OS and faulted back in on every call.
-        for bi in range(n_bits):
-            quantized = np.concatenate([pesa[t, bi, None], dps[t, bi]])
-            rms = rms_diff_db(ref_trace, _pattern(spec, quantized), at)
-            rms_pesa[t, bi] = rms[0]
-            rms_dps[t, bi] = rms[1:]
-    return rms_dps, rms_pesa
+        # Reference, then pesa per bits, then dps per (bits, norm).
+        stack = np.concatenate([w[None], pesa[t], dps[t].reshape(-1, w.size)])
+        levels = levels_db(spec.config, stack, angles[t], spec.grid_step_deg,
+                           spec.floor_db)
+        diff = levels[0] - levels[1:]
+        rms[t] = np.sqrt(np.mean(diff**2, axis=-1))
+    return rms[:, n_bits:].reshape(-1, n_bits, n_norms), rms[:, :n_bits]
 
 
 def run_monte_carlo(base: ScenarioSpec, bits_sweep, norm_sweep,

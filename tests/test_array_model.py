@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from dpspesa import array_model
@@ -14,6 +16,7 @@ from dpspesa.array_model import (
     _grid_response,
     angle_grid_deg,
     beampattern_trace,
+    levels_db,
     rms_diff_db,
     steering_matrix,
     steering_vector,
@@ -219,6 +222,64 @@ def test_sampler_checks_grid_size_first(monkeypatch):
     monkeypatch.setattr(array_model, "MAX_GRID_ENTRIES", 100)
     with pytest.raises(ValueError, match="steering-matrix entries"):
         beampattern_trace(ArrayConfig(7, 0.37), np.ones(7), 9.0)
+
+
+_moduli = st.floats(0.0, 2.0)
+_phases = st.floats(-math.pi, math.pi)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(1, 9),
+    shape=st.sampled_from([(), (3,), (2, 2)]),
+    step=st.sampled_from([0.1, 0.5, 2.0, 9.0]),
+    offsets=st.lists(st.floats(-0.5, 0.5), min_size=1, max_size=4),
+    data=st.data(),
+)
+def test_levels_equal_the_trace_at_the_nearest_points(n, shape, step, offsets,
+                                                      data):
+    # Stacks (N,), (k, N) and (a, b, N); angles off the grid, including
+    # midpoints between two grid points, where the first one wins.
+    size = math.prod(shape) * n
+    mod = np.array(data.draw(st.lists(_moduli, min_size=size, max_size=size)))
+    arg = np.array(data.draw(st.lists(_phases, min_size=size, max_size=size)))
+    w = (mod * np.exp(1j * arg)).reshape(shape + (n,))
+    cfg = ArrayConfig(n, 0.5)
+    grid = angle_grid_deg(step)
+    base = data.draw(st.lists(st.integers(0, grid.size - 1),
+                              min_size=len(offsets), max_size=len(offsets)))
+    angles = np.clip(grid[base] + np.array(offsets) * step, -90.0, 90.0)
+    trace = beampattern_trace(cfg, w, step, -60.0)
+    idx = [trace.index_of(a) for a in angles]
+    levels = levels_db(cfg, w, angles, step, -60.0)
+    assert levels.shape == shape + (len(angles),)
+    assert np.array_equal(levels, trace.power_db[..., idx])
+
+
+def test_levels_of_an_all_zero_vector_are_the_floor():
+    cfg = ArrayConfig(4, 0.5)
+    w = np.stack([np.zeros(4), np.ones(4)])
+    levels = levels_db(cfg, w, [-30.0, 0.05, 0.0], 0.1, -70.0)
+    trace = beampattern_trace(cfg, w, 0.1, -70.0)
+    assert np.array_equal(levels[0], np.full(3, -70.0))
+    assert np.array_equal(levels, trace.power_db[..., [600, 900, 900]])
+    assert levels[1, 2] == 0.0
+    # -89 lies exactly halfway between the 2-degree grid's first two points;
+    # the first one wins, as in index_of.
+    w = np.exp(0.3j * np.arange(4))
+    assert beampattern_trace(cfg, w, 2.0).index_of(-89.0) == 0
+    assert levels_db(cfg, w, [-89.0], 2.0)[0] == \
+        beampattern_trace(cfg, w, 2.0).power_db[0]
+
+
+def test_levels_contract_errors():
+    cfg = ArrayConfig(4, 0.5)
+    with pytest.raises(ValueError, match="finite"):
+        levels_db(cfg, np.ones(4), [0.0, math.nan])
+    with pytest.raises(ValueError, match="floor_db"):
+        levels_db(cfg, np.ones(4), [0.0], 0.1, 0.0)
+    with pytest.raises(ValueError, match="weights along the last axis"):
+        levels_db(cfg, np.ones(3), [0.0])
 
 
 def _trace_from_db(power_db):

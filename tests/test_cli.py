@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dpspesa import cli, dps_quantize
+from dpspesa import array_model, cli, dps_quantize, experiments
 from dpspesa.array_model import ArrayConfig, beampattern_trace, steering_vector
 from dpspesa.experiments import DEFAULT_GAMMA
 
@@ -228,7 +228,33 @@ def test_oracle_check_reports_mismatch(monkeypatch, capsys):
     monkeypatch.setattr(dps_quantize, "exhaustive_oracle", lambda w, grid: (0, 0))
     assert run_cli(["oracle-check", "--bits=2", "--trials=8",
                     "--seed=1"]) == 3
-    assert "mismatch" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "mismatch" in out
+    # Python scalars, not numpy reprs such as np.int64(0).
+    assert "np." not in out
+
+
+@pytest.mark.parametrize("argv", [
+    ["pattern", "--beamformer=mvdr", "--targets=-20,30", "--desired=30"],
+    ["single", "--targets=10"],
+    ["clutter", "--targets=-47,30,49", "--desired=49"],
+    ["sweep", "--bits=2", "--trials=1"],
+])
+def test_grid_bound_is_checked_before_any_solve(argv, monkeypatch, tmp_path,
+                                                capsys):
+    # A lowered bound stands in for a huge --antennas: the command must stop
+    # on it before building a steering vector or solving MVDR.
+    monkeypatch.setattr(array_model, "MAX_GRID_ENTRIES", 100)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("called before the grid bound was checked")
+
+    for module in (cli, experiments):
+        monkeypatch.setattr(module, "steering_vector", forbidden)
+        monkeypatch.setattr(module, "mvdr_beamformer", forbidden)
+    assert run_cli(argv + ["--grid-step=1", f"--out={tmp_path}"]) == 2
+    assert "steering-matrix entries" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
 
 
 def test_oracle_check_rejects_non_positive_trials(capsys):

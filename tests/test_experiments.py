@@ -3,10 +3,18 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from dpspesa.array_model import ArrayConfig
+from dpspesa.array_model import (
+    ArrayConfig,
+    beampattern_trace,
+    rms_diff_db,
+    steering_vector,
+)
+from dpspesa.beamformers import TargetScenario, mvdr_beamformer
+from dpspesa.dps_quantize import PhaseGrid, approximate, quantize_pesa
 from dpspesa.experiments import (
     SWEEP_BLOCK_TRIALS,
     ScenarioSpec,
+    _sweep_block,
     _trial_blocks,
     draw_target_angles,
     run_monte_carlo,
@@ -208,6 +216,37 @@ def test_monte_carlo_row_layout_and_determinism():
     assert all(r.trials == 6 for r in res1.rows)
     # The phase-only baseline does not depend on the normalization target.
     assert res1.rows[0].mean_rms_pesa_db == res1.rows[1].mean_rms_pesa_db
+
+
+def test_sweep_block_equals_trace_based_scoring():
+    # Reference: whole traces per trial, scored by rms_diff_db at the
+    # targets, with the public quantizers.
+    spec = ScenarioSpec(config=ArrayConfig(12, 0.5), gamma=0.1, candidates_l=2,
+                        grid_step_deg=0.5, floor_db=-70.0, seed=3)
+    bits, norms, trials = (2, 5, 9), (1.0, 1.7, 2.0), range(4, 9)
+    rms_dps, rms_pesa = _sweep_block(spec, bits, norms, trials)
+    want_dps = np.empty((len(trials), len(bits), len(norms)))
+    want_pesa = np.empty((len(trials), len(bits)))
+    for t, index in enumerate(trials):
+        rng = trial_rng(spec.seed, index)
+        angles = draw_target_angles(rng, count=3)
+        scenario = TargetScenario(tuple(np.radians(angles)),
+                                  int(rng.integers(3)))
+        w_ref = mvdr_beamformer(spec.config, scenario, spec.gamma)
+        w_steer = steering_vector(spec.config, scenario.desired_angle)
+        ref = beampattern_trace(spec.config, w_ref, 0.5, -70.0)
+        at = [ref.index_of(a) for a in angles]
+        for b, n_bits in enumerate(bits):
+            grid = PhaseGrid(n_bits)
+            pesa = beampattern_trace(spec.config, quantize_pesa(w_steer, grid),
+                                     0.5, -70.0)
+            want_pesa[t, b] = rms_diff_db(ref, pesa, at)
+            for k, norm in enumerate(norms):
+                dps = approximate(w_ref, grid, 2, norm).realized
+                want_dps[t, b, k] = rms_diff_db(
+                    ref, beampattern_trace(spec.config, dps, 0.5, -70.0), at)
+    assert np.array_equal(rms_dps, want_dps)
+    assert np.array_equal(rms_pesa, want_pesa)
 
 
 def test_monte_carlo_worker_count_invariance():
