@@ -1,10 +1,10 @@
 """Uniform linear array geometry, steering vectors, and beampatterns.
 
 A beamformer is a complex ndarray of length ``config.n_antennas``; the
-beampattern sampler, the level sampler `levels_db` and the RMS metric
-also take stacks of them, shape ``(..., N)``.  Single angles are
-radians; sampled angle grids (`BeampatternTrace`) carry degrees, which
-is what every downstream consumer (experiments, CSV output) works in.
+beampattern sampler and the level sampler `levels_db` also take stacks
+of them, shape ``(..., N)``.  Single angles are radians; sampled angle
+grids (`BeampatternTrace`) carry degrees, which is what every downstream
+consumer (experiments, CSV output) works in.
 """
 
 from __future__ import annotations
@@ -19,8 +19,9 @@ HALF_PI = 0.5 * np.pi
 
 DEFAULT_FLOOR_DB = -80.0
 DEFAULT_GRID_STEP_DEG = 0.1
-# Bound on grid points x N of one sampled steering matrix: 64 MiB as
-# complex128, about 97 times N=24 on the 0.1-degree grid (43,224).
+# Bound on the entries of one complex128 matrix (64 MiB): grid points x N
+# of a sampled steering matrix, about 97 times N=24 on the 0.1-degree grid
+# (43,224), and N x N of the MVDR system matrix (N <= 2048).
 MAX_GRID_ENTRIES = 1 << 22
 
 
@@ -56,24 +57,6 @@ class BeampatternTrace:
     def __post_init__(self):
         for arr in (self.angles_deg, self.power_linear, self.power_db):
             arr.setflags(write=False)
-
-    def index_of(self, angle_deg: float) -> int:
-        """Index of the grid point closest to ``angle_deg``."""
-        return int(_nearest_indices(self.angles_deg, angle_deg))
-
-    def level_db(self, angle_deg: float) -> float:
-        """Peak-normalized dB level at the grid point closest to ``angle_deg``
-        (single patterns only)."""
-        return float(self.power_db[self.index_of(angle_deg)])
-
-
-def _nearest_indices(grid_deg: np.ndarray, angles_deg) -> np.ndarray:
-    """Index of the grid point closest to each of ``angles_deg`` (the first
-    one on a tie), with the shape of ``angles_deg``."""
-    angles_deg = np.asarray(angles_deg, dtype=float)
-    if not np.all(np.isfinite(angles_deg)):
-        raise ValueError("angles must be finite")
-    return np.argmin(np.abs(grid_deg - angles_deg[..., None]), axis=-1)
 
 
 def _check_angles(thetas) -> np.ndarray:
@@ -119,28 +102,6 @@ def steering_matrix(config: ArrayConfig, thetas) -> np.ndarray:
     return np.exp(1j * phase)
 
 
-def trace_from_powers(angles_deg, power_linear,
-                      floor_db: float = DEFAULT_FLOOR_DB) -> BeampatternTrace:
-    """Peak-normalize sampled linear powers into a `BeampatternTrace`.
-
-    ``power_linear`` has shape ``(..., G)`` for the G grid angles; each
-    pattern is normalized along the last axis.  An all-zero pattern maps
-    to ``floor_db`` everywhere.
-    """
-    angles_deg = np.asarray(angles_deg, dtype=float)
-    power_linear = np.asarray(power_linear, dtype=float)
-    if angles_deg.size == 0:
-        raise ValueError("angle grid must be non-empty")
-    if angles_deg.size > 1 and not np.all(np.diff(angles_deg) > 0):
-        raise ValueError("angle grid must be strictly increasing")
-    if power_linear.shape[-1:] != angles_deg.shape:
-        raise ValueError("angles and powers must have matching shapes")
-
-    peak = power_linear.max(axis=-1, keepdims=True)
-    power_db = _normalized_db(power_linear, peak, floor_db)
-    return BeampatternTrace(angles_deg, power_linear.copy(), power_db, float(floor_db))
-
-
 def _normalized_db(power: np.ndarray, peak: np.ndarray, floor_db: float) -> np.ndarray:
     """``power`` in dB relative to ``peak`` (broadcasting), clamped below at
     ``floor_db``; ``floor_db`` wherever the peak is zero."""
@@ -184,8 +145,9 @@ def beampattern_trace(config: ArrayConfig, w,
     floor_db : float
         Clamp for the peak-normalized dB pattern (must be negative).
     """
-    grid_deg, power = _grid_powers(config, w, step_deg)
-    return trace_from_powers(grid_deg, power, floor_db)
+    grid_deg, power, peak = _grid_powers(config, w, step_deg)
+    return BeampatternTrace(grid_deg, power, _normalized_db(power, peak, floor_db),
+                            float(floor_db))
 
 
 def levels_db(config: ArrayConfig, w, angles_deg,
@@ -195,24 +157,29 @@ def levels_db(config: ArrayConfig, w, angles_deg,
     ``angles_deg``.
 
     Equal, bit for bit, to ``beampattern_trace(config, w, step_deg,
-    floor_db).power_db[..., idx]`` with ``idx`` the grid indices that
-    `BeampatternTrace.index_of` picks, but the dB conversion runs only at
-    those K points.  ``w`` has shape ``(..., N)``; the result ``(..., K)``.
+    floor_db).power_db[..., idx]`` with ``idx`` the index of the closest
+    grid point to each angle (the first one on a tie), but the dB
+    conversion runs only at those K points.  ``w`` has shape ``(..., N)``;
+    the result ``(..., K)``.
     """
-    grid_deg, power = _grid_powers(config, w, step_deg)
-    idx = _nearest_indices(grid_deg, np.ravel(angles_deg))
-    peak = power.max(axis=-1, keepdims=True)
+    grid_deg, power, peak = _grid_powers(config, w, step_deg)
+    angles_deg = np.ravel(np.asarray(angles_deg, dtype=float))
+    if not np.all(np.isfinite(angles_deg)):
+        raise ValueError("angles must be finite")
+    idx = np.argmin(np.abs(grid_deg - angles_deg[:, None]), axis=-1)
     return _normalized_db(power[..., idx], peak, floor_db)
 
 
 def _grid_powers(config: ArrayConfig, w, step_deg: float):
-    """Cached degree grid and the linear powers ``(..., G)`` of ``w`` on it."""
+    """Cached degree grid, the linear powers ``(..., G)`` of ``w`` on it and
+    their peak over the whole grid, ``(..., 1)``."""
     w = _as_weights(config, w)
     grid_deg, response = _grid_response(config, float(step_deg))
     # One matrix-vector product per weight vector: a single matrix-matrix
     # product would sum in another order and change the last bits.
     field = np.matmul(response, w[..., None])[..., 0]
-    return grid_deg, np.abs(field) ** 2
+    power = np.abs(field) ** 2
+    return grid_deg, power, power.max(axis=-1, keepdims=True)
 
 
 def _grid_points(step_deg: float, n_antennas: int = 1) -> int:
@@ -239,21 +206,8 @@ def angle_grid_deg(step_deg: float = DEFAULT_GRID_STEP_DEG) -> np.ndarray:
     return np.linspace(-90.0, 90.0, _grid_points(step_deg))
 
 
-def rms_diff_db(a: BeampatternTrace, b: BeampatternTrace, at_indices=()) -> float:
-    """Root-mean-square difference of two dB patterns over selected grid indices.
-
-    An empty ``at_indices`` means all grid points.  Both traces must share
-    one angle grid.  Stacked traces broadcast: the result is a float for
-    two single patterns, else an array over the broadcast leading shape.
-    """
-    if not np.array_equal(a.angles_deg, b.angles_deg):
-        raise ValueError("traces must share the same angle grid")
-    idx = np.asarray(at_indices, dtype=int)
-    if idx.size == 0:
-        diff = a.power_db - b.power_db
-    else:
-        if idx.min() < 0 or idx.max() >= a.angles_deg.size:
-            raise ValueError("index selection out of range")
-        diff = a.power_db[..., idx] - b.power_db[..., idx]
-    rms = np.sqrt(np.mean(diff**2, axis=-1))
-    return float(rms) if rms.ndim == 0 else rms
+def _rms_db(levels) -> np.ndarray:
+    """Root-mean-square dB difference of row 0 of ``levels`` ``(..., R, K)``
+    from each later row (reference minus the other), shape ``(..., R - 1)``."""
+    diff = levels[..., :1, :] - levels[..., 1:, :]
+    return np.sqrt(np.mean(diff**2, axis=-1))

@@ -12,7 +12,12 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
-from .array_model import ArrayConfig, _check_angles, steering_vector
+from .array_model import (
+    MAX_GRID_ENTRIES,
+    ArrayConfig,
+    _check_angles,
+    steering_vector,
+)
 
 
 @dataclass(frozen=True)
@@ -50,6 +55,8 @@ def mvdr_beamformer(config: ArrayConfig, scenario: TargetScenario,
     ``A`` are the steering vectors of all targets.  ``gamma`` trades null
     depth against conditioning and must be strictly positive (the gamma=0
     system is singular whenever there are fewer targets than antennas).
+    N x N must not exceed `array_model.MAX_GRID_ENTRIES`, checked before
+    any array is built.
 
     Parameters
     ----------
@@ -68,6 +75,11 @@ def mvdr_beamformer(config: ArrayConfig, scenario: TargetScenario,
     if not gamma > 0:
         raise ValueError("gamma must be strictly positive")
     n = config.n_antennas
+    if n * n > MAX_GRID_ENTRIES:
+        raise ValueError(
+            f"a {n} x {n} MVDR matrix exceeds {MAX_GRID_ENTRIES} entries; "
+            "use fewer antennas"
+        )
     if scenario.n_targets > n:
         warnings.warn(
             f"nulling {scenario.n_targets} targets with only {n} antennas "

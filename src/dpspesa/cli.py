@@ -358,6 +358,16 @@ def cmd_oracle_check(args) -> int:
     return 0
 
 
+def _help(command: str, key: str, text: str) -> str:
+    """``text`` plus the default `_resolve` falls back to for ``command``."""
+    value = COMMAND_DEFAULTS.get(command, {}).get(key, DEFAULTS[key])
+    if value is None:
+        return text
+    if isinstance(value, float):
+        value = format(value, "g")
+    return f"{text} (default {value})"
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="dpspesa",
@@ -365,59 +375,56 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
-        p.add_argument("--config", help="key=value scenario file; inline flags win")
-        p.add_argument("--antennas", type=int, help="array elements (default 16)")
-        p.add_argument("--spacing", type=float,
-                       help="element spacing in wavelengths (default 0.5)")
-        p.add_argument("--bits", help="phase shifter bits (default 4)")
-        p.add_argument("-L", "--candidates", type=int,
-                       help="top-L candidate phases per shifter (default 3)")
-        p.add_argument("--norm", type=float,
-                       help="normalization target in (0, 2] (default 2)")
-        p.add_argument("--grid-step", dest="grid_step", type=float,
-                       help="angle grid step in degrees (default 0.1)")
-        p.add_argument("--floor-db", dest="floor_db", type=float,
-                       help="dB clamp for normalized patterns (default -80)")
-        p.add_argument("--seed", type=int,
-                       help="RNG seed (default $DPS_SEED or 0)")
-        p.add_argument("--out", help="output directory (default .)")
+    def add_parser(command, help):
+        p = sub.add_parser(command, help=help)
 
-    p = sub.add_parser("pattern", help="write one beampattern CSV")
-    add_common(p)
-    p.add_argument("--beamformer",
-                   choices=["steering", "mvdr", "dps", "pesa-quantized"],
-                   help="weight source (default steering)")
-    p.add_argument("--targets", help="comma-separated target angles in degrees")
-    p.add_argument("--desired", type=float, help="desired target angle in degrees")
-    p.add_argument("--gamma", type=float, help="null-depth regularizer")
+        def add(*flags, help, **kwargs):
+            # The flag's dest is its `DEFAULTS` key.
+            key = flags[-1].lstrip("-").replace("-", "_")
+            p.add_argument(*flags, help=_help(command, key, help), **kwargs)
+
+        p.add_argument("--config", help="key=value scenario file; inline flags win")
+        add("--antennas", type=int, help="array elements")
+        add("--spacing", type=float, help="element spacing in wavelengths")
+        add("--bits", help="phase shifter bits")
+        add("-L", "--candidates", type=int,
+            help="top-L candidate phases per shifter")
+        add("--norm", type=float, help="normalization target in (0, 2]")
+        add("--grid-step", type=float, help="angle grid step in degrees")
+        add("--floor-db", type=float, help="dB clamp for normalized patterns")
+        p.add_argument("--seed", type=int,
+                       help=f"RNG seed (default $DPS_SEED or {DEFAULTS['seed']})")
+        add("--out", help="output directory")
+        return p, add
+
+    p, add = add_parser("pattern", help="write one beampattern CSV")
+    add("--beamformer", choices=["steering", "mvdr", "dps", "pesa-quantized"],
+        help="weight source")
+    add("--targets", help="comma-separated target angles in degrees")
+    add("--desired", type=float, help="desired target angle in degrees")
+    add("--gamma", type=float, help="null-depth regularizer")
     p.set_defaults(func=cmd_pattern)
 
-    p = sub.add_parser("single", help="single-target tracking experiment")
-    add_common(p)
+    p, add = add_parser("single", help="single-target tracking experiment")
     p.add_argument("--targets", help="target angle in degrees (default: random)")
     p.set_defaults(func=cmd_single)
 
-    p = sub.add_parser("clutter", help="multi-target clutter-reduction experiment")
-    add_common(p)
-    p.add_argument("--targets", help="comma-separated target angles in degrees")
-    p.add_argument("--desired", type=float, help="desired target angle in degrees")
-    p.add_argument("--gamma", type=float, help="null-depth regularizer (default 0.1)")
+    p, add = add_parser("clutter", help="multi-target clutter-reduction experiment")
+    add("--targets", help="comma-separated target angles in degrees")
+    add("--desired", type=float, help="desired target angle in degrees")
+    add("--gamma", type=float, help="null-depth regularizer")
     p.set_defaults(func=cmd_clutter)
 
-    p = sub.add_parser("sweep", help="Monte-Carlo sweep over bits and norms")
-    add_common(p)
-    p.add_argument("--norms", help="comma-separated normalization targets")
-    p.add_argument("--trials", type=int, help="trials per combination (default 200)")
-    p.add_argument("--gamma", type=float, help="null-depth regularizer (default 0.1)")
-    p.add_argument("--workers", type=int,
-                   help="parallel trial workers, at most the CPU count (default 1)")
+    p, add = add_parser("sweep", help="Monte-Carlo sweep over bits and norms")
+    add("--norms", help="comma-separated normalization targets")
+    add("--trials", type=int, help="trials per combination")
+    add("--gamma", type=float, help="null-depth regularizer")
+    add("--workers", type=int, help="parallel trial workers, at most the CPU count")
     p.set_defaults(func=cmd_sweep)
 
-    p = sub.add_parser("oracle-check",
-                       help="compare the candidate search to the exhaustive oracle")
-    add_common(p)
-    p.add_argument("--trials", type=int, help="random weights to check (default 1000)")
+    p, add = add_parser("oracle-check",
+                        help="compare the candidate search to the exhaustive oracle")
+    add("--trials", type=int, help="random weights to check")
     p.set_defaults(func=cmd_oracle_check)
     return parser
 

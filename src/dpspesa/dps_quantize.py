@@ -277,13 +277,13 @@ class OracleMismatch(NamedTuple):
 def oracle_mismatches(w, grid: PhaseGrid) -> list[OracleMismatch]:
     """Compare the full-grid candidate search with `exhaustive_oracle`.
 
-    ``w`` of shape ``(..., N)`` is quantized by `approximate` with every
-    grid phase as a candidate and normalization target 2; each normalized
-    element is then solved by the oracle.  Returns, in element order, the
-    weights whose pair or exact phasor-sum error differs.
+    ``w`` of shape ``(..., N)`` is quantized as `approximate` does it with
+    every grid phase as a candidate and normalization target 2; each
+    normalized element is then solved by the oracle.  Returns, in element
+    order, the weights whose pair or exact phasor-sum error differs.
     """
     wn = normalize_to_max(w, 2.0)
-    dps = approximate(w, grid, candidates=grid.size, norm_target=2.0)
+    dps = _search(wn, np.stack(_split(wn)), grid, grid.size)
     phasors = grid.phasors
     mismatches = []
     # Python scalars throughout, so a mismatch prints without numpy reprs.

@@ -22,9 +22,9 @@ from .array_model import (
     DEFAULT_GRID_STEP_DEG,
     ArrayConfig,
     BeampatternTrace,
+    _rms_db,
     beampattern_trace,
     levels_db,
-    rms_diff_db,
     steering_vector,
 )
 from .beamformers import TargetScenario, mvdr_beamformer
@@ -157,34 +157,34 @@ def draw_target_angles(rng: np.random.Generator, count: int = 3,
     return rng.permutation(lo + y + np.arange(count) * (sep - 1)).astype(float)
 
 
-def _levels(traces, target_angles_deg) -> dict:
-    return {
-        float(angle): TargetLevels(*(t.level_db(angle) for t in traces))
-        for angle in target_angles_deg
-    }
-
-
 def _quantized_trial(spec: ScenarioSpec, w_ref, w_steer,
-                     rms_angles_deg) -> TrialResult:
+                     at_targets: bool) -> TrialResult:
     """Score the DPS realization of ``w_ref`` and the phase-only (PESA)
     quantization of the steering vector ``w_steer`` against ``w_ref``.
 
-    RMS errors are taken at the grid points nearest ``rms_angles_deg``, or
-    over the whole grid when it is empty.
+    RMS errors are taken over the whole grid, or at the grid points nearest
+    the target angles when ``at_targets``.
     """
     grid = PhaseGrid(spec.bits)
     dps = approximate(w_ref, grid, spec.candidates_l, spec.norm_target)
     w_pesa = quantize_pesa(w_steer, grid)
 
+    weights = (w_ref, dps.realized, w_pesa)
     traces = tuple(beampattern_trace(spec.config, w, spec.grid_step_deg,
-                                     spec.floor_db)
-                   for w in (w_ref, dps.realized, w_pesa))
-    at = [traces[0].index_of(a) for a in rms_angles_deg]
+                                     spec.floor_db) for w in weights)
+    # Rows: reference, dps, pesa; one column per target.
+    levels = levels_db(spec.config, np.stack(weights), spec.target_angles_deg,
+                       spec.grid_step_deg, spec.floor_db)
+    scored = levels if at_targets else np.stack([t.power_db for t in traces])
+    rms_dps, rms_pesa = _rms_db(scored).tolist()
     return TrialResult(
         *traces,
-        rms_dps_db=rms_diff_db(traces[0], traces[1], at),
-        rms_pesa_db=rms_diff_db(traces[0], traces[2], at),
-        levels_at_targets_db=_levels(traces, spec.target_angles_deg),
+        rms_dps_db=rms_dps,
+        rms_pesa_db=rms_pesa,
+        levels_at_targets_db={
+            angle: TargetLevels(*column)
+            for angle, column in zip(spec.target_angles_deg, levels.T.tolist())
+        },
     )
 
 
@@ -196,7 +196,7 @@ def run_single_target(spec: ScenarioSpec) -> TrialResult:
     if spec.gamma is not None:
         raise ValueError("single-target run takes no gamma")
     w_steer = steering_vector(spec.config, spec.scenario.desired_angle)
-    return _quantized_trial(spec, w_steer, w_steer, rms_angles_deg=())
+    return _quantized_trial(spec, w_steer, w_steer, at_targets=False)
 
 
 def run_mvdr_clutter(spec: ScenarioSpec) -> TrialResult:
@@ -212,7 +212,7 @@ def run_mvdr_clutter(spec: ScenarioSpec) -> TrialResult:
         raise ValueError("clutter run requires gamma")
     w_ref = mvdr_beamformer(spec.config, spec.scenario, spec.gamma)
     w_steer = steering_vector(spec.config, spec.scenario.desired_angle)
-    return _quantized_trial(spec, w_ref, w_steer, spec.target_angles_deg)
+    return _quantized_trial(spec, w_ref, w_steer, at_targets=True)
 
 
 def _trial_blocks(trials: int, workers: int, cpus: int | None):
@@ -231,8 +231,7 @@ def _sweep_block(spec: ScenarioSpec, bits_list, norm_list, trials: range):
     """RMS errors of a block of T trials at each trial's target angles.
 
     Returns dps errors ``(T, bits, norms)`` and pesa errors ``(T, bits)``,
-    computed as `rms_diff_db` computes them (reference minus quantized dB)
-    from `levels_db` at the targets instead of whole traces.
+    scored from `levels_db` at the targets, as clutter runs are.
     """
     angles, w_ref, w_steer = [], [], []
     for index in trials:
@@ -259,10 +258,8 @@ def _sweep_block(spec: ScenarioSpec, bits_list, norm_list, trials: range):
     for t, w in enumerate(w_ref):
         # Reference, then pesa per bits, then dps per (bits, norm).
         stack = np.concatenate([w[None], pesa[t], dps[t].reshape(-1, w.size)])
-        levels = levels_db(spec.config, stack, angles[t], spec.grid_step_deg,
-                           spec.floor_db)
-        diff = levels[0] - levels[1:]
-        rms[t] = np.sqrt(np.mean(diff**2, axis=-1))
+        rms[t] = _rms_db(levels_db(spec.config, stack, angles[t],
+                                   spec.grid_step_deg, spec.floor_db))
     return rms[:, n_bits:].reshape(-1, n_bits, n_norms), rms[:, :n_bits]
 
 

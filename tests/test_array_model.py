@@ -11,16 +11,15 @@ from dpspesa import array_model
 from dpspesa.array_model import (
     MAX_GRID_ENTRIES,
     ArrayConfig,
-    BeampatternTrace,
     _grid_points,
     _grid_response,
+    _normalized_db,
+    _rms_db,
     angle_grid_deg,
     beampattern_trace,
     levels_db,
-    rms_diff_db,
     steering_matrix,
     steering_vector,
-    trace_from_powers,
 )
 
 TWO_PI = 2.0 * math.pi
@@ -84,7 +83,7 @@ def test_steering_rejects_out_of_range_angle():
 
 def _power_at(config, w, angle_deg):
     tr = beampattern_trace(config, w, 0.1)
-    return tr.power_linear[tr.index_of(angle_deg)]
+    return tr.power_linear[np.argmin(np.abs(tr.angles_deg - angle_deg))]
 
 
 def test_power_at_look_direction_is_n_squared():
@@ -110,23 +109,27 @@ def test_power_rejects_length_mismatch():
         beampattern_trace(ArrayConfig(4, 0.5), [1.0, 1.0])
 
 
+def _db(power, floor_db=-80.0):
+    # Peak-normalized dB as beampattern_trace computes it from linear powers.
+    power = np.asarray(power, dtype=float)
+    return _normalized_db(power, power.max(axis=-1, keepdims=True), floor_db)
+
+
 def test_db_normalization_ratio_100_is_minus_20():
-    tr = trace_from_powers([0.0, 1.0], [256.0, 2.56])
-    assert_allclose(tr.power_db, [0.0, -20.0], atol=1e-12)
+    assert_allclose(_db([256.0, 2.56]), [0.0, -20.0], atol=1e-12)
 
 
 def test_db_all_equal_powers_are_zero_db():
-    tr = trace_from_powers([0.0, 1.0, 2.0], [3.5, 3.5, 3.5])
-    assert_allclose(tr.power_db, 0.0, rtol=0, atol=0)
+    assert_allclose(_db([3.5, 3.5, 3.5]), 0.0, rtol=0, atol=0)
 
 
 def test_db_zero_power_clamps_to_floor():
-    tr = trace_from_powers([0.0, 1.0], [1.0, 0.0], floor_db=-80.0)
-    assert tr.power_db[1] == -80.0
+    assert _db([1.0, 0.0], floor_db=-80.0)[1] == -80.0
 
 
 def test_db_all_zero_pattern_is_floor_everywhere():
-    tr = trace_from_powers([0.0, 1.0], [0.0, 0.0], floor_db=-80.0)
+    assert_allclose(_db([0.0, 0.0], floor_db=-80.0), -80.0, rtol=0, atol=0)
+    tr = beampattern_trace(ArrayConfig(4, 0.5), np.zeros(4), 0.5, -80.0)
     assert_allclose(tr.power_db, -80.0, rtol=0, atol=0)
 
 
@@ -136,12 +139,11 @@ def test_trace_contract_errors():
     for step in (0.0, -0.1, 0.07):
         with pytest.raises(ValueError):
             beampattern_trace(cfg, w, step)
-    with pytest.raises(ValueError):
-        trace_from_powers([0.0, 0.0], [1.0, 1.0])
-    with pytest.raises(ValueError):
-        trace_from_powers([1.0, 0.0], [1.0, 1.0])
-    with pytest.raises(ValueError):
-        trace_from_powers([0.0, 1.0], [1.0, 1.0], floor_db=0.0)
+    for floor_db in (0.0, 3.0):
+        with pytest.raises(ValueError, match="floor_db"):
+            beampattern_trace(cfg, w, 0.1, floor_db)
+        with pytest.raises(ValueError, match="floor_db"):
+            _db([1.0, 1.0], floor_db)
 
 
 def test_trace_peak_is_zero_db_and_at_look_direction():
@@ -250,7 +252,8 @@ def test_levels_equal_the_trace_at_the_nearest_points(n, shape, step, offsets,
                               min_size=len(offsets), max_size=len(offsets)))
     angles = np.clip(grid[base] + np.array(offsets) * step, -90.0, 90.0)
     trace = beampattern_trace(cfg, w, step, -60.0)
-    idx = [trace.index_of(a) for a in angles]
+    # The closest grid point, the first one on a tie.
+    idx = np.argmin(np.abs(trace.angles_deg - angles[:, None]), axis=-1)
     levels = levels_db(cfg, w, angles, step, -60.0)
     assert levels.shape == shape + (len(angles),)
     assert np.array_equal(levels, trace.power_db[..., idx])
@@ -265,11 +268,11 @@ def test_levels_of_an_all_zero_vector_are_the_floor():
     assert np.array_equal(levels, trace.power_db[..., [600, 900, 900]])
     assert levels[1, 2] == 0.0
     # -89 lies exactly halfway between the 2-degree grid's first two points;
-    # the first one wins, as in index_of.
+    # the first one wins.
     w = np.exp(0.3j * np.arange(4))
-    assert beampattern_trace(cfg, w, 2.0).index_of(-89.0) == 0
-    assert levels_db(cfg, w, [-89.0], 2.0)[0] == \
-        beampattern_trace(cfg, w, 2.0).power_db[0]
+    power_db = beampattern_trace(cfg, w, 2.0).power_db
+    assert power_db[0] != power_db[1]
+    assert levels_db(cfg, w, [-89.0], 2.0)[0] == power_db[0]
 
 
 def test_levels_contract_errors():
@@ -282,41 +285,27 @@ def test_levels_contract_errors():
         levels_db(cfg, np.ones(3), [0.0])
 
 
-def _trace_from_db(power_db):
-    angles = np.arange(len(power_db), dtype=float)
-    return BeampatternTrace(
-        angles_deg=angles,
-        power_linear=10.0 ** (np.asarray(power_db) / 10.0),
-        power_db=np.asarray(power_db, dtype=float),
-        floor_db=-80.0,
-    )
-
-
 def test_rms_identical_traces_is_zero():
-    a = _trace_from_db([0.0, -10.0, -40.0])
-    b = _trace_from_db([0.0, -10.0, -40.0])
-    assert rms_diff_db(a, b) == 0.0
+    levels = np.array([[0.0, -10.0, -40.0], [0.0, -10.0, -40.0]])
+    assert _rms_db(levels).tolist() == [0.0]
 
 
 def test_rms_constant_offset_is_abs_offset():
-    a = _trace_from_db([0.0, -10.0, -40.0])
-    b = _trace_from_db([-7.5, -17.5, -47.5])
-    assert rms_diff_db(a, b) == pytest.approx(7.5, abs=1e-12)
+    levels = np.array([[0.0, -10.0, -40.0], [-7.5, -17.5, -47.5]])
+    assert _rms_db(levels)[0] == pytest.approx(7.5, abs=1e-12)
 
 
 def test_rms_three_term_value():
     # diffs (0, 3, 6) -> sqrt(45/3) = sqrt(15)
-    a = _trace_from_db([0.0, -10.0, -40.0])
-    b = _trace_from_db([0.0, -13.0, -46.0])
-    assert rms_diff_db(a, b) == pytest.approx(3.872983346207417, abs=1e-12)
+    levels = np.array([[0.0, -10.0, -40.0], [0.0, -13.0, -46.0]])
+    assert _rms_db(levels)[0] == pytest.approx(3.872983346207417, abs=1e-12)
 
 
 def test_rms_index_selection_and_errors():
-    a = _trace_from_db([0.0, -10.0, -40.0])
-    b = _trace_from_db([0.0, -13.0, -46.0])
-    assert rms_diff_db(a, b, [1]) == pytest.approx(3.0, abs=1e-12)
-    with pytest.raises(ValueError):
-        rms_diff_db(a, b, [5])
-    c = _trace_from_db([0.0, -13.0])
-    with pytest.raises(ValueError):
-        rms_diff_db(a, c)
+    levels = np.array([[0.0, -10.0, -40.0], [0.0, -13.0, -46.0]])
+    assert _rms_db(levels[:, [1]])[0] == pytest.approx(3.0, abs=1e-12)
+    # Row 0 is the reference for every later row, and leading axes stay.
+    stack = np.array([[0.0, -10.0, -40.0], [0.0, -13.0, -46.0],
+                      [-7.5, -17.5, -47.5]])
+    assert_allclose(_rms_db(stack), [3.872983346207417, 7.5], atol=1e-12)
+    assert _rms_db(np.stack([stack, stack[::-1]])).shape == (2, 2)

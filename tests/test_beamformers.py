@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from dpspesa import beamformers
 from dpspesa.array_model import (
     ArrayConfig,
     beampattern_trace,
+    levels_db,
     steering_vector,
 )
 from dpspesa.beamformers import TargetScenario, mvdr_beamformer
@@ -75,12 +77,13 @@ def test_mvdr_reference_scenario_nulls():
     scenario = _fig3_scenario()
     w = mvdr_beamformer(cfg, scenario, gamma=0.1)
     assert _residual(cfg, scenario, 0.1, w) < 1e-10 * 4.0
-    tr = beampattern_trace(cfg, w, 0.1)
-    # Local minima at the undesired targets.
+    # Local minima at the undesired targets, against the levels one degree
+    # (ten grid steps) to either side.
     for clutter in (-47.0, 30.0):
-        i = tr.index_of(clutter)
-        assert tr.power_db[i] < tr.power_db[i - 10]
-        assert tr.power_db[i] < tr.power_db[i + 10]
+        below, at, above = levels_db(cfg, w, [clutter - 1.0, clutter,
+                                              clutter + 1.0], 0.1)
+        assert at < below
+        assert at < above
 
 
 def test_mvdr_rejects_nonpositive_gamma():
@@ -89,6 +92,22 @@ def test_mvdr_rejects_nonpositive_gamma():
     for gamma in (0.0, -0.1):
         with pytest.raises(ValueError):
             mvdr_beamformer(cfg, scenario, gamma)
+
+
+def test_mvdr_bounds_n_squared_before_building_arrays(monkeypatch):
+    # A lowered bound stands in for a huge N: 9 x 9 exceeds 64 entries, and
+    # the check must run before any steering vector or matrix is built.
+    monkeypatch.setattr(beamformers, "MAX_GRID_ENTRIES", 64)
+    scenario = TargetScenario((0.1, 0.5))
+    assert mvdr_beamformer(ArrayConfig(8, 0.5), scenario, 0.1).shape == (8,)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("built an array before the N x N bound check")
+
+    monkeypatch.setattr(beamformers, "steering_vector", forbidden)
+    monkeypatch.setattr(np, "eye", forbidden)
+    with pytest.raises(ValueError, match="9 x 9 MVDR matrix exceeds 64"):
+        mvdr_beamformer(ArrayConfig(9, 0.5), scenario, 0.1)
 
 
 def test_mvdr_warns_when_targets_exceed_antennas():
@@ -132,10 +151,9 @@ def test_mvdr_small_gamma_deep_nulls():
     cfg = ArrayConfig(16, 0.5)
     scenario = TargetScenario(tuple(np.radians([-40.0, 10.0, 49.0])), 1)
     w = mvdr_beamformer(cfg, scenario, gamma=1e-6)
-    tr = beampattern_trace(cfg, w, 0.1)
-    desired_level = tr.level_db(10.0)
-    for clutter in (-40.0, 49.0):
-        assert tr.level_db(clutter) <= desired_level - 40.0
+    desired_level, *clutter_levels = levels_db(cfg, w, [10.0, -40.0, 49.0], 0.1)
+    for level in clutter_levels:
+        assert level <= desired_level - 40.0
 
 
 def test_mvdr_argmax_near_desired_target():

@@ -1,11 +1,12 @@
 import argparse
+import hashlib
 import math
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from dpspesa import array_model, cli, dps_quantize, experiments
+from dpspesa import array_model, beamformers, cli, dps_quantize, experiments
 from dpspesa.array_model import ArrayConfig, beampattern_trace, steering_vector
 from dpspesa.experiments import DEFAULT_GAMMA
 
@@ -127,6 +128,54 @@ def test_clutter_reference_scenario(tmp_path):
     db = np.array([float(r[2]) for r in rows])
     angles = np.array([float(r[0]) for r in rows])
     assert abs(angles[np.argmax(db)] - 49.0) <= 0.1
+
+
+# summary.txt text and trace-CSV SHA-256 digests of one single and one
+# clutter call, recorded before both experiments scored from levels_db.
+PINNED_TRIALS = {
+    ("single", "--targets=37", "--seed=9"): (
+        "target_deg=37\nbits=4\ncandidates=3\nnorm_target=2\nseed=9\n"
+        "rms_dps_db=3.93198802\nrms_pesa_db=5.90295414\n",
+        {
+            "reference.csv": "b205d3d45fdc593cef5bd85b5238ec30"
+                             "05dd243e1e9d231b8856a57b34523f92",
+            "dps.csv": "899123428cca9e8a17958b4f374d94e5"
+                       "0e48b7577eee627ec45e06824cdb6c22",
+            "pesa.csv": "1080ec1729c2ab58cedcc1d0229293be"
+                        "c7860dcfaf28d40f62ae6fada5cf940e",
+        },
+    ),
+    ("clutter", "--targets=-47,30,49", "--desired=49", "--gamma=0.1",
+     "--bits=4", "-L", "3"): (
+        "targets_deg=-47,30,49\ndesired_deg=49\ngamma=0.1\nbits=4\n"
+        "candidates=3\nnorm_target=2\nrms_dps_db=26.3385565\n"
+        "rms_pesa_db=36.0210357\n"
+        "reference_db_at_-47=-74.8347441\ndps_db_at_-47=-36.3763807\n"
+        "pesa_db_at_-47=-40.5263918\n"
+        "reference_db_at_30=-78.9851959\ndps_db_at_30=-54.4472058\n"
+        "pesa_db_at_30=-26.8749089\n"
+        "reference_db_at_49=0\ndps_db_at_49=-0.000916218855\n"
+        "pesa_db_at_49=0\n",
+        {
+            "reference.csv": "07b5d9789e6c286afb8ad54ab9e956af"
+                             "ba40c999914ce5aa3d352676d63f06f1",
+            "dps.csv": "d7227da510c241eab7c908a7dbac40ac"
+                       "dbf4bd417923230ccdc44e30c2b494e4",
+            "pesa.csv": "8e43af4743feedef00ca04e733aa7649"
+                        "16c835e76dbefbe6af32a3370e1e426b",
+        },
+    ),
+}
+
+
+@pytest.mark.parametrize("argv", list(PINNED_TRIALS), ids=lambda a: a[0])
+def test_trial_outputs_match_pinned_bytes(argv, tmp_path):
+    summary, digests = PINNED_TRIALS[argv]
+    assert run_cli([*argv, f"--out={tmp_path}"]) == 0
+    assert (tmp_path / "summary.txt").read_bytes() == summary.encode()
+    for name, digest in digests.items():
+        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() \
+            == digest
 
 
 def test_clutter_usage_errors(tmp_path):
@@ -257,6 +306,20 @@ def test_grid_bound_is_checked_before_any_solve(argv, monkeypatch, tmp_path,
     assert not any(tmp_path.iterdir())
 
 
+def test_mvdr_bound_exits_2_before_writing(monkeypatch, tmp_path, capsys):
+    # 9 antennas on a 3-point grid pass the steering-matrix bound; the
+    # lowered N x N bound of the MVDR solve stops the run.
+    monkeypatch.setattr(beamformers, "MAX_GRID_ENTRIES", 64)
+    for argv in (["clutter", "--targets=-47,30,49", "--desired=49"],
+                 ["pattern", "--beamformer=mvdr", "--targets=-20,30",
+                  "--desired=30"],
+                 ["sweep", "--bits=2", "--trials=1"]):
+        assert run_cli(argv + ["--antennas=9", "--grid-step=90",
+                               f"--out={tmp_path}"]) == 2
+        assert "9 x 9 MVDR matrix exceeds 64" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
+
 def test_oracle_check_rejects_non_positive_trials(capsys):
     for trials in ("0", "-3"):
         assert run_cli(["oracle-check", "--bits=2", f"--trials={trials}"]) == 2
@@ -291,6 +354,27 @@ def test_defaults_table_keys_are_the_flags():
     assert dests == set(cli.DEFAULTS)
     for overlay in cli.COMMAND_DEFAULTS.values():
         assert set(overlay) <= dests
+
+
+def _help_text(command, capsys):
+    assert run_cli([command, "--help"]) == 0
+    return " ".join(capsys.readouterr().out.split())  # undo line wrapping
+
+
+def test_help_shows_each_subcommands_resolved_defaults(capsys):
+    sweep = _help_text("sweep", capsys)
+    assert "phase shifter bits (default 2:12)" in sweep
+    assert "normalization targets (default 1,1.5,2)" in sweep
+    assert "trials per combination (default 200)" in sweep
+    assert "null-depth regularizer (default 0.1)" in sweep
+    assert "phase shifter bits (default 4)" in _help_text("single", capsys)
+    oracle = _help_text("oracle-check", capsys)
+    assert "random weights to check (default 1000)" in oracle
+    assert "RNG seed (default $DPS_SEED or 0)" in oracle
+    # Pattern resolves gamma to None and picks its beamformer from that.
+    pattern = _help_text("pattern", capsys)
+    assert "null-depth regularizer (default" not in pattern
+    assert "(default steering)" in pattern
 
 
 def test_config_file_rejects_unknown_key(tmp_path, capsys):

@@ -3,8 +3,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+import dps_reference as ref
 from dpspesa import dps_quantize
 from dpspesa.dps_quantize import (
     Decomposition,
@@ -93,6 +96,71 @@ def test_round_trip_and_identities():
         midpoint = (dec.phi2 + delta / 2.0) % TWO_PI
         omega = math.atan2(c.imag, c.real)
         assert circular_distance(midpoint, omega) < 1e-12
+
+
+# Moduli anywhere in [0, 2], and crowded against both ends.
+_moduli = (st.floats(0.0, 2.0) | st.floats(0.0, 1e-6)
+           | st.floats(2.0 - 1e-6, 2.0)
+           | st.sampled_from([0.0, 5e-324, 1e-300, 1e-17, 2.0,
+                              float(np.nextafter(2.0, 0.0))]))
+# Phases anywhere, and just below 2*pi (from above and, as arg < 0, below).
+_below_two_pi = (st.floats(TWO_PI - 1e-6, TWO_PI, exclude_max=True)
+                 | st.sampled_from([float(np.nextafter(TWO_PI, 0.0)),
+                                    TWO_PI - 1e-15]))
+_phases = (st.floats(-TWO_PI, TWO_PI) | _below_two_pi
+           | st.floats(-1e-6, 0.0, exclude_max=True))
+
+
+@settings(max_examples=400, deadline=None)
+@given(modulus=_moduli, phase=_phases)
+def test_decompose_property_matches_reference_and_recomposes(modulus, phase):
+    c = modulus * cmath.exp(1j * phase)
+    dec = decompose(c)
+    assert tuple(dec) == ref.decompose(c)
+    # A phase a hair below 2*pi can round up to 2*pi itself in the
+    # reduction, as in the reference.
+    assert 0.0 <= dec.phi1 <= TWO_PI and 0.0 <= dec.phi2 <= TWO_PI
+    assert abs(recompose(dec) - c) < 1e-12
+
+
+@settings(max_examples=200, deadline=None)
+@given(bits=st.integers(1, 6), data=st.data())
+def test_nearest_phases_property_matches_reference_for_every_count(bits, data):
+    grid = PhaseGrid(bits)
+    k = st.integers(0, grid.size - 1)
+    # Grid points, midpoints between neighbours (where ties sit), phases
+    # just below 2*pi and arbitrary ones.
+    phase = (k.map(lambda i: i * grid.step)
+             | k.map(lambda i: (i + 0.5) * grid.step)
+             | _below_two_pi | st.floats(-20.0, 20.0))
+    phis = np.array(data.draw(st.lists(phase, min_size=1, max_size=4)))
+    for count in range(1, grid.size + 1):
+        got = nearest_phases(phis, grid, count)
+        assert got.shape == (phis.size, count)
+        for phi, row in zip(phis, got):
+            assert row.tolist() == ref.nearest_phases(phi, grid, count).tolist()
+            assert row.tolist() == nearest_phases(phi, grid, count).tolist()
+            dist = np.abs((grid.phases - phi + np.pi) % TWO_PI - np.pi)
+            ranked = np.lexsort((np.arange(grid.size), dist))
+            assert row.tolist() == ranked[:count].tolist()
+
+
+def test_nearest_phases_exact_ties_go_to_the_lower_index():
+    ties = wrapped = 0
+    for bits in range(1, 7):
+        grid = PhaseGrid(bits)
+        for k in range(grid.size):
+            phi = (k + 0.5) * grid.step
+            lo, hi = sorted((k, (k + 1) % grid.size))
+            dist = np.abs((grid.phases - phi + np.pi) % TWO_PI - np.pi)
+            if dist[lo] != dist[hi]:
+                continue
+            ties += 1
+            wrapped += hi - lo > 1
+            assert nearest_phases(phi, grid, 2).tolist() == [lo, hi]
+            assert nearest_phases(phi, grid, 1).tolist() == [lo]
+    # Both ordinary ties and ties across the 2*pi wrap were exercised.
+    assert ties > 20 and wrapped >= 2
 
 
 # -------------------------------------------------------- normalize_to_max

@@ -6,7 +6,6 @@ import pytest
 from dpspesa.array_model import (
     ArrayConfig,
     beampattern_trace,
-    rms_diff_db,
     steering_vector,
 )
 from dpspesa.beamformers import TargetScenario, mvdr_beamformer
@@ -158,8 +157,8 @@ def test_single_target_main_beam_covers_target():
         result = run_single_target(
             ScenarioSpec(config=CFG, target_angles_deg=(angle,))
         )
-        for trace in (result.dps_trace, result.pesa_trace):
-            assert trace.level_db(angle) >= -0.1
+        levels = result.levels_at_targets_db[angle]
+        assert levels.dps >= -0.1 and levels.pesa >= -0.1
 
 
 def test_single_target_dps_beats_pesa_usually():
@@ -219,14 +218,20 @@ def test_monte_carlo_row_layout_and_determinism():
 
 
 def test_sweep_block_equals_trace_based_scoring():
-    # Reference: whole traces per trial, scored by rms_diff_db at the
-    # targets, with the public quantizers.
+    # Reference: whole traces per trial with the public quantizers, read at
+    # the closest grid points (the first one on a tie) and scored with the
+    # RMS formula written out here.
     spec = ScenarioSpec(config=ArrayConfig(12, 0.5), gamma=0.1, candidates_l=2,
                         grid_step_deg=0.5, floor_db=-70.0, seed=3)
     bits, norms, trials = (2, 5, 9), (1.0, 1.7, 2.0), range(4, 9)
     rms_dps, rms_pesa = _sweep_block(spec, bits, norms, trials)
     want_dps = np.empty((len(trials), len(bits), len(norms)))
     want_pesa = np.empty((len(trials), len(bits)))
+
+    def rms(ref, other, at):
+        diff = ref.power_db[at] - other.power_db[at]
+        return np.sqrt(np.mean(diff**2, axis=-1))
+
     for t, index in enumerate(trials):
         rng = trial_rng(spec.seed, index)
         angles = draw_target_angles(rng, count=3)
@@ -235,15 +240,15 @@ def test_sweep_block_equals_trace_based_scoring():
         w_ref = mvdr_beamformer(spec.config, scenario, spec.gamma)
         w_steer = steering_vector(spec.config, scenario.desired_angle)
         ref = beampattern_trace(spec.config, w_ref, 0.5, -70.0)
-        at = [ref.index_of(a) for a in angles]
+        at = np.argmin(np.abs(ref.angles_deg - angles[:, None]), axis=-1)
         for b, n_bits in enumerate(bits):
             grid = PhaseGrid(n_bits)
             pesa = beampattern_trace(spec.config, quantize_pesa(w_steer, grid),
                                      0.5, -70.0)
-            want_pesa[t, b] = rms_diff_db(ref, pesa, at)
+            want_pesa[t, b] = rms(ref, pesa, at)
             for k, norm in enumerate(norms):
                 dps = approximate(w_ref, grid, 2, norm).realized
-                want_dps[t, b, k] = rms_diff_db(
+                want_dps[t, b, k] = rms(
                     ref, beampattern_trace(spec.config, dps, 0.5, -70.0), at)
     assert np.array_equal(rms_dps, want_dps)
     assert np.array_equal(rms_pesa, want_pesa)
