@@ -160,14 +160,23 @@ def levels_db(config: ArrayConfig, w, angles_deg,
     floor_db).power_db[..., idx]`` with ``idx`` the index of the closest
     grid point to each angle (the first one on a tie), but the dB
     conversion runs only at those K points.  ``w`` has shape ``(..., N)``;
-    the result ``(..., K)``.
+    the result ``(..., K)``.  The angles must lie in [-90, 90] degrees.
     """
     grid_deg, power, peak = _grid_powers(config, w, step_deg)
-    angles_deg = np.ravel(np.asarray(angles_deg, dtype=float))
-    if not np.all(np.isfinite(angles_deg)):
-        raise ValueError("angles must be finite")
-    idx = np.argmin(np.abs(grid_deg - angles_deg[:, None]), axis=-1)
+    idx = _grid_index(grid_deg, angles_deg)
     return _normalized_db(power[..., idx], peak, floor_db)
+
+
+def _grid_index(grid_deg: np.ndarray, angles_deg) -> np.ndarray:
+    """Index of the point of ``grid_deg`` closest to each of ``angles_deg``,
+    the first one on a tie.  The angles must be finite and lie in
+    [-90, 90] degrees, the span of every grid."""
+    angles_deg = np.ravel(np.asarray(angles_deg, dtype=float))
+    bad = ~(np.abs(angles_deg) <= 90.0)
+    if bad.any():
+        raise ValueError("angles must be finite and lie in [-90, 90] degrees, "
+                         f"got {angles_deg[bad][0]:g}")
+    return np.argmin(np.abs(grid_deg - angles_deg[:, None]), axis=-1)
 
 
 def _grid_powers(config: ArrayConfig, w, step_deg: float):

@@ -44,6 +44,8 @@ from .experiments import (
 )
 
 MAX_ORACLE_CHECK_BITS = 4
+# The CSV files of `single` and `clutter`, one per row of `TrialResult.traces`.
+TRIAL_TRACE_FILES = ("reference.csv", "dps.csv", "pesa.csv")
 
 # One entry per flag and config-file key; None means "not given".
 DEFAULTS = {
@@ -147,12 +149,17 @@ def _write_lines(path: str, lines) -> None:
             fh.write(line + "\n")
 
 
-def _write_trace_csv(path: str, trace: BeampatternTrace) -> None:
-    # "%.9g" prints a Python float as `_fmt` does, with one call per row.
-    rows = zip(trace.angles_deg.tolist(), trace.power_linear.tolist(),
-               trace.power_db.tolist())
-    _write_lines(path, ["angle_deg,power_linear,power_db"]
-                 + ["%.9g,%.9g,%.9g" % row for row in rows])
+def _write_traces(out: str, trace: BeampatternTrace, names) -> None:
+    """Write row i of ``trace`` (a single pattern is one row) to the CSV
+    file ``names[i]`` in ``out``."""
+    angles = trace.angles_deg.tolist()
+    rows = zip(names, np.atleast_2d(trace.power_linear).tolist(),
+               np.atleast_2d(trace.power_db).tolist(), strict=True)
+    for name, linear, db in rows:
+        # "%.9g" prints a Python float as `_fmt` does, with one call per row.
+        lines = ["%.9g,%.9g,%.9g" % row for row in zip(angles, linear, db)]
+        _write_lines(os.path.join(out, name),
+                     ["angle_deg,power_linear,power_db", *lines])
 
 
 def _write_summary(path: str, items) -> None:
@@ -233,17 +240,9 @@ def cmd_pattern(args) -> int:
     trace = beampattern_trace(config, w, common["grid_step_deg"],
                               common["floor_db"])
     out = _out_dir(args)
-    path = os.path.join(out, "pattern.csv")
-    _write_trace_csv(path, trace)
-    print(f"wrote {path} ({trace.angles_deg.size} rows)")
+    _write_traces(out, trace, ["pattern.csv"])
+    print(f"wrote {os.path.join(out, 'pattern.csv')} ({trace.angles_deg.size} rows)")
     return 0
-
-
-def _write_trial(out: str, result, summary_items) -> None:
-    _write_trace_csv(os.path.join(out, "reference.csv"), result.reference_trace)
-    _write_trace_csv(os.path.join(out, "dps.csv"), result.dps_trace)
-    _write_trace_csv(os.path.join(out, "pesa.csv"), result.pesa_trace)
-    _write_summary(os.path.join(out, "summary.txt"), summary_items)
 
 
 def cmd_single(args) -> int:
@@ -258,7 +257,8 @@ def cmd_single(args) -> int:
     spec = ScenarioSpec(target_angles_deg=targets, **common)
     result = run_single_target(spec)
     out = _out_dir(args)
-    _write_trial(out, result, [
+    _write_traces(out, result.traces, TRIAL_TRACE_FILES)
+    _write_summary(os.path.join(out, "summary.txt"), [
         ("target_deg", _fmt(targets[0])),
         ("bits", spec.bits),
         ("candidates", spec.candidates_l),
@@ -295,7 +295,9 @@ def cmd_clutter(args) -> int:
         items.append((f"reference_db_at_{tag}", _fmt(levels.reference)))
         items.append((f"dps_db_at_{tag}", _fmt(levels.dps)))
         items.append((f"pesa_db_at_{tag}", _fmt(levels.pesa)))
-    _write_trial(_out_dir(args), result, items)
+    out = _out_dir(args)
+    _write_traces(out, result.traces, TRIAL_TRACE_FILES)
+    _write_summary(os.path.join(out, "summary.txt"), items)
     return 0
 
 

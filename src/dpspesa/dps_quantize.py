@@ -7,9 +7,9 @@ per antenna, the pair of grid phases whose phasor sum lands closest to
 the wanted weight.  `approximate` does this with a top-L candidate search
 around the exact split; `exhaustive_oracle` brute-forces all pairs for
 small B, and `oracle_mismatches` compares the two for the tests and the
-CLI's ``oracle-check``.  `approximate`, `quantize_pesa`,
-`normalize_to_max` and `nearest_phases` take arrays of any leading batch
-shape, weights ``(..., N)``, and run as one array kernel.
+CLI's ``oracle-check``.  `approximate`, `quantize_pesa` and
+`normalize_to_max` take arrays of any leading batch shape, weights
+``(..., N)``, and run as one array kernel.
 """
 
 from __future__ import annotations
@@ -60,7 +60,7 @@ class PhaseGrid:
 
 
 class Decomposition(NamedTuple):
-    """Unit-phasor pair summing to a decomposed weight; phases in [0, 2*pi)."""
+    """Unit-phasor pair summing to a decomposed weight; phases in [0, 2*pi]."""
 
     phi1: float
     phi2: float
@@ -92,13 +92,14 @@ def _map(fn, *arrays) -> np.ndarray:
 
 
 def _split(c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Phases ``(phi1, phi2)`` in [0, 2*pi) of the phasor pair summing to ``c``.
+    """Phases ``(phi1, phi2)`` in [0, 2*pi] of the phasor pair summing to ``c``.
 
     The modulus, arctangent and arccosine are the C library's scalar results
     (``np.hypot`` and the ``math`` functions).  numpy's vectorized
     ``abs``/``arctan2``/``arccos`` differ from them in the last bit on some
     hosts, which flips the ranking of a phase sitting on a tie between two
-    candidate grid phases.
+    candidate grid phases.  A phase x just below 0 reduces to 2*pi itself:
+    ``x % (2*pi)`` is ``2*pi + x`` rounded to the nearest float.
     """
     a = np.hypot(c.real, c.imag)
     if np.any(a > 2.0 + 1e-12):
@@ -114,7 +115,8 @@ def decompose(c: complex) -> Decomposition:
     """Split ``c`` (modulus <= 2) into two unit phasors.
 
     With a = |c| and omega = arg(c), the phases are omega +/- acos(a/2),
-    reduced to [0, 2*pi); phi1 carries the positive offset.  The zero
+    reduced to [0, 2*pi] (a phase just below 0 rounds to 2*pi, the phasor
+    of 0; see `_split`); phi1 carries the positive offset.  The zero
     weight uses the omega = 0 convention, giving (pi/2, 3*pi/2).
     """
     phi1, phi2 = _split(np.asarray(c, dtype=complex))
@@ -172,18 +174,6 @@ def _nearest(phi: np.ndarray, grid: PhaseGrid, count: int) -> np.ndarray:
     dist = np.abs((grid.phases[ks] - phi[..., None] + np.pi) % TWO_PI - np.pi)
     order = np.lexsort((ks, dist), axis=-1)
     return np.take_along_axis(ks, order[..., :count], axis=-1)
-
-
-def nearest_phases(phi, grid: PhaseGrid, count: int) -> np.ndarray:
-    """Indices ``(..., count)`` of the grid phases circularly closest to ``phi``.
-
-    ``phi`` is a phase or an array of phases.  Sorted by distance
-    ascending; ties broken by the smaller index.  ``count`` is clamped to
-    the grid size.
-    """
-    if count < 1:
-        raise ValueError("count must be a positive integer")
-    return _nearest(np.asarray(phi, dtype=float), grid, min(count, grid.size))
 
 
 def approximate(w, grid: PhaseGrid, candidates: int = 3,

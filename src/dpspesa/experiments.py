@@ -22,6 +22,7 @@ from .array_model import (
     DEFAULT_GRID_STEP_DEG,
     ArrayConfig,
     BeampatternTrace,
+    _grid_index,
     _rms_db,
     beampattern_trace,
     levels_db,
@@ -81,10 +82,6 @@ class ScenarioSpec:
             tuple(np.radians(self.target_angles_deg)), self.desired_index
         )
 
-    @property
-    def desired_angle_deg(self) -> float:
-        return self.target_angles_deg[self.desired_index]
-
 
 class TargetLevels(NamedTuple):
     reference: float
@@ -94,11 +91,10 @@ class TargetLevels(NamedTuple):
 
 @dataclass(frozen=True)
 class TrialResult:
-    """Traces and summary metrics for one experiment run."""
+    """Traces and summary metrics for one experiment run; ``traces`` is
+    ``(3, G)``, its rows the reference, dps and pesa patterns."""
 
-    reference_trace: BeampatternTrace
-    dps_trace: BeampatternTrace
-    pesa_trace: BeampatternTrace
+    traces: BeampatternTrace
     rms_dps_db: float
     rms_pesa_db: float
     levels_at_targets_db: dict
@@ -169,16 +165,16 @@ def _quantized_trial(spec: ScenarioSpec, w_ref, w_steer,
     dps = approximate(w_ref, grid, spec.candidates_l, spec.norm_target)
     w_pesa = quantize_pesa(w_steer, grid)
 
-    weights = (w_ref, dps.realized, w_pesa)
-    traces = tuple(beampattern_trace(spec.config, w, spec.grid_step_deg,
-                                     spec.floor_db) for w in weights)
-    # Rows: reference, dps, pesa; one column per target.
-    levels = levels_db(spec.config, np.stack(weights), spec.target_angles_deg,
-                       spec.grid_step_deg, spec.floor_db)
-    scored = levels if at_targets else np.stack([t.power_db for t in traces])
+    # One pass over the grid; rows: reference, dps, pesa.
+    weights = np.stack((w_ref, dps.realized, w_pesa))
+    traces = beampattern_trace(spec.config, weights, spec.grid_step_deg,
+                               spec.floor_db)
+    idx = _grid_index(traces.angles_deg, spec.target_angles_deg)
+    levels = traces.power_db[:, idx]  # one column per target
+    scored = levels if at_targets else traces.power_db
     rms_dps, rms_pesa = _rms_db(scored).tolist()
     return TrialResult(
-        *traces,
+        traces,
         rms_dps_db=rms_dps,
         rms_pesa_db=rms_pesa,
         levels_at_targets_db={

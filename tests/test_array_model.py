@@ -285,6 +285,23 @@ def test_levels_contract_errors():
         levels_db(cfg, np.ones(3), [0.0])
 
 
+def test_levels_reject_angles_outside_the_grid_span():
+    cfg = ArrayConfig(4, 0.5)
+    w = np.exp(0.3j * np.arange(4))
+    # Out-of-range angles used to read the level at the nearer endpoint.
+    for angles in ([120.0, 500.0, -1e9], [0.0, 90.5], [-90.000001]):
+        with pytest.raises(ValueError, match=r"\[-90, 90\] degrees"):
+            levels_db(cfg, w, angles)
+    with pytest.raises(ValueError, match="finite"):
+        levels_db(cfg, w, [math.inf])
+    with pytest.raises(ValueError, match="got 120"):
+        levels_db(cfg, w, [0.0, 120.0])
+    # Both endpoints are on every grid.
+    power_db = beampattern_trace(cfg, w, 2.0).power_db
+    assert np.array_equal(levels_db(cfg, w, [-90.0, 90.0], 2.0),
+                          power_db[[0, -1]])
+
+
 def test_rms_identical_traces_is_zero():
     levels = np.array([[0.0, -10.0, -40.0], [0.0, -10.0, -40.0]])
     assert _rms_db(levels).tolist() == [0.0]

@@ -243,17 +243,29 @@ def test_trace_csv_rows_match_per_value_formatting(tmp_path):
         beampattern_trace(cfg, np.zeros(16), 0.5, -80.0),  # floor everywhere
         beampattern_trace(ArrayConfig(2, 0.5), [1.0, 1.0], 0.1, -300.0),
     ]
-    for trace in traces:
-        assert (trace.power_db == trace.floor_db).any()
-        path = tmp_path / "t.csv"
-        cli._write_trace_csv(str(path), trace)
-        want = "angle_deg,power_linear,power_db\n" + "".join(
+    stacked = beampattern_trace(cfg, [steering_vector(cfg, 0.3), np.zeros(16)],
+                                0.5, -80.0)
+
+    def want(angles, linear, db):
+        return "angle_deg,power_linear,power_db\n" + "".join(
             f"{format(float(a), '.9g')},{format(float(p), '.9g')},"
             f"{format(float(d), '.9g')}\n"
-            for a, p, d in zip(trace.angles_deg, trace.power_linear,
-                               trace.power_db)
+            for a, p, d in zip(angles, linear, db)
         )
-        assert path.read_text() == want
+
+    for trace in traces:
+        assert (trace.power_db == trace.floor_db).any()
+        cli._write_traces(str(tmp_path), trace, ["t.csv"])
+        assert (tmp_path / "t.csv").read_text() == want(
+            trace.angles_deg, trace.power_linear, trace.power_db)
+    # Row i of a stack goes to the i-th file.
+    cli._write_traces(str(tmp_path), stacked, ["a.csv", "b.csv"])
+    for name, linear, db in zip(("a.csv", "b.csv"), stacked.power_linear,
+                                stacked.power_db):
+        assert (tmp_path / name).read_text() == want(stacked.angles_deg,
+                                                     linear, db)
+    with pytest.raises(ValueError):
+        cli._write_traces(str(tmp_path), stacked, ["a.csv"])
 
 
 def test_sweep_rejects_bad_bits(tmp_path):

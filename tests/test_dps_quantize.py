@@ -11,12 +11,12 @@ import dps_reference as ref
 from dpspesa import dps_quantize
 from dpspesa.dps_quantize import (
     Decomposition,
+    _nearest,
     PhaseGrid,
     approximate,
     circular_distance,
     decompose,
     exhaustive_oracle,
-    nearest_phases,
     normalize_to_max,
     oracle_mismatches,
     quantize_pesa,
@@ -68,6 +68,19 @@ def test_decompose_unit_diagonal():
     dec = decompose(1.0 + 1.0j)
     assert dec.phi1 == pytest.approx(math.pi / 2, abs=1e-15)
     assert dec.phi2 == pytest.approx(0.0, abs=1e-15)
+
+
+def test_decompose_phase_just_below_zero_reduces_to_two_pi():
+    # The reduction's upper end is closed: -1e-16 % (2*pi) rounds to 2*pi.
+    c = 2 * cmath.exp(-1e-16j)
+    assert decompose(c) == Decomposition(TWO_PI, TWO_PI)
+    assert tuple(decompose(c)) == ref.decompose(c)
+    # 2*pi names grid phase 0, so the search still lands on the (0, 0) pair.
+    for bits in range(1, 7):
+        for candidates in (1, 3, 1 << bits):
+            dps = approximate([c], PhaseGrid(bits), candidates)
+            assert dps.pairs.tolist() == [[0, 0]]
+            assert dps.realized.tolist() == [2.0]
 
 
 def test_decompose_rejects_large_amplitude():
@@ -135,11 +148,11 @@ def test_nearest_phases_property_matches_reference_for_every_count(bits, data):
              | _below_two_pi | st.floats(-20.0, 20.0))
     phis = np.array(data.draw(st.lists(phase, min_size=1, max_size=4)))
     for count in range(1, grid.size + 1):
-        got = nearest_phases(phis, grid, count)
+        got = _nearest(phis, grid, count)
         assert got.shape == (phis.size, count)
         for phi, row in zip(phis, got):
             assert row.tolist() == ref.nearest_phases(phi, grid, count).tolist()
-            assert row.tolist() == nearest_phases(phi, grid, count).tolist()
+            assert row.tolist() == _nearest(phi, grid, count).tolist()
             dist = np.abs((grid.phases - phi + np.pi) % TWO_PI - np.pi)
             ranked = np.lexsort((np.arange(grid.size), dist))
             assert row.tolist() == ranked[:count].tolist()
@@ -157,8 +170,8 @@ def test_nearest_phases_exact_ties_go_to_the_lower_index():
                 continue
             ties += 1
             wrapped += hi - lo > 1
-            assert nearest_phases(phi, grid, 2).tolist() == [lo, hi]
-            assert nearest_phases(phi, grid, 1).tolist() == [lo]
+            assert _nearest(np.float64(phi), grid, 2).tolist() == [lo, hi]
+            assert _nearest(np.float64(phi), grid, 1).tolist() == [lo]
     # Both ordinary ties and ties across the 2*pi wrap were exercised.
     assert ties > 20 and wrapped >= 2
 
@@ -192,32 +205,25 @@ def test_normalize_errors():
         normalize_to_max([], 2.0)
 
 
-# --------------------------------------------------------- nearest_phases
+# --------------------------------------------------------- nearest phases
 
 def test_nearest_phases_examples():
     grid = PhaseGrid(2)  # {0, pi/2, pi, 3*pi/2}
-    assert list(nearest_phases(math.pi / 3, grid, 2)) == [1, 0]
-    assert list(nearest_phases(0.0, grid, 1)) == [0]
-    assert list(nearest_phases(0.0, PhaseGrid(5), 1)) == [0]
-    assert list(nearest_phases(TWO_PI - 0.01, grid, 1)) == [0]
-
-
-def test_nearest_phases_clamps_count():
-    grid = PhaseGrid(2)
-    assert len(nearest_phases(1.0, grid, 99)) == 4
-    with pytest.raises(ValueError):
-        nearest_phases(1.0, grid, 0)
+    assert list(_nearest(np.float64(math.pi / 3), grid, 2)) == [1, 0]
+    assert list(_nearest(np.float64(0.0), grid, 1)) == [0]
+    assert list(_nearest(np.float64(0.0), PhaseGrid(5), 1)) == [0]
+    assert list(_nearest(np.float64(TWO_PI - 0.01), grid, 1)) == [0]
 
 
 def test_nearest_phases_matches_brute_force():
     rng = np.random.default_rng(7)
     for _ in range(500):
         grid = PhaseGrid(int(rng.integers(1, 8)))
-        count = int(rng.integers(1, 10))
+        count = min(int(rng.integers(1, 10)), grid.size)
         phi = float(rng.uniform(-10.0, 10.0))
-        got = list(nearest_phases(phi, grid, count))
+        got = list(_nearest(np.float64(phi), grid, count))
         dist = np.abs((grid.phases - phi + np.pi) % TWO_PI - np.pi)
-        want = np.lexsort((np.arange(grid.size), dist))[: min(count, grid.size)]
+        want = np.lexsort((np.arange(grid.size), dist))[:count]
         assert got == list(want)
 
 

@@ -3,8 +3,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from dpspesa import array_model
 from dpspesa.array_model import (
     ArrayConfig,
+    angle_grid_deg,
     beampattern_trace,
     steering_vector,
 )
@@ -49,7 +51,7 @@ def test_spec_defaults_cover_reference_setup():
     assert spec.config.n_antennas == 16
     assert spec.config.spacing_wavelengths == 0.5
     assert (spec.bits, spec.candidates_l, spec.norm_target) == (4, 3, 2.0)
-    assert spec.desired_angle_deg == 49.0
+    assert spec.scenario.desired_angle == np.radians(49.0)
     assert spec.scenario.n_targets == 3
 
 
@@ -138,13 +140,15 @@ def test_single_target_fine_grid_quantization_vanishes():
 def test_single_target_traces_peak_at_target():
     spec = ScenarioSpec(config=CFG, target_angles_deg=(49.0,))
     result = run_single_target(spec)
-    for trace in (result.reference_trace, result.dps_trace, result.pesa_trace):
-        peak = trace.angles_deg[np.argmax(trace.power_linear)]
+    traces = result.traces  # rows: reference, dps, pesa
+    assert traces.power_db.shape == (3, traces.angles_deg.size)
+    for linear in traces.power_linear:
+        peak = traces.angles_deg[np.argmax(linear)]
         assert abs(peak - 49.0) <= 0.1 + 1e-9
     # RMS errors are taken over the whole grid.
-    for rms, trace in ((result.rms_dps_db, result.dps_trace),
-                       (result.rms_pesa_db, result.pesa_trace)):
-        diff = result.reference_trace.power_db - trace.power_db
+    ref_db, dps_db, pesa_db = traces.power_db
+    for rms, db in ((result.rms_dps_db, dps_db), (result.rms_pesa_db, pesa_db)):
+        diff = ref_db - db
         assert rms == pytest.approx(np.sqrt(np.mean(diff**2)), rel=1e-12)
 
 
@@ -188,11 +192,11 @@ def test_clutter_run_structure():
                         desired_index=2, gamma=0.1)
     result = run_mvdr_clutter(spec)
     assert set(result.levels_at_targets_db) == {-47.0, 30.0, 49.0}
-    for trace in (result.dps_trace, result.pesa_trace):
-        assert np.array_equal(trace.angles_deg,
-                              result.reference_trace.angles_deg)
-    ref = result.reference_trace
-    peak = ref.angles_deg[np.argmax(ref.power_linear)]
+    # One grid for the (reference, dps, pesa) rows.
+    traces = result.traces
+    assert traces.power_linear.shape == (3, traces.angles_deg.size)
+    assert np.array_equal(traces.angles_deg, angle_grid_deg(spec.grid_step_deg))
+    peak = traces.angles_deg[np.argmax(traces.power_linear[0])]
     assert abs(peak - 49.0) <= 0.1 + 1e-9
     assert result.levels_at_targets_db[49.0].reference == 0.0
     # RMS errors are taken at the three target angles only.
@@ -201,6 +205,36 @@ def test_clutter_run_structure():
         diff = [lv.reference - getattr(lv, field) for lv in levels]
         assert rms == pytest.approx(np.sqrt(np.mean(np.square(diff))), rel=1e-12)
     assert result.rms_dps_db >= 0.0 and result.rms_pesa_db >= 0.0
+
+
+@pytest.mark.parametrize("run, spec", [
+    (run_single_target, ScenarioSpec(config=CFG, target_angles_deg=(37.0,))),
+    (run_mvdr_clutter, ScenarioSpec(config=CFG, desired_index=2, gamma=0.1,
+                                    target_angles_deg=(-47.0, 30.0, 49.0))),
+], ids=["single", "clutter"])
+def test_trial_samples_the_grid_once(run, spec, monkeypatch):
+    calls = []
+    grid_powers = array_model._grid_powers
+
+    def counted(config, w, step_deg):
+        calls.append(np.shape(w))
+        return grid_powers(config, w, step_deg)
+
+    monkeypatch.setattr(array_model, "_grid_powers", counted)
+    result = run(spec)
+    assert calls == [(3, CFG.n_antennas)]
+    # The stacked rows equal the per-vector traces bit for bit.
+    grid = PhaseGrid(spec.bits)
+    w_steer = steering_vector(CFG, spec.scenario.desired_angle)
+    w_ref = (w_steer if spec.gamma is None
+             else mvdr_beamformer(CFG, spec.scenario, spec.gamma))
+    dps = approximate(w_ref, grid, spec.candidates_l, spec.norm_target)
+    weights = (w_ref, dps.realized, quantize_pesa(w_steer, grid))
+    monkeypatch.setattr(array_model, "_grid_powers", grid_powers)
+    for row, w in enumerate(weights):
+        trace = beampattern_trace(CFG, w)
+        assert np.array_equal(result.traces.power_linear[row], trace.power_linear)
+        assert np.array_equal(result.traces.power_db[row], trace.power_db)
 
 
 def test_monte_carlo_row_layout_and_determinism():

@@ -15,8 +15,8 @@ from hypothesis import strategies as st
 import dps_reference as ref
 from dpspesa.dps_quantize import (
     PhaseGrid,
+    _nearest,
     approximate,
-    nearest_phases,
     normalize_to_max,
     quantize_pesa,
 )
@@ -131,13 +131,13 @@ def test_non_finite_weights_are_rejected():
     with pytest.raises(ValueError, match="finite"):
         quantize_pesa([1.0, complex(np.nan, 1.0)], grid)
     with pytest.raises(ValueError, match="finite"):
-        nearest_phases(np.inf, grid, 2)
+        _nearest(np.float64(np.inf), grid, 2)
 
 
 def test_nearest_phases_takes_arrays_of_phases():
     grid = PhaseGrid(5)
     phi = np.array([[0.0, 1.0, TWO_PI - 1e-12], [-3.0, 7.5, math.pi]])
-    got = nearest_phases(phi, grid, 3)
+    got = _nearest(phi, grid, 3)
     assert got.shape == (2, 3, 3)
     for index in np.ndindex(phi.shape):
         assert np.array_equal(got[index],
