@@ -2,9 +2,8 @@
 
 A beamformer is a complex ndarray of length ``config.n_antennas``; the
 beampattern sampler and the level sampler `levels_db` also take stacks
-of them, shape ``(..., N)``.  Single angles are radians; sampled angle
-grids (`BeampatternTrace`) carry degrees, which is what every downstream
-consumer (experiments, CSV output) works in.
+of them, shape ``(..., N)``.  Angles are degrees in [-90, 90] everywhere;
+only the steering functions convert them, right before the sine.
 """
 
 from __future__ import annotations
@@ -15,7 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 
 TWO_PI = 2.0 * np.pi
-HALF_PI = 0.5 * np.pi
 
 DEFAULT_FLOOR_DB = -80.0
 DEFAULT_GRID_STEP_DEG = 0.1
@@ -37,6 +35,8 @@ class ArrayConfig:
             raise ValueError("n_antennas must be a positive integer")
         if not self.spacing_wavelengths > 0:
             raise ValueError("spacing_wavelengths must be positive")
+        if not np.isfinite(self.spacing_wavelengths):
+            raise ValueError("spacing_wavelengths must be finite")
 
 
 @dataclass(frozen=True)
@@ -59,15 +59,15 @@ class BeampatternTrace:
             arr.setflags(write=False)
 
 
-def _check_angles(thetas) -> np.ndarray:
-    """Look directions (radians) as a float array; each must lie in [-pi/2, pi/2]."""
-    thetas = np.asarray(thetas, dtype=float)
-    bad = ~(np.abs(thetas) <= HALF_PI)
+def _check_angles(angles_deg) -> np.ndarray:
+    """Angles as a float array; each must be finite and lie in [-90, 90]
+    degrees."""
+    angles_deg = np.asarray(angles_deg, dtype=float)
+    bad = ~(np.abs(angles_deg) <= 90.0)
     if bad.any():
-        raise ValueError(
-            f"look direction must lie in [-pi/2, pi/2], got {thetas[bad].flat[0]}"
-        )
-    return thetas
+        raise ValueError("angles must be finite and lie in [-90, 90] degrees, "
+                         f"got {angles_deg[bad].flat[0]:g}")
+    return angles_deg
 
 
 def _as_weights(config: ArrayConfig, w) -> np.ndarray:
@@ -82,21 +82,21 @@ def _as_weights(config: ArrayConfig, w) -> np.ndarray:
     return w
 
 
-def steering_vector(config: ArrayConfig, theta: float) -> np.ndarray:
-    """Steering vector for a plane wave toward direction ``theta`` (radians).
+def steering_vector(config: ArrayConfig, angle_deg: float) -> np.ndarray:
+    """Steering vector for a plane wave toward ``angle_deg`` degrees.
 
-    Entry ``n`` is ``exp(1j * 2*pi * n * d/lambda * sin(theta))``; entry 0
-    is exactly 1 and all entries have unit modulus.
+    Entry ``n`` is ``exp(1j * 2*pi * n * d/lambda * sin(theta))`` with
+    ``theta`` the angle in radians; entry 0 is exactly 1 and all entries
+    have unit modulus.
     """
-    theta = float(theta)
-    _check_angles(theta)
+    theta = np.radians(_check_angles(float(angle_deg)))
     n = np.arange(config.n_antennas)
     return np.exp(1j * TWO_PI * n * config.spacing_wavelengths * np.sin(theta))
 
 
-def steering_matrix(config: ArrayConfig, thetas) -> np.ndarray:
-    """Stack steering vectors row-wise: shape ``(len(thetas), n_antennas)``."""
-    thetas = _check_angles(thetas)
+def steering_matrix(config: ArrayConfig, angles_deg) -> np.ndarray:
+    """Stack steering vectors row-wise: shape ``(len(angles_deg), n_antennas)``."""
+    thetas = np.radians(_check_angles(angles_deg))
     n = np.arange(config.n_antennas)
     phase = TWO_PI * config.spacing_wavelengths * np.outer(np.sin(thetas), n)
     return np.exp(1j * phase)
@@ -118,7 +118,7 @@ def _grid_response(config: ArrayConfig, step_deg: float):
     """Read-only degree grid and conjugate steering matrix for one geometry."""
     _grid_points(step_deg, config.n_antennas)
     grid_deg = angle_grid_deg(step_deg)
-    response = steering_matrix(config, np.radians(grid_deg)).conj()
+    response = steering_matrix(config, grid_deg).conj()
     grid_deg.setflags(write=False)
     response.setflags(write=False)
     return grid_deg, response
@@ -171,11 +171,7 @@ def _grid_index(grid_deg: np.ndarray, angles_deg) -> np.ndarray:
     """Index of the point of ``grid_deg`` closest to each of ``angles_deg``,
     the first one on a tie.  The angles must be finite and lie in
     [-90, 90] degrees, the span of every grid."""
-    angles_deg = np.ravel(np.asarray(angles_deg, dtype=float))
-    bad = ~(np.abs(angles_deg) <= 90.0)
-    if bad.any():
-        raise ValueError("angles must be finite and lie in [-90, 90] degrees, "
-                         f"got {angles_deg[bad][0]:g}")
+    angles_deg = np.ravel(_check_angles(angles_deg))
     return np.argmin(np.abs(grid_deg - angles_deg[:, None]), axis=-1)
 
 

@@ -22,14 +22,15 @@ from .array_model import (
 
 @dataclass(frozen=True)
 class TargetScenario:
-    """Known target directions (radians) and which one to illuminate."""
+    """Known target directions in degrees, each in [-90, 90] and pairwise
+    distinct, and the index of the one to illuminate."""
 
-    target_angles: tuple
+    target_angles_deg: tuple
     desired_index: int = 0
 
     def __post_init__(self):
-        angles = tuple(float(t) for t in self.target_angles)
-        object.__setattr__(self, "target_angles", angles)
+        angles = tuple(float(t) for t in self.target_angles_deg)
+        object.__setattr__(self, "target_angles_deg", angles)
         if len(angles) < 1:
             raise ValueError("at least one target angle is required")
         _check_angles(angles)
@@ -40,11 +41,11 @@ class TargetScenario:
 
     @property
     def n_targets(self) -> int:
-        return len(self.target_angles)
+        return len(self.target_angles_deg)
 
     @property
-    def desired_angle(self) -> float:
-        return self.target_angles[self.desired_index]
+    def desired_angle_deg(self) -> float:
+        return self.target_angles_deg[self.desired_index]
 
 
 def mvdr_beamformer(config: ArrayConfig, scenario: TargetScenario,
@@ -87,7 +88,7 @@ def mvdr_beamformer(config: ArrayConfig, scenario: TargetScenario,
             stacklevel=2,
         )
     a_mat = np.column_stack(
-        [steering_vector(config, t) for t in scenario.target_angles]
+        [steering_vector(config, t) for t in scenario.target_angles_deg]
     )
     lhs = gamma * np.eye(n) + a_mat @ a_mat.conj().T
     rhs = a_mat[:, scenario.desired_index]

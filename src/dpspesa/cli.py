@@ -5,7 +5,8 @@ experiment), ``clutter`` (multi-target clutter-reduction experiment),
 ``sweep`` (Monte-Carlo sweep CSV), ``oracle-check`` (validates the
 candidate search against the exhaustive oracle).
 
-Angles are degrees everywhere on this surface.  Scenario values may come
+Angles are degrees, as everywhere in the package; one that is not finite
+or lies outside [-90, 90] is a usage error.  Scenario values may come
 from a ``key=value`` config file (``--config``) whose keys name flags;
 inline flags win on conflict, and ``DPS_SEED`` overrides the built-in
 default seed.  Exit codes: 0 success, 1 I/O failure, 2 usage, 3 validation
@@ -15,7 +16,6 @@ failure.
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import sys
 
@@ -215,24 +215,22 @@ def cmd_pattern(args) -> int:
     if targets is None:
         targets = (desired,) if desired is not None else (0.0,)
     idx = _desired_index(targets, desired)
-    theta0 = math.radians(targets[idx])
 
     def mvdr_weights():
-        scenario = TargetScenario(tuple(math.radians(t) for t in targets), idx)
-        return mvdr_beamformer(config, scenario,
+        return mvdr_beamformer(config, TargetScenario(targets, idx),
                                gamma if gamma is not None else DEFAULT_GAMMA)
 
     if kind == "steering":
-        w = steering_vector(config, theta0)
+        w = steering_vector(config, targets[idx])
     elif kind == "mvdr":
         w = mvdr_weights()
     elif kind == "dps":
         w = mvdr_weights() if (len(targets) > 1 or gamma is not None) \
-            else steering_vector(config, theta0)
+            else steering_vector(config, targets[idx])
         w = approximate(w, PhaseGrid(common["bits"]), common["candidates_l"],
                         common["norm_target"]).realized
     elif kind == "pesa-quantized":
-        w = quantize_pesa(steering_vector(config, theta0),
+        w = quantize_pesa(steering_vector(config, targets[idx]),
                           PhaseGrid(common["bits"]))
     else:
         raise UsageError(f"unknown beamformer {kind!r}")

@@ -70,17 +70,14 @@ class ScenarioSpec:
             self, "target_angles_deg",
             tuple(float(t) for t in self.target_angles_deg),
         )
-        n_targets = len(self.target_angles_deg)
-        if n_targets and not 0 <= self.desired_index < n_targets:
-            raise ValueError("desired_index out of range")
+        if self.target_angles_deg:  # checks the angles and desired_index
+            TargetScenario(self.target_angles_deg, self.desired_index)
         if self.gamma is not None and not self.gamma > 0:
             raise ValueError("gamma must be strictly positive when present")
 
     @property
     def scenario(self) -> TargetScenario:
-        return TargetScenario(
-            tuple(np.radians(self.target_angles_deg)), self.desired_index
-        )
+        return TargetScenario(self.target_angles_deg, self.desired_index)
 
 
 class TargetLevels(NamedTuple):
@@ -191,7 +188,7 @@ def run_single_target(spec: ScenarioSpec) -> TrialResult:
         raise ValueError("single-target run requires exactly one target")
     if spec.gamma is not None:
         raise ValueError("single-target run takes no gamma")
-    w_steer = steering_vector(spec.config, spec.scenario.desired_angle)
+    w_steer = steering_vector(spec.config, spec.scenario.desired_angle_deg)
     return _quantized_trial(spec, w_steer, w_steer, at_targets=False)
 
 
@@ -207,7 +204,7 @@ def run_mvdr_clutter(spec: ScenarioSpec) -> TrialResult:
     if spec.gamma is None:
         raise ValueError("clutter run requires gamma")
     w_ref = mvdr_beamformer(spec.config, spec.scenario, spec.gamma)
-    w_steer = steering_vector(spec.config, spec.scenario.desired_angle)
+    w_steer = steering_vector(spec.config, spec.scenario.desired_angle_deg)
     return _quantized_trial(spec, w_ref, w_steer, at_targets=True)
 
 
@@ -234,10 +231,10 @@ def _sweep_block(spec: ScenarioSpec, bits_list, norm_list, trials: range):
         rng = trial_rng(spec.seed, index)
         drawn = draw_target_angles(rng, count=3)
         desired = int(rng.integers(drawn.size))
-        scenario = TargetScenario(tuple(np.radians(drawn)), desired)
+        scenario = TargetScenario(drawn, desired)
         angles.append(drawn)
         w_ref.append(mvdr_beamformer(spec.config, scenario, spec.gamma))
-        w_steer.append(steering_vector(spec.config, scenario.desired_angle))
+        w_steer.append(steering_vector(spec.config, scenario.desired_angle_deg))
 
     # Every trial's reference at every norm, normalized and split once and
     # searched once per bits value.

@@ -195,20 +195,18 @@ def test_criterion_7_mvdr_correctness():
         k = int(rng.integers(1, 5))
         cfg = ArrayConfig(n, 0.5)
         angles = draw_target_angles(rng, count=k)
-        scenario = TargetScenario(tuple(np.radians(angles)),
-                                  int(rng.integers(k)))
+        scenario = TargetScenario(angles, int(rng.integers(k)))
         gamma = float(rng.choice([0.1, 1.0]))
         w = mvdr_beamformer(cfg, scenario, gamma)
         a_mat = np.column_stack(
-            [steering_vector(cfg, t) for t in scenario.target_angles]
+            [steering_vector(cfg, t) for t in scenario.target_angles_deg]
         )
         lhs = gamma * np.eye(n) + a_mat @ a_mat.conj().T
         resid = np.linalg.norm(lhs @ w - a_mat[:, scenario.desired_index])
         worst = max(worst, resid)
 
-    theta = math.radians(17.0)
-    w1 = mvdr_beamformer(CFG, TargetScenario((theta,)), gamma=0.1)
-    closed = steering_vector(CFG, theta) / 16.1
+    w1 = mvdr_beamformer(CFG, TargetScenario((17.0,)), gamma=0.1)
+    closed = steering_vector(CFG, 17.0) / 16.1
     gap = float(np.max(np.abs(w1 - closed)))
 
     checks = [

@@ -32,6 +32,9 @@ def test_config_validation():
         ArrayConfig(4, 0.0)
     with pytest.raises(ValueError):
         ArrayConfig(4, -0.5)
+    for spacing in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="spacing_wavelengths"):
+            ArrayConfig(4, spacing)
 
 
 def test_steering_broadside_is_all_ones():
@@ -40,7 +43,7 @@ def test_steering_broadside_is_all_ones():
 
 
 def test_steering_two_element_30deg():
-    a = steering_vector(ArrayConfig(2, 0.5), math.radians(30.0))
+    a = steering_vector(ArrayConfig(2, 0.5), 30.0)
     assert_allclose(a, [1.0, 1j], atol=1e-12)
 
 
@@ -48,37 +51,52 @@ def test_steering_entries_match_exponent_formula():
     # Independent per-element check of the exponent n*pi*sin(theta) for
     # N=16, half-wavelength spacing, 49 degrees.
     theta = math.radians(49.0)
-    a = steering_vector(ArrayConfig(16, 0.5), theta)
+    a = steering_vector(ArrayConfig(16, 0.5), 49.0)
     for n in range(16):
         arg = (n * math.pi * math.sin(theta)) % TWO_PI
         assert abs(a[n] - cmath.exp(1j * arg)) < 1e-12
 
 
 def test_steering_first_entry_exactly_one():
-    a = steering_vector(ArrayConfig(8, 0.7), 0.3)
+    a = steering_vector(ArrayConfig(8, 0.7), 17.0)
     assert a[0] == 1.0 + 0.0j
 
 
 def test_steering_unit_modulus():
     rng = np.random.default_rng(0)
     for _ in range(100):
-        theta = rng.uniform(-math.pi / 2, math.pi / 2)
-        a = steering_vector(ArrayConfig(16, 0.5), theta)
+        angle = rng.uniform(-90.0, 90.0)
+        a = steering_vector(ArrayConfig(16, 0.5), angle)
         assert np.max(np.abs(np.abs(a) - 1.0)) < 1e-12
 
 
 def test_steering_rejects_out_of_range_angle():
     cfg = ArrayConfig(4, 0.5)
-    with pytest.raises(ValueError):
-        steering_vector(cfg, math.pi / 2 + 0.01)
-    with pytest.raises(ValueError):
-        steering_vector(cfg, -2.0)
-    with pytest.raises(ValueError):
-        steering_vector(cfg, math.nan)
-    for thetas in ([0.0, 0.3, -2.0], [[0.1], [math.nan]]):
-        with pytest.raises(ValueError, match="look direction"):
-            steering_matrix(cfg, thetas)
-    assert steering_matrix(cfg, [-math.pi / 2, math.pi / 2]).shape == (2, 4)
+    message = r"angles must be finite and lie in \[-90, 90\] degrees, got "
+    for angle, shown in ((90.01, "90.01"), (-100.0, "-100"), (math.nan, "nan")):
+        with pytest.raises(ValueError, match=message + shown):
+            steering_vector(cfg, angle)
+    for angles in ([0.0, 17.0, -100.0], [[6.0], [math.nan]]):
+        with pytest.raises(ValueError, match=message):
+            steering_matrix(cfg, angles)
+    assert steering_matrix(cfg, [-90.0, 90.0]).shape == (2, 4)
+
+
+@pytest.mark.parametrize("n_antennas", [8, 16, 24])
+@pytest.mark.parametrize("spacing", [0.5, 0.7])
+def test_steering_in_degrees_keeps_the_radian_formula_bits(n_antennas, spacing):
+    # The formula on a radian angle from `math.radians`, as steering was
+    # computed before it took degrees: every 0.1-degree grid point and
+    # random angles must give the same bits.
+    cfg = ArrayConfig(n_antennas, spacing)
+    n = np.arange(n_antennas)
+    rng = np.random.default_rng(n_antennas)
+    grid = angle_grid_deg(0.1)
+    for angle in [*grid.tolist(), *rng.uniform(-90.0, 90.0, 500).tolist()]:
+        want = np.exp(1j * TWO_PI * n * spacing * np.sin(math.radians(angle)))
+        assert np.array_equal(steering_vector(cfg, angle), want), angle
+    phase = TWO_PI * spacing * np.outer(np.sin(np.radians(grid)), n)
+    assert np.array_equal(_grid_response(cfg, 0.1)[1], np.exp(1j * phase).conj())
 
 
 def _power_at(config, w, angle_deg):
@@ -88,7 +106,7 @@ def _power_at(config, w, angle_deg):
 
 def test_power_at_look_direction_is_n_squared():
     cfg = ArrayConfig(16, 0.5)
-    w = steering_vector(cfg, math.radians(21.0))
+    w = steering_vector(cfg, 21.0)
     assert_allclose(_power_at(cfg, w, 21.0), 256.0, rtol=1e-9)
 
 
@@ -148,7 +166,7 @@ def test_trace_contract_errors():
 
 def test_trace_peak_is_zero_db_and_at_look_direction():
     cfg = ArrayConfig(16, 0.5)
-    w = steering_vector(cfg, math.radians(30.0))
+    w = steering_vector(cfg, 30.0)
     tr = beampattern_trace(cfg, w, 0.1)
     assert tr.power_db.max() == 0.0
     peak_angle = tr.angles_deg[np.argmax(tr.power_linear)]

@@ -18,12 +18,12 @@ FIG3_TARGETS = (-47.0, 30.0, 49.0)
 
 
 def _fig3_scenario():
-    return TargetScenario(tuple(np.radians(FIG3_TARGETS)), desired_index=2)
+    return TargetScenario(FIG3_TARGETS, desired_index=2)
 
 
 def _residual(config, scenario, gamma, w):
     a_mat = np.column_stack(
-        [steering_vector(config, t) for t in scenario.target_angles]
+        [steering_vector(config, t) for t in scenario.target_angles_deg]
     )
     lhs = gamma * np.eye(config.n_antennas) + a_mat @ a_mat.conj().T
     return np.linalg.norm(lhs @ w - a_mat[:, scenario.desired_index])
@@ -33,11 +33,11 @@ def test_scenario_validation():
     with pytest.raises(ValueError):
         TargetScenario(())
     with pytest.raises(ValueError):
-        TargetScenario((0.1, 0.1))
+        TargetScenario((6.0, 6.0))
     with pytest.raises(ValueError):
-        TargetScenario((0.1, 0.2), desired_index=2)
+        TargetScenario((6.0, 11.0), desired_index=2)
     with pytest.raises(ValueError):
-        TargetScenario((2.0,))
+        TargetScenario((95.0,))
 
 
 def test_steering_beamformer_matches_steering_vector():
@@ -45,11 +45,10 @@ def test_steering_beamformer_matches_steering_vector():
     # at N^2 toward its own look direction.
     cfg = ArrayConfig(4, 0.5)
     assert_allclose(steering_vector(cfg, 0.0), np.ones(4), rtol=0, atol=0)
-    theta = math.radians(30.0)
     assert_allclose(
-        steering_vector(ArrayConfig(2, 0.5), theta), [1.0, 1j], atol=1e-12
+        steering_vector(ArrayConfig(2, 0.5), 30.0), [1.0, 1j], atol=1e-12
     )
-    tr = beampattern_trace(cfg, steering_vector(cfg, math.radians(-12.0)), 0.1)
+    tr = beampattern_trace(cfg, steering_vector(cfg, -12.0), 0.1)
     assert tr.angles_deg[np.argmax(tr.power_linear)] == pytest.approx(-12.0)
     assert tr.power_linear.max() == pytest.approx(16.0, rel=1e-9)
 
@@ -57,10 +56,9 @@ def test_steering_beamformer_matches_steering_vector():
 def test_mvdr_single_target_closed_form():
     # For one target, (gamma*I + a a^H)^{-1} a = a / (gamma + N).
     cfg = ArrayConfig(16, 0.5)
-    theta = math.radians(17.0)
-    scenario = TargetScenario((theta,))
+    scenario = TargetScenario((17.0,))
     w = mvdr_beamformer(cfg, scenario, gamma=0.1)
-    assert_allclose(w, steering_vector(cfg, theta) / 16.1, atol=1e-10)
+    assert_allclose(w, steering_vector(cfg, 17.0) / 16.1, atol=1e-10)
     assert _residual(cfg, scenario, 0.1, w) < 1e-10 * 4.0
 
 
@@ -88,7 +86,7 @@ def test_mvdr_reference_scenario_nulls():
 
 def test_mvdr_rejects_nonpositive_gamma():
     cfg = ArrayConfig(8, 0.5)
-    scenario = TargetScenario((0.1, 0.5))
+    scenario = TargetScenario((6.0, 29.0))
     for gamma in (0.0, -0.1):
         with pytest.raises(ValueError):
             mvdr_beamformer(cfg, scenario, gamma)
@@ -98,7 +96,7 @@ def test_mvdr_bounds_n_squared_before_building_arrays(monkeypatch):
     # A lowered bound stands in for a huge N: 9 x 9 exceeds 64 entries, and
     # the check must run before any steering vector or matrix is built.
     monkeypatch.setattr(beamformers, "MAX_GRID_ENTRIES", 64)
-    scenario = TargetScenario((0.1, 0.5))
+    scenario = TargetScenario((6.0, 29.0))
     assert mvdr_beamformer(ArrayConfig(8, 0.5), scenario, 0.1).shape == (8,)
 
     def forbidden(*args, **kwargs):
@@ -112,7 +110,7 @@ def test_mvdr_bounds_n_squared_before_building_arrays(monkeypatch):
 
 def test_mvdr_warns_when_targets_exceed_antennas():
     cfg = ArrayConfig(4, 0.5)
-    scenario = TargetScenario((-0.8, -0.4, 0.0, 0.4, 0.8))
+    scenario = TargetScenario((-46.0, -23.0, 0.0, 23.0, 46.0))
     with pytest.warns(UserWarning):
         w = mvdr_beamformer(cfg, scenario, gamma=0.1)
     assert w.shape == (4,)
@@ -125,7 +123,7 @@ def test_mvdr_residual_property_random_scenarios():
         k = int(rng.integers(1, 5))
         cfg = ArrayConfig(n, 0.5)
         angles = draw_target_angles(rng, count=k)
-        scenario = TargetScenario(tuple(np.radians(angles)), int(rng.integers(k)))
+        scenario = TargetScenario(angles, int(rng.integers(k)))
         gamma = float(rng.choice([0.1, 1.0]))
         w = mvdr_beamformer(cfg, scenario, gamma)
         assert _residual(cfg, scenario, gamma, w) < 1e-10 * math.sqrt(n)
@@ -137,7 +135,7 @@ def test_regularized_matrix_is_hermitian_positive_definite():
         n = int(rng.choice([4, 8, 16]))
         k = int(rng.integers(1, 5))
         cfg = ArrayConfig(n, 0.5)
-        angles = np.radians(draw_target_angles(rng, count=k))
+        angles = draw_target_angles(rng, count=k)
         a_mat = np.column_stack([steering_vector(cfg, t) for t in angles])
         gamma = float(10.0 ** rng.uniform(-3, 2))
         lhs = gamma * np.eye(n) + a_mat @ a_mat.conj().T
@@ -149,7 +147,7 @@ def test_mvdr_small_gamma_deep_nulls():
     # Well-separated targets, gamma -> 0: undesired targets at least 40 dB
     # below the desired level.
     cfg = ArrayConfig(16, 0.5)
-    scenario = TargetScenario(tuple(np.radians([-40.0, 10.0, 49.0])), 1)
+    scenario = TargetScenario((-40.0, 10.0, 49.0), 1)
     w = mvdr_beamformer(cfg, scenario, gamma=1e-6)
     desired_level, *clutter_levels = levels_db(cfg, w, [10.0, -40.0, 49.0], 0.1)
     for level in clutter_levels:
@@ -166,7 +164,7 @@ def test_mvdr_argmax_near_desired_target():
         angles = draw_target_angles(rng, count=3, span_deg=60.0,
                                     min_sep_deg=10.0)
         desired = int(rng.integers(3))
-        scenario = TargetScenario(tuple(np.radians(angles)), desired)
+        scenario = TargetScenario(angles, desired)
         w = mvdr_beamformer(cfg, scenario, gamma=0.1)
         tr = beampattern_trace(cfg, w, 0.1)
         peak = tr.angles_deg[np.argmax(tr.power_linear)]

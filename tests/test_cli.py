@@ -186,6 +186,33 @@ def test_clutter_usage_errors(tmp_path):
                     f"--out={tmp_path}"]) == 2
 
 
+@pytest.mark.parametrize("argv, shown", [
+    (["single", "--targets=95"], "95"),
+    (["clutter", "--targets=-47,30,95", "--desired=30"], "95"),
+    (["pattern", "--desired=-100"], "-100"),
+    (["pattern", "--beamformer=mvdr", "--targets=10,90.5", "--desired=10"],
+     "90.5"),
+    (["single", "--targets=nan"], "nan"),
+], ids=["single", "clutter", "pattern", "pattern-mvdr", "single-nan"])
+def test_out_of_range_angles_are_reported_in_degrees(argv, shown, tmp_path,
+                                                     capsys):
+    assert run_cli([*argv, f"--out={tmp_path}"]) == 2
+    assert capsys.readouterr().err == (
+        "usage error: angles must be finite and lie in [-90, 90] degrees, "
+        f"got {shown}\n")
+    assert not any(tmp_path.iterdir())
+
+
+def test_infinite_spacing_is_rejected_by_every_subcommand(tmp_path, capsys):
+    for argv in (["pattern"], ["single", "--targets=10"],
+                 ["clutter", "--targets=-47,30,49", "--desired=49"],
+                 ["sweep", "--bits=2", "--trials=1"]):
+        assert run_cli([*argv, "--spacing=inf", f"--out={tmp_path}"]) == 2
+        assert capsys.readouterr().err == \
+            "usage error: spacing_wavelengths must be finite\n"
+        assert not any(tmp_path.iterdir())
+
+
 def test_clutter_ill_conditioned_solve(tmp_path, capsys):
     assert run_cli(["clutter", "--targets=-47,30,49", "--desired=49",
                     "--gamma=1e-30", f"--out={tmp_path}"]) == 2

@@ -51,7 +51,7 @@ def test_spec_defaults_cover_reference_setup():
     assert spec.config.n_antennas == 16
     assert spec.config.spacing_wavelengths == 0.5
     assert (spec.bits, spec.candidates_l, spec.norm_target) == (4, 3, 2.0)
-    assert spec.scenario.desired_angle == np.radians(49.0)
+    assert spec.scenario.desired_angle_deg == 49.0
     assert spec.scenario.n_targets == 3
 
 
@@ -225,7 +225,7 @@ def test_trial_samples_the_grid_once(run, spec, monkeypatch):
     assert calls == [(3, CFG.n_antennas)]
     # The stacked rows equal the per-vector traces bit for bit.
     grid = PhaseGrid(spec.bits)
-    w_steer = steering_vector(CFG, spec.scenario.desired_angle)
+    w_steer = steering_vector(CFG, spec.scenario.desired_angle_deg)
     w_ref = (w_steer if spec.gamma is None
              else mvdr_beamformer(CFG, spec.scenario, spec.gamma))
     dps = approximate(w_ref, grid, spec.candidates_l, spec.norm_target)
@@ -269,10 +269,9 @@ def test_sweep_block_equals_trace_based_scoring():
     for t, index in enumerate(trials):
         rng = trial_rng(spec.seed, index)
         angles = draw_target_angles(rng, count=3)
-        scenario = TargetScenario(tuple(np.radians(angles)),
-                                  int(rng.integers(3)))
+        scenario = TargetScenario(angles, int(rng.integers(3)))
         w_ref = mvdr_beamformer(spec.config, scenario, spec.gamma)
-        w_steer = steering_vector(spec.config, scenario.desired_angle)
+        w_steer = steering_vector(spec.config, scenario.desired_angle_deg)
         ref = beampattern_trace(spec.config, w_ref, 0.5, -70.0)
         at = np.argmin(np.abs(ref.angles_deg - angles[:, None]), axis=-1)
         for b, n_bits in enumerate(bits):

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import dpspesa
 
 
@@ -19,3 +21,14 @@ def test_public_names_are_the_quick_start_and_entry_points():
         assert getattr(dpspesa, name) is not None
     assert not hasattr(dpspesa, "steering_beamformer")
     assert not hasattr(dpspesa, "beampattern_power")
+
+
+def test_readme_quick_start_runs(capsys):
+    # The documented API must match the code: run the README's block.
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    section = readme.split("## Library quick start", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(code, "README.md", "exec"), {})
+    # It prints the two clutter levels, both below the 0 dB peak.
+    printed = capsys.readouterr().out.strip().strip("[]").split()
+    assert len(printed) == 2 and all(float(v) < 0 for v in printed), printed
