@@ -6,6 +6,7 @@ The single-target reference is the steering vector itself
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -54,8 +55,9 @@ def mvdr_beamformer(config: ArrayConfig, scenario: TargetScenario,
 
     Solves ``(gamma*I + A A^H) w = a(theta_desired)`` where the columns of
     ``A`` are the steering vectors of all targets.  ``gamma`` trades null
-    depth against conditioning and must be strictly positive (the gamma=0
-    system is singular whenever there are fewer targets than antennas).
+    depth against conditioning and must be finite and strictly positive
+    (the gamma=0 system is singular whenever there are fewer targets than
+    antennas).
     N x N must not exceed `array_model.MAX_GRID_ENTRIES`, checked before
     any array is built.
 
@@ -66,7 +68,7 @@ def mvdr_beamformer(config: ArrayConfig, scenario: TargetScenario,
     scenario : TargetScenario
         Target directions and the desired index.
     gamma : float
-        Null-depth regularizer, > 0.
+        Null-depth regularizer, finite and > 0.
 
     Returns
     -------
@@ -75,6 +77,8 @@ def mvdr_beamformer(config: ArrayConfig, scenario: TargetScenario,
     """
     if not gamma > 0:
         raise ValueError("gamma must be strictly positive")
+    if not math.isfinite(gamma):
+        raise ValueError(f"gamma must be finite, got {gamma:g}")
     n = config.n_antennas
     if n * n > MAX_GRID_ENTRIES:
         raise ValueError(

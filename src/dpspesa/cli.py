@@ -11,11 +11,15 @@ from a ``key=value`` config file (``--config``) whose keys name flags;
 inline flags win on conflict, and ``DPS_SEED`` overrides the built-in
 default seed.  Exit codes: 0 success, 1 I/O failure, 2 usage, 3 validation
 failure.
+
+`build_parser` returns one parser shared by every call in the process;
+callers must not mutate it.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 
@@ -144,22 +148,33 @@ def _fmt(x) -> str:
 
 
 def _write_lines(path: str, lines) -> None:
+    """Write ``lines``, each ended by a newline, with one ``write``."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for line in lines:
-            fh.write(line + "\n")
+        fh.write("".join(f"{line}\n" for line in lines))
+
+
+# Keyed by the grid's float64 bytes; eight grids at most, as
+# `array_model._grid_response` caches.
+@functools.lru_cache(maxsize=8)
+def _trace_template(angles: bytes) -> str:
+    """Trace CSV text for the float64 grid ``angles``, without the final
+    newline: each row holds its formatted angle and two ``%.9g`` slots."""
+    rows = ("%.9g,%%.9g,%%.9g" % a for a in np.frombuffer(angles).tolist())
+    return "\n".join(["angle_deg,power_linear,power_db", *rows])
 
 
 def _write_traces(out: str, trace: BeampatternTrace, names) -> None:
     """Write row i of ``trace`` (a single pattern is one row) to the CSV
     file ``names[i]`` in ``out``."""
-    angles = trace.angles_deg.tolist()
-    rows = zip(names, np.atleast_2d(trace.power_linear).tolist(),
-               np.atleast_2d(trace.power_db).tolist(), strict=True)
-    for name, linear, db in rows:
-        # "%.9g" prints a Python float as `_fmt` does, with one call per row.
-        lines = ["%.9g,%.9g,%.9g" % row for row in zip(angles, linear, db)]
-        _write_lines(os.path.join(out, name),
-                     ["angle_deg,power_linear,power_db", *lines])
+    template = _trace_template(np.asarray(trace.angles_deg, float).tobytes())
+    linear = np.atleast_2d(trace.power_linear)
+    db = np.atleast_2d(trace.power_db)
+    # One `%` per file over the row pairs (linear, db) of Python floats:
+    # "%.9g" prints a Python float as `_fmt` does, and the angle column was
+    # printed the same way once per grid.
+    rows = np.stack((linear, db), axis=-1).reshape(len(linear), -1).tolist()
+    for name, row in zip(names, rows, strict=True):
+        _write_lines(os.path.join(out, name), [template % tuple(row)])
 
 
 def _write_summary(path: str, items) -> None:
@@ -368,6 +383,7 @@ def _help(command: str, key: str, text: str) -> str:
     return f"{text} (default {value})"
 
 
+@functools.lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="dpspesa",

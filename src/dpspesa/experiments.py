@@ -72,8 +72,11 @@ class ScenarioSpec:
         )
         if self.target_angles_deg:  # checks the angles and desired_index
             TargetScenario(self.target_angles_deg, self.desired_index)
-        if self.gamma is not None and not self.gamma > 0:
-            raise ValueError("gamma must be strictly positive when present")
+        if self.gamma is not None:
+            if not self.gamma > 0:
+                raise ValueError("gamma must be strictly positive when present")
+            if not math.isfinite(self.gamma):
+                raise ValueError(f"gamma must be finite, got {self.gamma:g}")
 
     @property
     def scenario(self) -> TargetScenario:

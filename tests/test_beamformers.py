@@ -90,6 +90,8 @@ def test_mvdr_rejects_nonpositive_gamma():
     for gamma in (0.0, -0.1):
         with pytest.raises(ValueError):
             mvdr_beamformer(cfg, scenario, gamma)
+    with pytest.raises(ValueError, match="^gamma must be finite, got inf$"):
+        mvdr_beamformer(cfg, scenario, math.inf)
 
 
 def test_mvdr_bounds_n_squared_before_building_arrays(monkeypatch):

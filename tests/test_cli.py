@@ -1,6 +1,7 @@
 import argparse
 import hashlib
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -178,6 +179,58 @@ def test_trial_outputs_match_pinned_bytes(argv, tmp_path):
             == digest
 
 
+# pattern.csv SHA-256 digests, recorded before the trace writer formatted
+# each file in one operation.  The last case samples a second grid in the
+# same process.
+PINNED_PATTERNS = {
+    ("--beamformer=steering", "--desired=30"):
+        "b812cabbea3d474fde04d7f59d381c4d1c1469c88f11837e94ddb70c191984c9",
+    ("--beamformer=mvdr", "--targets=-47,30,49", "--desired=49"):
+        "07b5d9789e6c286afb8ad54ab9e956afba40c999914ce5aa3d352676d63f06f1",
+    ("--beamformer=dps", "--targets=-47,30,49", "--desired=49", "--bits=3"):
+        "f87e01ae065c64f9bec974d6bf0376e86c079e24715b7ed6677f2ee6bb98179b",
+    ("--beamformer=pesa-quantized", "--desired=-20", "--bits=2"):
+        "4e54b5517f42114ff0c5f614554384636ff039a4ca246c196373af3355cd976c",
+    ("--beamformer=dps", "--desired=12.5", "--antennas=8", "--grid-step=0.2"):
+        "1f653afa24364a02466d50f803057281b299df530e456055f9a1914d3d790891",
+}
+
+
+@pytest.mark.parametrize(
+    "argv", list(PINNED_PATTERNS),
+    ids=["steering", "mvdr", "dps", "pesa-quantized", "dps-8-antennas-0.2deg"])
+def test_pattern_csv_matches_pinned_bytes(argv, tmp_path):
+    assert run_cli(["pattern", *argv, f"--out={tmp_path}"]) == 0
+    assert hashlib.sha256((tmp_path / "pattern.csv").read_bytes()).hexdigest() \
+        == PINNED_PATTERNS[argv]
+
+
+def test_cached_parser_keeps_no_state_between_calls(tmp_path, capsys):
+    cfg = tmp_path / "scenario.cfg"
+    cfg.write_text("targets=-47,30,49\ndesired=49\ngamma=0.5\nbits=3\n")
+    from_config = ("clutter", f"--config={cfg}", "--antennas=8")
+    inline = ("clutter", "--targets=-20,10", "--desired=10", "-L", "2")
+
+    def call(argv, out):
+        code = run_cli([*argv, f"--out={out}"])
+        files = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+        return code, capsys.readouterr().out, files
+
+    first = {argv: call(argv, tmp_path / f"a{i}")
+             for i, argv in enumerate((inline, from_config))}
+    second = {argv: call(argv, tmp_path / f"b{i}")
+              for i, argv in enumerate((from_config, inline))}
+    assert first == second
+    assert cli.build_parser() is cli.build_parser()
+    # Neither call's file or flag values reach the other.
+    summary = read_summary(tmp_path / "b1" / "summary.txt")
+    assert (summary["gamma"], summary["bits"], summary["candidates"]) == \
+        ("0.1", "4", "2")
+    summary = read_summary(tmp_path / "a1" / "summary.txt")
+    assert (summary["gamma"], summary["bits"], summary["candidates"]) == \
+        ("0.5", "3", "3")
+
+
 def test_clutter_usage_errors(tmp_path):
     assert run_cli(["clutter", f"--out={tmp_path}"]) == 2
     assert run_cli(["clutter", "--targets=-47,30,49", "--desired=10",
@@ -211,6 +264,20 @@ def test_infinite_spacing_is_rejected_by_every_subcommand(tmp_path, capsys):
         assert capsys.readouterr().err == \
             "usage error: spacing_wavelengths must be finite\n"
         assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("argv", [
+    ["clutter", "--targets=-47,30,49", "--desired=49"],
+    ["sweep", "--bits=2", "--trials=1"],
+    ["pattern", "--beamformer=mvdr", "--targets=-47,30,49", "--desired=49"],
+], ids=lambda a: a[0])
+def test_infinite_gamma_is_a_usage_error(argv, tmp_path, capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no RuntimeWarning on the way
+        assert run_cli([*argv, "--gamma=inf", f"--out={tmp_path}"]) == 2
+    assert capsys.readouterr().err == \
+        "usage error: gamma must be finite, got inf\n"
+    assert not any(tmp_path.iterdir())
 
 
 def test_clutter_ill_conditioned_solve(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -32,6 +33,8 @@ def test_spec_validation():
         ScenarioSpec(config=CFG, target_angles_deg=(0.0,), desired_index=1)
     with pytest.raises(ValueError):
         ScenarioSpec(config=CFG, target_angles_deg=(0.0, 10.0), gamma=0.0)
+    with pytest.raises(ValueError, match="^gamma must be finite, got inf$"):
+        ScenarioSpec(config=CFG, gamma=math.inf)
 
 
 def test_spec_without_targets_serves_only_the_sweep():
