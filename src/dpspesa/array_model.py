@@ -19,8 +19,11 @@ DEFAULT_FLOOR_DB = -80.0
 DEFAULT_GRID_STEP_DEG = 0.1
 # Bound on the entries of one complex128 matrix (64 MiB): grid points x N
 # of a sampled steering matrix, about 97 times N=24 on the 0.1-degree grid
-# (43,224), and N x N of the MVDR system matrix (N <= 2048).
+# (43,224), N x N of the MVDR system matrix (N <= 2048), and the candidate
+# pairs of one chunk of the DPS search (L x L per weight).
 MAX_GRID_ENTRIES = 1 << 22
+# Grid step, in points, of the first pass of `levels_db`'s peak search.
+PEAK_COARSE_ROWS = 16
 
 
 @dataclass(frozen=True)
@@ -158,13 +161,80 @@ def levels_db(config: ArrayConfig, w, angles_deg,
 
     Equal, bit for bit, to ``beampattern_trace(config, w, step_deg,
     floor_db).power_db[..., idx]`` with ``idx`` the index of the closest
-    grid point to each angle (the first one on a tie), but the dB
-    conversion runs only at those K points.  ``w`` has shape ``(..., N)``;
-    the result ``(..., K)``.  The angles must lie in [-90, 90] degrees.
+    grid point to each angle (the first one on a tie).  ``w`` has shape
+    ``(..., N)``; the result ``(..., K)``.  The angles must lie in
+    [-90, 90] degrees.
+
+    The peak is found in two passes instead of over the whole grid.  The
+    first computes the powers at every `PEAK_COARSE_ROWS`-th grid point and
+    the last one.  Between two neighbouring points a < b of that pass, with
+    u = sin(angle), the field magnitude of a vector is at most
+    ``(|F(a)| + |F(b)| + lip * (u_b - u_a)) / 2``, where ``lip`` is
+    ``2*pi*d * sum(|n - (N-1)/2| * |w_n|)``.  The second pass computes the
+    K target points and every point between a and b where, for some
+    vector of the stack, that bound is within rounding of the vector's
+    first-pass peak.  Each power comes from a matrix-vector product over a
+    subset of at least two of the grid's rows, so the peak is the whole
+    grid's peak bit for bit only if such a product equals the same rows of
+    the whole-grid product.  That is probed once per geometry
+    (`_subset_rows_exact`); where it fails, the whole grid is computed.
     """
-    grid_deg, power, peak = _grid_powers(config, w, step_deg)
+    w = _as_weights(config, w)
+    step_deg = float(step_deg)
+    grid_deg, response = _grid_response(config, step_deg)
     idx = _grid_index(grid_deg, angles_deg)
-    return _normalized_db(power[..., idx], peak, floor_db)
+    if not _subset_rows_exact(config, step_deg):
+        _, power, peak = _grid_powers(config, w, step_deg)
+        return _normalized_db(power[..., idx], peak, floor_db)
+
+    # A one-row product takes numpy's dot path and rounds differently: the
+    # coarse rows include both grid endpoints, and a lone second-pass row is
+    # computed twice.
+    coarse = _coarse_rows(grid_deg.size)
+    magnitude = np.abs(_field(response[coarse], w))
+    fine = _rows_to_refine(config, w, np.sin(np.radians(grid_deg[coarse])),
+                           coarse, magnitude)
+    rows = np.concatenate((fine, idx))
+    if rows.size == 1:
+        rows = np.repeat(rows, 2)
+    power = np.abs(_field(response[rows], w)) ** 2
+    peak = np.maximum((magnitude**2).max(axis=-1, keepdims=True),
+                      power.max(axis=-1, keepdims=True, initial=0.0))
+    return _normalized_db(power[..., fine.size:fine.size + idx.size], peak,
+                          floor_db)
+
+
+def _coarse_rows(points: int) -> np.ndarray:
+    """Every `PEAK_COARSE_ROWS`-th index of a ``points``-point grid, and the
+    last one."""
+    rows = np.arange(0, points, PEAK_COARSE_ROWS)
+    return rows if rows[-1] == points - 1 else np.append(rows, points - 1)
+
+
+def _rows_to_refine(config: ArrayConfig, w: np.ndarray, sines: np.ndarray,
+                    rows: np.ndarray, magnitude: np.ndarray) -> np.ndarray:
+    """Grid indices between the sorted ``rows``, which include 0, whose
+    field magnitude may exceed the largest of ``magnitude`` ``(..., R)``,
+    the computed magnitudes of ``w`` at ``rows``, for some vector of the
+    stack; ``sines`` holds sin(angle) at ``rows``."""
+    n = config.n_antennas
+    d = config.spacing_wavelengths
+    abs_w = np.abs(w)
+    lip = TWO_PI * d * (abs_w @ np.abs(np.arange(n) - (n - 1) / 2))
+    top = magnitude.max(axis=-1)
+    # Rounding of the computed magnitudes: relative to the peak, and
+    # absolute for the products, whose phases carry errors up to
+    # 2*pi*d*N ulps; the peak may sit far below sum|w_n| at small spacing.
+    eps = np.finfo(float).eps
+    slack = 1e-9 * top + 16 * n * (1 + TWO_PI * d) * eps * abs_w.sum(axis=-1)
+    bound = (magnitude[..., :-1] + magnitude[..., 1:]
+             + lip[..., None] * np.diff(sines)) / 2
+    keep = bound > (top - slack)[..., None]
+    keep = keep.reshape(-1, rows.size - 1).any(axis=0)
+    # Index g with rows[k] < g <= rows[k + 1] lies in interval k.
+    inside = np.repeat(keep, np.diff(rows))
+    inside[rows[1:] - 1] = False
+    return 1 + np.flatnonzero(inside)
 
 
 def _grid_index(grid_deg: np.ndarray, angles_deg) -> np.ndarray:
@@ -175,15 +245,39 @@ def _grid_index(grid_deg: np.ndarray, angles_deg) -> np.ndarray:
     return np.argmin(np.abs(grid_deg - angles_deg[:, None]), axis=-1)
 
 
+def _field(response: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Complex field ``(..., R)`` of ``w`` ``(..., N)`` at the R rows of a
+    conjugate steering matrix."""
+    # One matrix-vector product per weight vector: a single matrix-matrix
+    # product would sum in another order and change the last bits.
+    return np.matmul(response, w[..., None])[..., 0]
+
+
+@functools.lru_cache(maxsize=8)
+def _subset_rows_exact(config: ArrayConfig, step_deg: float) -> bool:
+    """Whether, with the BLAS in use, the field of a probe vector over
+    subsets of at least two rows of the cached response equals the same
+    rows of the field over the whole response; `levels_db` relies on it."""
+    _, response = _grid_response(config, step_deg)
+    points = len(response)
+    n = np.arange(config.n_antennas)
+    probe = (1.0 + n) * np.exp(1j * (0.7 * n + 0.3 * n**2))
+    full = _field(response, probe)
+    every = np.arange(points)
+    # Row counts of every remainder mod 4, at several row alignments.
+    subsets = (_coarse_rows(points), every[1::7], every[points // 2:],
+               every[-2:], every[:3], every[points // 3:points // 3 + 4],
+               every[1::2])
+    return all(np.array_equal(_field(response[rows], probe), full[rows])
+               for rows in subsets if rows.size >= 2)
+
+
 def _grid_powers(config: ArrayConfig, w, step_deg: float):
     """Cached degree grid, the linear powers ``(..., G)`` of ``w`` on it and
     their peak over the whole grid, ``(..., 1)``."""
     w = _as_weights(config, w)
     grid_deg, response = _grid_response(config, float(step_deg))
-    # One matrix-vector product per weight vector: a single matrix-matrix
-    # product would sum in another order and change the last bits.
-    field = np.matmul(response, w[..., None])[..., 0]
-    power = np.abs(field) ** 2
+    power = np.abs(_field(response, w)) ** 2
     return grid_deg, power, power.max(axis=-1, keepdims=True)
 
 

@@ -40,6 +40,7 @@ from .dps_quantize import PhaseGrid, approximate, oracle_mismatches, quantize_pe
 from .experiments import (
     DEFAULT_GAMMA,
     ScenarioSpec,
+    _check_gamma,
     draw_target_angles,
     run_monte_carlo,
     run_mvdr_clutter,
@@ -226,6 +227,7 @@ def cmd_pattern(args) -> int:
     targets = _resolve(args, "targets", _parse_float_list)
     desired = _resolve(args, "desired", float)
     gamma = _resolve(args, "gamma", float)
+    _check_gamma(gamma)  # every beamformer, also those that ignore it
 
     if targets is None:
         targets = (desired,) if desired is not None else (0.0,)

@@ -22,7 +22,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .array_model import TWO_PI
+from .array_model import MAX_GRID_ENTRIES, TWO_PI
 
 MAX_ORACLE_BITS = 12
 MAX_GRID_BITS = 20
@@ -194,7 +194,10 @@ def approximate(w, grid: PhaseGrid, candidates: int = 3,
     grid : PhaseGrid
         Realizable phases of the shifters.
     candidates : int
-        Top-L list length per phasor (clamped to the grid size).
+        Top-L list length per phasor (clamped to the grid size).  L**2
+        must not exceed `array_model.MAX_GRID_ENTRIES`, checked before any
+        pair is built; the elements are searched in chunks of at most that
+        many pairs.
     norm_target : float or array_like
         Maximum modulus after normalization, in (0, 2]; an array broadcasts
         against ``w.shape[:-1]`` (see `normalize_to_max`).
@@ -216,19 +219,46 @@ def _search(wn: np.ndarray, split: np.ndarray, grid: PhaseGrid,
     depend on the grid, so callers sweeping bits compute it once."""
     if candidates < 1:
         raise ValueError("candidates must be a positive integer")
-    idx_a, idx_b = _nearest(split, grid, min(candidates, grid.size))
+    count = min(candidates, grid.size)
+    # Each weight builds count x count candidate pairs.  Weights are
+    # searched independently, so they run in chunks of at most
+    # MAX_GRID_ENTRIES pairs with the same result.
+    if count**2 > MAX_GRID_ENTRIES:
+        raise ValueError(
+            f"a candidate search with {count} candidates per phase builds "
+            f"{count}^2 pairs per weight, more than {MAX_GRID_ENTRIES}; "
+            f"use fewer candidates"
+        )
+    chunk = MAX_GRID_ENTRIES // count**2
+    flat_wn, flat_split = wn.reshape(-1), split.reshape(2, -1)
+    parts = [_best_pairs(flat_wn[i:i + chunk], flat_split[:, i:i + chunk],
+                         grid, count)
+             for i in range(0, flat_wn.size, chunk)]
+    pairs, realized = (np.concatenate(x) for x in zip(*parts))
+    return DpsBeamformer(grid=grid, pairs=pairs.reshape(wn.shape + (2,)),
+                         realized=realized.reshape(wn.shape))
+
+
+def _best_pairs(wn: np.ndarray, split: np.ndarray, grid: PhaseGrid,
+                count: int) -> tuple[np.ndarray, np.ndarray]:
+    """Best index pairs ``(E, 2)`` of the weights ``wn`` ``(E,)`` among
+    ``count`` candidates per phase, and the sums they realize ``(E,)``."""
+    idx_a, idx_b = _nearest(split, grid, count)
     idx_a, idx_b = idx_a[..., :, None], idx_b[..., None, :]
     lo = np.minimum(idx_a, idx_b).reshape(wn.shape + (-1,))
     hi = np.maximum(idx_a, idx_b).reshape(wn.shape + (-1,))
     sums = grid.phasors[lo] + grid.phasors[hi]
     err = np.abs(sums - wn[..., None])
-    best = np.lexsort((hi, lo, err), axis=-1)[..., :1]
+    # The first lexicographically smallest (err, lo, hi): among the pairs of
+    # least error, the least lo * size + hi, which orders (lo, hi) pairs.
+    key = np.where(err == err.min(axis=-1, keepdims=True), lo * grid.size + hi,
+                   grid.size**2)
+    best = key.argmin(axis=-1)[..., None]
 
     def pick(x):
         return np.take_along_axis(x, best, axis=-1)[..., 0]
 
-    pairs = np.stack((pick(lo), pick(hi)), axis=-1)
-    return DpsBeamformer(grid=grid, pairs=pairs, realized=pick(sums))
+    return np.stack((pick(lo), pick(hi)), axis=-1), pick(sums)
 
 
 def exhaustive_oracle(w_n: complex, grid: PhaseGrid) -> tuple[int, int]:

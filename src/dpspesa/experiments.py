@@ -72,15 +72,20 @@ class ScenarioSpec:
         )
         if self.target_angles_deg:  # checks the angles and desired_index
             TargetScenario(self.target_angles_deg, self.desired_index)
-        if self.gamma is not None:
-            if not self.gamma > 0:
-                raise ValueError("gamma must be strictly positive when present")
-            if not math.isfinite(self.gamma):
-                raise ValueError(f"gamma must be finite, got {self.gamma:g}")
+        _check_gamma(self.gamma)
 
     @property
     def scenario(self) -> TargetScenario:
         return TargetScenario(self.target_angles_deg, self.desired_index)
+
+
+def _check_gamma(gamma: float | None) -> None:
+    """A given gamma must be finite and strictly positive."""
+    if gamma is not None:
+        if not gamma > 0:
+            raise ValueError("gamma must be strictly positive when present")
+        if not math.isfinite(gamma):
+            raise ValueError(f"gamma must be finite, got {gamma:g}")
 
 
 class TargetLevels(NamedTuple):

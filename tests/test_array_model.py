@@ -320,6 +320,135 @@ def test_levels_reject_angles_outside_the_grid_span():
                           power_db[[0, -1]])
 
 
+def _binomial_alternating(n):
+    return np.array([(-1) ** k * math.comb(n - 1, k) for k in range(n)], complex)
+
+
+def _two_lobes(cfg, angle):
+    return steering_vector(cfg, angle) + steering_vector(cfg, -angle)
+
+
+# (config, weights, angles, grid step) that stress the bounded peak.
+_PEAK_CASES = {
+    # Steered halfway between two first-pass points (every 16th of 1801).
+    "peak-between-coarse-points": (
+        ArrayConfig(16, 0.5), lambda c: steering_vector(c, -90.0 + 0.1 * 24),
+        [10.0, -30.0], 0.1),
+    "peak-off-grid": (
+        ArrayConfig(24, 0.5), lambda c: steering_vector(c, 33.333), [33.3], 0.1),
+    "two-equal-lobes": (
+        ArrayConfig(16, 0.5), lambda c: _two_lobes(c, 40.85), [0.0, 40.9], 0.1),
+    "zero-vector-in-stack": (
+        ArrayConfig(8, 0.5),
+        lambda c: np.stack([np.zeros(8), steering_vector(c, 7.05)]),
+        [7.0, -60.0], 0.1),
+    "zero-vector-one-angle": (
+        ArrayConfig(8, 0.5), lambda c: np.zeros(8), [12.0], 0.1),
+    "one-antenna": (
+        ArrayConfig(1, 0.5), lambda c: np.array([[0.3 - 1.1j], [2.0]]),
+        [-90.0, 45.0, 90.0], 0.1),
+    "small-spacing-alternating-binomial": (
+        ArrayConfig(12, 0.05), lambda c: _binomial_alternating(12),
+        [-90.0, 0.0, 90.0], 0.1),
+    "one-angle": (
+        ArrayConfig(16, 0.7), lambda c: steering_vector(c, -61.27), [-61.3], 0.1),
+    "grid-endpoints": (
+        ArrayConfig(16, 0.5),
+        lambda c: np.stack([steering_vector(c, 90.0), steering_vector(c, -90.0)]),
+        [-90.0, 90.0], 0.2),
+    # Flat to within rounding: the computed peak is decided by the last bits,
+    # which only the bound's slack covers.
+    "flat-within-rounding": (
+        ArrayConfig(4, 1e-14),
+        lambda c: np.stack([(1 + np.arange(4)) * np.exp(1.3j * np.arange(4) ** 2),
+                            np.exp(-0.4j * np.arange(4))]),
+        [0.0, 45.0], 0.1),
+    "coarse-grid": (
+        ArrayConfig(5, 1.3), lambda c: _binomial_alternating(5) * 1j,
+        [-90.0, 27.0], 9.0),
+}
+
+
+def _count_product_rows(monkeypatch) -> list:
+    """The row count of each grid product `array_model` computes from now on."""
+    rows = []
+    field = array_model._field
+
+    def counted(response, w):
+        rows.append(len(response))
+        return field(response, w)
+
+    monkeypatch.setattr(array_model, "_field", counted)
+    return rows
+
+
+@pytest.mark.parametrize("case", list(_PEAK_CASES))
+def test_bounded_peak_levels_equal_the_trace(case, monkeypatch):
+    cfg, weights, angles, step = _PEAK_CASES[case]
+    w = weights(cfg)
+    trace = beampattern_trace(cfg, w, step, -120.0)
+    idx = np.argmin(np.abs(trace.angles_deg - np.array(angles)[:, None]), axis=-1)
+    assert array_model._subset_rows_exact(cfg, step)  # probed before counting
+    rows = _count_product_rows(monkeypatch)
+    levels = levels_db(cfg, w, angles, step, -120.0)
+    assert np.array_equal(levels, trace.power_db[..., idx])
+    # Never a one-row product: numpy computes it by another path.
+    assert len(rows) == 2 and min(rows) >= 2
+
+
+def test_bounded_peak_reads_a_fraction_of_the_grid(monkeypatch):
+    cfg = ArrayConfig(16, 0.5)
+    w = np.stack([steering_vector(cfg, a) for a in (-20.0, -19.5, 3.0)])
+    assert array_model._subset_rows_exact(cfg, 0.1)
+    rows = _count_product_rows(monkeypatch)
+    levels_db(cfg, w, [-20.0, 3.0, 50.0])
+    assert rows[0] == 114 and sum(rows) < 1801 / 4
+
+
+@pytest.mark.parametrize("n_antennas, spacing, step", [
+    (1, 0.5, 0.1), (2, 0.05, 0.1), (8, 0.5, 0.2), (16, 0.5, 0.1),
+    (24, 1.7, 0.1), (33, 0.5, 1.0),
+])
+def test_subset_rows_of_the_product_equal_the_full_product(n_antennas, spacing,
+                                                           step):
+    # The host property the bounded peak rests on: the field over any two
+    # or more rows of the response equals those rows of the whole field.
+    cfg = ArrayConfig(n_antennas, spacing)
+    _, response = _grid_response(cfg, step)
+    rng = np.random.default_rng([n_antennas, 3])
+    w = rng.normal(size=(4, n_antennas)) + 1j * rng.normal(size=(4, n_antennas))
+    full = array_model._field(response, w)
+    points = len(response)
+    subsets = [[0, points - 1], [5, 6], [1, 2, 3], np.arange(0, points, 16),
+               np.arange(points // 3, points)]
+    subsets += [np.sort(rng.choice(points, size, replace=False))
+                for size in (2, 3, 7, 40, 150)]
+    for rows in subsets:
+        assert np.array_equal(array_model._field(response[rows], w),
+                              full[:, rows])
+    assert array_model._subset_rows_exact(cfg, step)
+
+
+def test_levels_fall_back_to_the_whole_grid_when_the_probe_fails(monkeypatch):
+    cfg = ArrayConfig(16, 0.5)
+    w = np.stack([steering_vector(cfg, 12.34), np.exp(0.4j * np.arange(16))])
+    angles = [12.3, -40.0]
+    want = levels_db(cfg, w, angles)
+    calls = []
+    grid_powers = array_model._grid_powers
+
+    def counted(config, w, step_deg):
+        calls.append(np.shape(w))
+        return grid_powers(config, w, step_deg)
+
+    monkeypatch.setattr(array_model, "_grid_powers", counted)
+    levels_db(cfg, w, angles)
+    assert calls == []
+    monkeypatch.setattr(array_model, "_subset_rows_exact", lambda *args: False)
+    assert np.array_equal(levels_db(cfg, w, angles), want)
+    assert calls == [(2, 16)]
+
+
 def test_rms_identical_traces_is_zero():
     levels = np.array([[0.0, -10.0, -40.0], [0.0, -10.0, -40.0]])
     assert _rms_db(levels).tolist() == [0.0]

@@ -266,17 +266,46 @@ def test_infinite_spacing_is_rejected_by_every_subcommand(tmp_path, capsys):
         assert not any(tmp_path.iterdir())
 
 
-@pytest.mark.parametrize("argv", [
-    ["clutter", "--targets=-47,30,49", "--desired=49"],
-    ["sweep", "--bits=2", "--trials=1"],
-    ["pattern", "--beamformer=mvdr", "--targets=-47,30,49", "--desired=49"],
-], ids=lambda a: a[0])
-def test_infinite_gamma_is_a_usage_error(argv, tmp_path, capsys):
+INFINITE = "gamma must be finite, got inf"
+NON_POSITIVE = "gamma must be strictly positive when present"
+
+
+@pytest.mark.parametrize("argv, gamma, message", [
+    pytest.param(["clutter", "--targets=-47,30,49", "--desired=49"], "inf",
+                 INFINITE, id="clutter"),
+    pytest.param(["sweep", "--bits=2", "--trials=1"], "inf", INFINITE,
+                 id="sweep"),
+    pytest.param(["pattern", "--beamformer=mvdr", "--targets=-47,30,49",
+                  "--desired=49"], "inf", INFINITE, id="pattern"),
+    # Steering and pesa-quantized ignore gamma, but a bad one is still an
+    # error for every beamformer.
+    *(pytest.param(["pattern", f"--beamformer={beamformer}"], gamma, message,
+                   id=f"pattern-{beamformer}{suffix}")
+      for beamformer in ("steering", "mvdr", "dps", "pesa-quantized")
+      for gamma, message, suffix in (("inf", INFINITE, ""),
+                                     ("-1", NON_POSITIVE, "-negative"))
+      if (beamformer, gamma) != ("mvdr", "inf")),
+])
+def test_infinite_gamma_is_a_usage_error(argv, gamma, message, tmp_path,
+                                         capsys):
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # no RuntimeWarning on the way
-        assert run_cli([*argv, "--gamma=inf", f"--out={tmp_path}"]) == 2
-    assert capsys.readouterr().err == \
-        "usage error: gamma must be finite, got inf\n"
+        assert run_cli([*argv, f"--gamma={gamma}", f"--out={tmp_path}"]) == 2
+    assert capsys.readouterr().err == f"usage error: {message}\n"
+    assert not any(tmp_path.iterdir())
+
+
+def test_candidate_search_bound_exits_2_before_writing(monkeypatch, tmp_path,
+                                                      capsys):
+    # 11^2 pairs per weight against a lowered bound: no candidate is ranked.
+    monkeypatch.setattr(dps_quantize, "MAX_GRID_ENTRIES", 100)
+    monkeypatch.setattr(dps_quantize, "_nearest", None)
+    assert run_cli(["pattern", "--beamformer=dps", "--bits=4", "-L", "11",
+                    f"--out={tmp_path}"]) == 2
+    assert capsys.readouterr().err == (
+        "usage error: a candidate search with 11 candidates per phase "
+        "builds 11^2 pairs per weight, more than 100; use fewer "
+        "candidates\n")
     assert not any(tmp_path.iterdir())
 
 

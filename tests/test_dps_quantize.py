@@ -258,6 +258,32 @@ def test_approximate_validation():
         approximate([0.0, 0.0], PhaseGrid(2))
 
 
+def test_candidate_search_runs_in_chunks_under_the_pair_bound(monkeypatch):
+    # Weights are searched in chunks of at most MAX_GRID_ENTRIES // L^2, here
+    # 100 // 9 = 11 of 24 and 100 // 16 = 6 of 8 (L clamped to the grid
+    # size); the chunks give the pairs of one search, ties included.
+    rng = np.random.default_rng(12)
+    w = rng.normal(size=(2, 12)) + 1j * rng.normal(size=(2, 12))
+    w[0, :4] = [1, 1j, -1, 2]  # tie-prone moduli and phases
+    cases = [(w, PhaseGrid(4), 3), (w[:, :4], PhaseGrid(2), 50)]
+    want = [approximate(*case) for case in cases]
+    monkeypatch.setattr(dps_quantize, "MAX_GRID_ENTRIES", 100)
+    for case, expected in zip(cases, want):
+        got = approximate(*case)
+        assert np.array_equal(got.pairs, expected.pairs)
+        assert np.array_equal(got.realized, expected.realized)
+
+    def nearest(*args):
+        raise AssertionError("candidates ranked before the bound was checked")
+
+    monkeypatch.setattr(dps_quantize, "_nearest", nearest)
+    with pytest.raises(ValueError, match=r"with 11 candidates per phase "
+                       r"builds 11\^2 pairs per weight, more than 100"):
+        approximate(np.ones(1), PhaseGrid(4), candidates=11)
+    with pytest.raises(ValueError, match="more than 100"):
+        oracle_mismatches(np.ones(1), PhaseGrid(4))  # 16^2 pairs
+
+
 def test_approximate_output_invariants():
     rng = np.random.default_rng(8)
     grid = PhaseGrid(4)

@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from dpspesa import array_model
+from dpspesa import array_model, dps_quantize
 from dpspesa.array_model import (
     ArrayConfig,
     angle_grid_deg,
@@ -296,6 +296,29 @@ def test_monte_carlo_worker_count_invariance():
     serial = run_monte_carlo(base, (2, 4), (2.0,), trials=8, workers=1)
     parallel = run_monte_carlo(base, (2, 4), (2.0,), trials=8, workers=2)
     assert serial.rows == parallel.rows
+
+
+def test_sweep_over_the_pair_bound_searches_in_chunks(monkeypatch):
+    # One block searches 8 trials x 2 norms x 16 antennas = 256 weights with
+    # 3^2 pairs each; a bound of 100 pairs splits that into chunks of 11
+    # weights, which changes no row with either worker count.
+    base = ScenarioSpec(config=CFG, target_angles_deg=(0.0,), gamma=0.1,
+                        seed=42)
+    want = run_monte_carlo(base, (2, 4), (1.0, 2.0), trials=8, workers=1)
+    chunks = []  # weights per chunk of the serial run
+    best_pairs = dps_quantize._best_pairs
+
+    def counted(wn, *args):
+        chunks.append(wn.size)
+        return best_pairs(wn, *args)
+
+    monkeypatch.setattr(dps_quantize, "MAX_GRID_ENTRIES", 100)
+    monkeypatch.setattr(dps_quantize, "_best_pairs", counted)
+    for workers in (1, 2):
+        got = run_monte_carlo(base, (2, 4), (1.0, 2.0), trials=8,
+                              workers=workers)
+        assert got.rows == want.rows
+    assert max(chunks) == 11 and sum(chunks) == 2 * 256
 
 
 def test_monte_carlo_error_shrinks_with_bits_under_full_search():
