@@ -238,11 +238,17 @@ def _rows_to_refine(config: ArrayConfig, w: np.ndarray, sines: np.ndarray,
 
 
 def _grid_index(grid_deg: np.ndarray, angles_deg) -> np.ndarray:
-    """Index of the point of ``grid_deg`` closest to each of ``angles_deg``,
-    the first one on a tie.  The angles must be finite and lie in
-    [-90, 90] degrees, the span of every grid."""
+    """Index of the point of ``grid_deg``, an `angle_grid_deg` grid, closest
+    to each of ``angles_deg``, the first one on a tie.  The angles must be
+    finite and lie in [-90, 90] degrees, the span of every grid."""
     angles_deg = np.ravel(_check_angles(angles_deg))
-    return np.argmin(np.abs(grid_deg - angles_deg[:, None]), axis=-1)
+    # The grid is uniform, so each angle lies between the points lo and
+    # lo + 1 of its rounded-down position; the closer one wins, lo on a tie.
+    last = grid_deg.size - 1
+    lo = np.minimum(((angles_deg + 90.0) * (last / 180.0)).astype(np.int64),
+                    last - 1)
+    return lo + (np.abs(grid_deg[lo + 1] - angles_deg)
+                 < np.abs(grid_deg[lo] - angles_deg))
 
 
 def _field(response: np.ndarray, w: np.ndarray) -> np.ndarray:

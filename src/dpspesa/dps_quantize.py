@@ -26,6 +26,8 @@ from .array_model import MAX_GRID_ENTRIES, TWO_PI
 
 MAX_ORACLE_BITS = 12
 MAX_GRID_BITS = 20
+# Pair-table entries `exhaustive_oracle` scores in one numpy pass.
+ORACLE_CHUNK_ENTRIES = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -169,8 +171,13 @@ def _nearest(phi: np.ndarray, grid: PhaseGrid, count: int) -> np.ndarray:
     if 2 * count + 2 >= n:
         ks = np.broadcast_to(np.arange(n), phi.shape + (n,))
     else:
-        base = ((phi % TWO_PI) / grid.step).astype(np.int64)
-        ks = (base[..., None] + np.arange(-count, count + 2)) % n
+        # x % (2*pi) is x itself on [0, 2*pi), where `_split` puts nearly
+        # every phase, so only the phases outside are reduced; n is a power
+        # of two, so & (n - 1) wraps the window as % n does.
+        reduced = np.remainder(phi, TWO_PI, out=np.array(phi, dtype=float),
+                               where=(phi < 0.0) | (phi >= TWO_PI))
+        base = (reduced / grid.step).astype(np.int64)
+        ks = (base[..., None] + np.arange(-count, count + 2)) & (n - 1)
     dist = np.abs((grid.phases[ks] - phi[..., None] + np.pi) % TWO_PI - np.pi)
     order = np.lexsort((ks, dist), axis=-1)
     return np.take_along_axis(ks, order[..., :count], axis=-1)
@@ -243,45 +250,64 @@ def _best_pairs(wn: np.ndarray, split: np.ndarray, grid: PhaseGrid,
                 count: int) -> tuple[np.ndarray, np.ndarray]:
     """Best index pairs ``(E, 2)`` of the weights ``wn`` ``(E,)`` among
     ``count`` candidates per phase, and the sums they realize ``(E,)``."""
-    idx_a, idx_b = _nearest(split, grid, count)
-    idx_a, idx_b = idx_a[..., :, None], idx_b[..., None, :]
-    lo = np.minimum(idx_a, idx_b).reshape(wn.shape + (-1,))
-    hi = np.maximum(idx_a, idx_b).reshape(wn.shape + (-1,))
-    sums = grid.phasors[lo] + grid.phasors[hi]
-    err = np.abs(sums - wn[..., None])
+    if count == grid.size:
+        # Every grid phase is a candidate, so every weight scores the same
+        # canonical pairs; the pick below does not depend on their order.
+        if not np.all(np.isfinite(split)):
+            raise ValueError("phases must be finite")
+        ks = np.arange(grid.size)
+        lo, hi = np.nonzero(ks[:, None] <= ks)
+    else:
+        idx_a, idx_b = _nearest(split, grid, count)
+        idx_a, idx_b = idx_a[..., :, None], idx_b[..., None, :]
+        lo = np.minimum(idx_a, idx_b).reshape(wn.shape + (-1,))
+        hi = np.maximum(idx_a, idx_b).reshape(wn.shape + (-1,))
+    err = np.abs(grid.phasors[lo] + grid.phasors[hi] - wn[..., None])
     # The first lexicographically smallest (err, lo, hi): among the pairs of
-    # least error, the least lo * size + hi, which orders (lo, hi) pairs.
-    key = np.where(err == err.min(axis=-1, keepdims=True), lo * grid.size + hi,
-                   grid.size**2)
-    best = key.argmin(axis=-1)[..., None]
-
-    def pick(x):
-        return np.take_along_axis(x, best, axis=-1)[..., 0]
-
-    return np.stack((pick(lo), pick(hi)), axis=-1), pick(sums)
+    # least error, the least code lo * size + hi, which orders (lo, hi) pairs.
+    code = np.where(err == err.min(axis=-1, keepdims=True),
+                    lo * grid.size + hi, grid.size**2).min(axis=-1)
+    lo, hi = code >> grid.bits, code & (grid.size - 1)
+    return np.stack((lo, hi), axis=-1), grid.phasors[lo] + grid.phasors[hi]
 
 
 def exhaustive_oracle(w_n: complex, grid: PhaseGrid) -> tuple[int, int]:
-    """Best canonical phase pair for one weight, by brute force.
+    """Best canonical phase pair for one finite weight, by brute force.
 
-    Enumerates all (2**B + 1) * 2**B / 2 unordered pairs in lexicographic
-    order and returns the first that minimizes the phasor-sum error, i.e.
-    the same tie-break as `approximate`.  Cost grows as 4**B, hence the
-    bits cap.
+    Scores all (2**B + 1) * 2**B / 2 unordered pairs (i, j >= i) and
+    returns the first in lexicographic order that minimizes the phasor-sum
+    error, i.e. the same tie-break as `approximate`.  The pair table is
+    scored in chunks of whole rows i, each against the columns j from the
+    chunk's first row on, of at most `ORACLE_CHUNK_ENTRIES` entries (one
+    row if a row is longer), so its temporaries stay within a few MB
+    whatever the bits.  Time still grows as 4**B, hence the bits cap.
     """
     if grid.bits > MAX_ORACLE_BITS:
         raise ValueError(
             f"exhaustive search is limited to bits <= {MAX_ORACLE_BITS}"
         )
     c = complex(w_n)
-    phasors = grid.phasors
-    best = (math.inf, -1, -1)
-    for i in range(grid.size):
-        err = np.abs(phasors[i] + phasors[i:] - c)
-        j = int(np.argmin(err))
-        if err[j] < best[0]:
-            best = (float(err[j]), i, i + j)
-    return best[1], best[2]
+    if not cmath.isfinite(c):
+        raise ValueError(f"the oracle needs a finite weight, got {c!r}")
+    phasors, n = grid.phasors, grid.size
+    best_err, best = math.inf, (0, 0)
+    i0 = 0
+    while i0 < n:
+        cols = n - i0
+        rows = min(cols, max(1, ORACLE_CHUNK_ENTRIES // cols))
+        err = np.abs(phasors[i0:i0 + rows, None] + phasors[i0:] - c)
+        # Entries j < i, in the chunk's first ``rows`` columns, are not
+        # canonical.  Each mirrors an earlier entry (j, i) of equal error, so
+        # the pick avoids them anyway as long as np.abs rounds alike at every
+        # position; the mask keeps the pair canonical regardless.
+        err[:, :rows][np.arange(rows) < np.arange(rows)[:, None]] = np.inf
+        k = int(err.argmin())  # the first in row-major, i.e. lexicographic
+        # Later chunks win only strictly; the first stands even if every
+        # error overflows to inf.
+        if err.flat[k] < best_err or i0 == 0:
+            best_err, best = err.flat[k], (i0 + k // cols, i0 + k % cols)
+        i0 += rows
+    return best
 
 
 class OracleMismatch(NamedTuple):

@@ -3,8 +3,10 @@
 This is the candidate search as it was written before `dpspesa.dps_quantize`
 became one array kernel: a Python loop over antennas that decomposes each
 weight with the scalar ``math`` functions, ranks a window of grid phases per
-phasor and picks the best of the L x L pairs.  Do not edit it to follow the
-library; it pins the pairs and realized weights the library must reproduce.
+phasor and picks the best of the L x L pairs.  `exhaustive_oracle` is the
+brute force as it was written before it scored the pair table in chunks: one
+numpy pass per grid row.  Do not edit them to follow the library; they pin
+the pairs and realized weights the library must reproduce.
 """
 
 import math
@@ -82,3 +84,16 @@ def quantize_pesa(w, grid) -> np.ndarray:
         for c in w
     ]
     return grid.phasors[idx].copy()
+
+
+def exhaustive_oracle(w_n: complex, grid) -> tuple[int, int]:
+    """Best canonical pair by brute force, one grid row i at a time."""
+    c = complex(w_n)
+    phasors = grid.phasors
+    best = (math.inf, -1, -1)
+    for i in range(grid.size):
+        err = np.abs(phasors[i] + phasors[i:] - c)
+        j = int(np.argmin(err))
+        if err[j] < best[0]:
+            best = (float(err[j]), i, i + j)
+    return best[1], best[2]

@@ -11,6 +11,7 @@ from dpspesa import array_model
 from dpspesa.array_model import (
     MAX_GRID_ENTRIES,
     ArrayConfig,
+    _grid_index,
     _grid_points,
     _grid_response,
     _normalized_db,
@@ -275,6 +276,32 @@ def test_levels_equal_the_trace_at_the_nearest_points(n, shape, step, offsets,
     levels = levels_db(cfg, w, angles, step, -60.0)
     assert levels.shape == shape + (len(angles),)
     assert np.array_equal(levels, trace.power_db[..., idx])
+
+
+@settings(max_examples=200, deadline=None)
+@given(intervals=st.integers(20, 1800), data=st.data())
+def test_grid_index_equals_the_argmin_over_the_grid(intervals, data):
+    # Steps of 0.1 to 9 degrees; grid points, midpoints between neighbours
+    # (where ties sit), both ends and angles anywhere in between.
+    grid = angle_grid_deg(180.0 / intervals)
+    k = st.integers(0, grid.size - 2)
+    angle = (k.map(lambda i: grid[i])
+             | k.map(lambda i: (grid[i] + grid[i + 1]) / 2)
+             | st.sampled_from([-90.0, 90.0]) | st.floats(-90.0, 90.0))
+    angles = np.array(data.draw(st.lists(angle, min_size=1, max_size=6)))
+    want = np.argmin(np.abs(grid - angles[:, None]), axis=-1)
+    assert np.array_equal(_grid_index(grid, angles), want)
+
+
+def test_grid_index_ties_go_to_the_first_point():
+    # Every odd degree lies exactly halfway between two points of the
+    # 2-degree grid, and -89.95 halfway between the first two at 0.1.
+    odd = np.arange(-89.0, 90.0, 2.0)
+    assert np.array_equal(_grid_index(angle_grid_deg(2.0), odd),
+                          np.arange(odd.size))
+    grid = angle_grid_deg(0.1)
+    assert abs(grid[0] - -89.95) == abs(grid[1] - -89.95)
+    assert _grid_index(grid, [-89.95, 90.0, -90.0]).tolist() == [0, 1800, 0]
 
 
 def test_levels_of_an_all_zero_vector_are_the_floor():

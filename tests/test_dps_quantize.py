@@ -1,5 +1,6 @@
 import cmath
 import math
+import re
 
 import numpy as np
 import pytest
@@ -328,6 +329,21 @@ def test_oracle_examples():
 def test_oracle_refuses_large_grids():
     with pytest.raises(ValueError):
         exhaustive_oracle(1.0, PhaseGrid(13))
+
+
+@pytest.mark.parametrize("w", [math.nan, math.inf, complex(1.0, math.nan),
+                               complex(-math.inf, 0.0)])
+def test_oracle_rejects_a_non_finite_weight(w):
+    # A pair of -1 indices would select the last phasor.
+    with pytest.raises(ValueError, match=re.escape(f"got {complex(w)!r}")):
+        exhaustive_oracle(w, PhaseGrid(3))
+
+
+def test_full_grid_comparison_rejects_non_finite_weights():
+    for w in ([math.nan], [1.0, math.inf], [complex(1.0, math.nan), 1.0]):
+        with pytest.raises(ValueError, match="finite"), \
+                np.errstate(invalid="ignore"):
+            oracle_mismatches(w, PhaseGrid(2))
 
 
 def test_oracle_matches_candidate_search():

@@ -13,10 +13,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dps_reference as ref
+from dpspesa import dps_quantize
 from dpspesa.dps_quantize import (
     PhaseGrid,
     _nearest,
     approximate,
+    exhaustive_oracle,
     normalize_to_max,
     quantize_pesa,
 )
@@ -72,6 +74,78 @@ def test_approximate_matches_per_element_reference(bits, count):
         _assert_matches_reference(w, grid, count, norm,
                                   approximate(w, grid, count, norm))
         assert np.array_equal(quantize_pesa(w, grid), ref.quantize_pesa(w, grid))
+
+
+def _oracle_weights(grid, rng):
+    """Normalized tie-prone weights, as `oracle_mismatches` hands them to
+    the oracle, plus the zero weight and weights on midpoint phases."""
+    half = np.exp(0.5j * grid.step)
+    p = grid.phasors[rng.integers(0, grid.size, 4)]
+    cases = [normalize_to_max(w, norm) for w, norm in _tie_prone(grid, rng)]
+    return np.concatenate(cases + [[0.0], 2.0 * p * half, p + p * half,
+                                   (p + 1.0) * half])
+
+
+@pytest.mark.parametrize("bits", range(1, 11))
+def test_oracle_matches_the_per_row_reference(bits):
+    grid = PhaseGrid(bits)
+    for c in _oracle_weights(grid, np.random.default_rng([bits, 2])).tolist():
+        assert exhaustive_oracle(c, grid) == ref.exhaustive_oracle(c, grid)
+
+
+@pytest.mark.parametrize("bits", [11, 12])
+def test_oracle_matches_the_per_row_reference_at_the_cap(bits):
+    # An on-grid pair sum, |c| = 2, the zero weight and a midpoint phase.
+    grid = PhaseGrid(bits)
+    p, half = grid.phasors, np.exp(0.5j * grid.step)
+    for c in (p[5] + p[1000], 2.0 * p[777], 0.0, 2.0 * p[3] * half):
+        assert exhaustive_oracle(c, grid) == ref.exhaustive_oracle(c, grid)
+
+
+@pytest.mark.parametrize("chunk", [1, 20])
+def test_oracle_gives_the_same_pair_in_any_number_of_chunks(monkeypatch,
+                                                           chunk):
+    # With 20 entries a chunk, bits 3 splits into rows [0, 2), [2, 5) and
+    # [5, 8), and bits 4 into 1, 2 and 3 rows; with 1, every row is a chunk.
+    monkeypatch.setattr(dps_quantize, "ORACLE_CHUNK_ENTRIES", chunk)
+    for bits in range(1, 7):
+        grid = PhaseGrid(bits)
+        rng = np.random.default_rng([bits, 3])
+        for c in _oracle_weights(grid, rng).tolist():
+            assert exhaustive_oracle(c, grid) == ref.exhaustive_oracle(c, grid)
+
+
+@pytest.mark.parametrize("bits", range(1, 7))
+def test_full_grid_search_takes_every_phase_without_ranking(monkeypatch,
+                                                            bits):
+    def nearest(*args):
+        raise AssertionError("the full grid needs no ranking")
+
+    monkeypatch.setattr(dps_quantize, "_nearest", nearest)
+    grid = PhaseGrid(bits)
+    rng = np.random.default_rng([bits, 4])
+    cases = [(_disk(rng, 16), 2.0), (_disk(rng, 16), 1.0)]
+    for w, norm in cases + _tie_prone(grid, rng):
+        _assert_matches_reference(w, grid, grid.size, norm,
+                                  approximate(w, grid, grid.size, norm))
+
+
+@pytest.mark.parametrize("bits", range(7, 13))
+def test_nearest_window_matches_reference(bits):
+    # Grid points, midpoints between neighbours, phases just below 2*pi and
+    # the same phases shifted below 0 and above 2*pi; phases too large for
+    # an integer window unless reduced first.
+    grid = PhaseGrid(bits)
+    k = np.random.default_rng(bits).integers(0, grid.size, 40)
+    k = np.concatenate([[0, 1, grid.size - 1], k])
+    base = np.concatenate([k * grid.step, (k + 0.5) * grid.step,
+                           TWO_PI - 10.0 ** -np.arange(1, 17), [TWO_PI]])
+    phis = np.concatenate([base, -base, base - TWO_PI, base + TWO_PI,
+                           [1e18, -1e18, 1e300, -1e300]])
+    for count in range(1, 6):
+        got = _nearest(phis, grid, count)
+        for phi, row in zip(phis.tolist(), got):
+            assert row.tolist() == ref.nearest_phases(phi, grid, count).tolist()
 
 
 def _row(dps, index):
