@@ -49,6 +49,10 @@ from .experiments import (
 )
 
 MAX_ORACLE_CHECK_BITS = 4
+# `oracle-check` draws and normalizes weights in blocks of this size and
+# checks at most ORACLE_CHECK_MAX_BLOCKS blocks per `oracle_mismatches` call.
+ORACLE_CHECK_BLOCK_SIZE = 16
+ORACLE_CHECK_MAX_BLOCKS = 64
 # The CSV files of `single` and `clutter`, one per row of `TrialResult.traces`.
 TRIAL_TRACE_FILES = ("reference.csv", "dps.csv", "pesa.csv")
 
@@ -356,17 +360,24 @@ def cmd_oracle_check(args) -> int:
     mismatches = 0
     checked = 0
     while checked < count:
-        # Weights are drawn and normalized 16 at a time; what a seed
-        # checks depends on that block size, so keep it.
-        block = min(16, count - checked)
-        radius = 2.0 * np.sqrt(rng.random(block))
-        angle = rng.random(block) * 2.0 * np.pi
+        # Weights are drawn and normalized a block at a time, the block's
+        # radii then its angles; what a seed checks depends on the block
+        # size, so keep it.  Up to ORACLE_CHECK_MAX_BLOCKS full blocks are
+        # drawn at once, stacked as rows, each normalized on its own, and
+        # checked in one call, so memory stays bounded whatever --trials
+        # is.  A last partial block is checked in its own call.
+        full, rest = divmod(count - checked, ORACLE_CHECK_BLOCK_SIZE)
+        blocks, block = ((min(full, ORACLE_CHECK_MAX_BLOCKS),
+                          ORACLE_CHECK_BLOCK_SIZE) if full else (1, rest))
+        draws = rng.random((blocks, 2, block))
+        radius = 2.0 * np.sqrt(draws[:, 0])
+        angle = draws[:, 1] * 2.0 * np.pi
         for m in oracle_mismatches(radius * np.exp(1j * angle), grid):
             mismatches += 1
             print(f"mismatch: w={m.weight!r} search pair={m.search_pair} "
                   f"err={m.search_error!r} oracle pair={m.oracle_pair} "
                   f"err={m.oracle_error!r}")
-        checked += block
+        checked += blocks * block
     if mismatches:
         print(f"oracle check FAILED: {mismatches}/{checked} mismatches")
         return 3

@@ -9,7 +9,8 @@ around the exact split; `exhaustive_oracle` brute-forces all pairs for
 small B, and `oracle_mismatches` compares the two for the tests and the
 CLI's ``oracle-check``.  `approximate`, `quantize_pesa` and
 `normalize_to_max` take arrays of any leading batch shape, weights
-``(..., N)``, and run as one array kernel.
+``(..., N)``, and run as one array kernel; `exhaustive_oracle` takes
+weights of any shape and scores them in bounded batches.
 """
 
 from __future__ import annotations
@@ -271,43 +272,81 @@ def _best_pairs(wn: np.ndarray, split: np.ndarray, grid: PhaseGrid,
     return np.stack((lo, hi), axis=-1), grid.phasors[lo] + grid.phasors[hi]
 
 
-def exhaustive_oracle(w_n: complex, grid: PhaseGrid) -> tuple[int, int]:
-    """Best canonical phase pair for one finite weight, by brute force.
+def exhaustive_oracle(w, grid: PhaseGrid) -> np.ndarray:
+    """Best canonical phase pairs of finite weights, by brute force.
 
-    Scores all (2**B + 1) * 2**B / 2 unordered pairs (i, j >= i) and
-    returns the first in lexicographic order that minimizes the phasor-sum
-    error, i.e. the same tie-break as `approximate`.  The pair table is
-    scored in chunks of whole rows i, each against the columns j from the
-    chunk's first row on, of at most `ORACLE_CHUNK_ENTRIES` entries (one
-    row if a row is longer), so its temporaries stay within a few MB
-    whatever the bits.  Time still grows as 4**B, hence the bits cap.
+    ``w`` is a scalar or an array of any shape; the result is an int64
+    array of shape ``np.shape(w) + (2,)`` holding each weight's pair.  All
+    (2**B + 1) * 2**B / 2 unordered pairs (i, j >= i) are scored, and each
+    weight gets the first in lexicographic order that minimizes the
+    phasor-sum error, i.e. the same tie-break as `approximate`.  The pair
+    table is built in chunks of whole rows i, each against the columns j
+    from the chunk's first row on, and each chunk is scored against as
+    many weights at once as keep one pass within `ORACLE_CHUNK_ENTRIES`
+    entries (one row against one weight if a row is longer).  So its
+    temporaries stay within a few MB whatever the bits or the number of
+    weights.  Time still grows as 4**B per weight, hence the bits cap.
     """
     if grid.bits > MAX_ORACLE_BITS:
         raise ValueError(
             f"exhaustive search is limited to bits <= {MAX_ORACLE_BITS}"
         )
-    c = complex(w_n)
-    if not cmath.isfinite(c):
-        raise ValueError(f"the oracle needs a finite weight, got {c!r}")
+    c = np.asarray(w, dtype=complex).reshape(-1)
+    finite = np.isfinite(c)
+    if not finite.all():
+        bad = complex(c[finite.argmin()])
+        raise ValueError(f"the oracle needs a finite weight, got {bad!r}")
     phasors, n = grid.phasors, grid.size
-    best_err, best = math.inf, (0, 0)
+    # Each weight's least error so far and its pair, as the code i * n + j.
+    # A weight whose every error overflows to inf keeps (0, 0), the first.
+    best_err = np.full(c.size, np.inf)
+    best = np.zeros(c.size, dtype=np.int64)
+    # The passes reuse their buffers: fresh 256 KB temporaries per pass can
+    # cost more in page faults than the arithmetic itself.  A pass holds at
+    # most ORACLE_CHUNK_ENTRIES entries, or one row of n if that is more,
+    # and no more than the table for every weight.  A single weight scores
+    # each chunk once, so its differences overwrite the sums in place.
+    size = max(n, min(ORACLE_CHUNK_ENTRIES, n * n * max(1, c.size)))
+    buf, err = np.empty(size, dtype=complex), np.empty(size)
+    diff = None if c.size == 1 else np.empty(size, dtype=complex)
+    # A chunk has at most sqrt(ORACLE_CHUNK_ENTRIES) rows (or one), and its
+    # entries j < i are the strict lower triangle of its first columns.
+    ks = np.arange(min(n, max(1, math.isqrt(ORACLE_CHUNK_ENTRIES))))
+    lower = ks < ks[:, None]
     i0 = 0
     while i0 < n:
         cols = n - i0
         rows = min(cols, max(1, ORACLE_CHUNK_ENTRIES // cols))
-        err = np.abs(phasors[i0:i0 + rows, None] + phasors[i0:] - c)
+        sums = np.add(phasors[i0:i0 + rows, None], phasors[i0:],
+                      out=buf[:rows * cols].reshape(rows, cols))
         # Entries j < i, in the chunk's first ``rows`` columns, are not
         # canonical.  Each mirrors an earlier entry (j, i) of equal error, so
         # the pick avoids them anyway as long as np.abs rounds alike at every
-        # position; the mask keeps the pair canonical regardless.
-        err[:, :rows][np.arange(rows) < np.arange(rows)[:, None]] = np.inf
-        k = int(err.argmin())  # the first in row-major, i.e. lexicographic
-        # Later chunks win only strictly; the first stands even if every
-        # error overflows to inf.
-        if err.flat[k] < best_err or i0 == 0:
-            best_err, best = err.flat[k], (i0 + k // cols, i0 + k % cols)
+        # position; an infinite sum, whose error is inf for every finite
+        # weight, keeps the pair canonical regardless.
+        np.copyto(sums[:, :rows], np.inf, where=lower[:rows, :rows])
+        sums = sums.reshape(1, -1)
+        group = max(1, ORACLE_CHUNK_ENTRIES // sums.size)
+        for g0 in range(0, c.size, group):
+            part = slice(g0, g0 + group)
+            shape = (min(group, c.size - g0), sums.size)
+            d = np.subtract(sums, c[part, None], out=sums if diff is None else
+                            diff[:shape[0] * shape[1]].reshape(shape))
+            e = np.abs(d, out=err[:d.size].reshape(shape))
+            # The first in row-major, i.e. lexicographic, order per weight;
+            # a later chunk wins only strictly.  Entry k is the pair
+            # (i0 + k // cols, i0 + k % cols).
+            k = e.argmin(axis=1)
+            e = e[np.arange(k.size), k]
+            win = e < best_err[part]
+            if win.any():
+                k = k[win]
+                best_err[part][win] = e[win]
+                best[part][win] = i0 * (n + 1) + k + k // cols * i0
         i0 += rows
-    return best
+    pairs = np.empty((c.size, 2), dtype=np.int64)
+    np.divmod(best, n, out=(pairs[:, 0], pairs[:, 1]))
+    return pairs.reshape(np.shape(w) + (2,))
 
 
 class OracleMismatch(NamedTuple):
@@ -324,26 +363,29 @@ def oracle_mismatches(w, grid: PhaseGrid) -> list[OracleMismatch]:
     """Compare the full-grid candidate search with `exhaustive_oracle`.
 
     ``w`` of shape ``(..., N)`` is quantized as `approximate` does it with
-    every grid phase as a candidate and normalization target 2; each
-    normalized element is then solved by the oracle.  Returns, in element
-    order, the weights whose pair or exact phasor-sum error differs.
+    every grid phase as a candidate and normalization target 2; the whole
+    normalized stack is then solved by one oracle call.  Returns, in
+    element order, the weights whose pair differs.  That is the whole
+    test: equal pairs realize the same phasor sum, so their errors are
+    equal too.
     """
     wn = normalize_to_max(w, 2.0)
     dps = _search(wn, np.stack(_split(wn)), grid, grid.size)
+    oracle = exhaustive_oracle(wn, grid).reshape(-1, 2)
+    search = dps.pairs.reshape(-1, 2)
+    flagged = np.flatnonzero((oracle != search).any(axis=-1)).tolist()
     phasors = grid.phasors
+    wn, realized = wn.reshape(-1), dps.realized.reshape(-1)
     mismatches = []
     # Python scalars throughout, so a mismatch prints without numpy reprs.
-    for c, pair, realized in zip(wn.reshape(-1).tolist(),
-                                 dps.pairs.reshape(-1, 2).tolist(),
-                                 dps.realized.reshape(-1).tolist()):
-        search_pair = tuple(pair)
-        search_error = abs(realized - c)
-        oracle_pair = exhaustive_oracle(c, grid)
+    for k in flagged:
+        c = wn[k].item()
+        oracle_pair = tuple(oracle[k].tolist())
         oracle_error = abs(complex(phasors[oracle_pair[0]]
                                    + phasors[oracle_pair[1]]) - c)
-        if search_error != oracle_error or search_pair != oracle_pair:
-            mismatches.append(OracleMismatch(c, search_pair, search_error,
-                                             oracle_pair, oracle_error))
+        mismatches.append(OracleMismatch(
+            c, tuple(search[k].tolist()), abs(realized[k].item() - c),
+            oracle_pair, oracle_error))
     return mismatches
 
 

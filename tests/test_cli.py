@@ -1,6 +1,7 @@
 import argparse
 import hashlib
 import math
+import re
 import warnings
 from pathlib import Path
 
@@ -407,15 +408,124 @@ def test_oracle_check_refuses_large_bits():
     assert run_cli(["oracle-check", "--bits=5"]) == 2
 
 
+# SHA-256 of `oracle-check` stdout, keyed by (bits, trials, seed).  A
+# passing run prints one line, so these pin its format and count; the forced
+# mismatch runs below print every weight, so they pin the draws, their
+# order across the stacked blocks and each block's normalization.
+ORACLE_CHECK_STDOUT = {
+    (1, 37, 1): "72e7c25ae0c64ef3d6bfddada55304a4600a5530363b037177a5eecb6872ed1d",
+    (1, 37, 7): "72e7c25ae0c64ef3d6bfddada55304a4600a5530363b037177a5eecb6872ed1d",
+    (1, 64, 1): "2c3e41c0095c2c8365dc4d66e49c830c5f9584879373a7fc14feb01531948f11",
+    (1, 64, 7): "2c3e41c0095c2c8365dc4d66e49c830c5f9584879373a7fc14feb01531948f11",
+    (2, 37, 1): "7da18941390845fd60c1be9e7d68798143c5f30788911bbe8090e614e2b3f519",
+    (2, 37, 7): "7da18941390845fd60c1be9e7d68798143c5f30788911bbe8090e614e2b3f519",
+    (2, 64, 1): "4bdea5189448631970f20e800a468ab0a401467cd7de9742381644a729c650fc",
+    (2, 64, 7): "4bdea5189448631970f20e800a468ab0a401467cd7de9742381644a729c650fc",
+    (3, 37, 1): "c6185a14f1f613b92a7ec10bf9822f42aaabdb199d314920d4b770a0a2851aa7",
+    (3, 37, 7): "c6185a14f1f613b92a7ec10bf9822f42aaabdb199d314920d4b770a0a2851aa7",
+    (3, 64, 1): "54b4b943a08e2f252ea9f4ef5c3274f160ba3a8c766cd271191e3538f882d961",
+    (3, 64, 7): "54b4b943a08e2f252ea9f4ef5c3274f160ba3a8c766cd271191e3538f882d961",
+    (4, 37, 1): "f6402e29ab5c936e1761aa7b7fd4ae66e127db9a7dd993efe7ca1315ed2ba073",
+    (4, 37, 7): "f6402e29ab5c936e1761aa7b7fd4ae66e127db9a7dd993efe7ca1315ed2ba073",
+    (4, 64, 1): "9aafbb60ef22d19df6367ed25c3678724f81a3445145c2c9a28770e306bc943e",
+    (4, 64, 7): "9aafbb60ef22d19df6367ed25c3678724f81a3445145c2c9a28770e306bc943e",
+}
+# The same with an oracle that answers (0, 0) for every weight, --seed=1;
+# 1100 weights are 68 full blocks, more than one call holds, and 12 more.
+FORCED_MISMATCH_STDOUT = {
+    (1, 37): "d7af0491e39c7c188721beb2f08deb84a57954f7d167a6ff4aec517f02068ee2",
+    (1, 1100): "d18c05ba1cab8c79c3408abd52129dc65a3355a63e0c9fb6731285668836d8c1",
+    (2, 37): "01522363687c6d45574ef37ef7e215a12eb4c66875614960ea66469c630a668a",
+    (2, 1100): "53570b6ae6f1b9545e46a57ffe30c8719a23c2bf732a0621f3e76b921850e04e",
+}
+FORCED_MISMATCH_BITS2_TRIALS8 = """\
+mismatch: w=(-1.3969683062519607-0.4499628951700677j) search pair=(2, 3) err=0.6783248873941189 oracle pair=(0, 0) err=3.4266397944210807
+mismatch: w=(0.017191755148820077-0.7787144274453947j) search pair=(1, 3) err=0.7789041763636306 oracle pair=(0, 0) err=2.130240525236863
+mismatch: w=(-1.9409816273447096-0.47429432330365007j) search pair=(2, 2) err=0.47795216646537575 oracle pair=(0, 0) err=3.9694195157713703
+mismatch: w=(-0.5501902774360581+1.0048007968484105j) search pair=(1, 2) err=0.4498353411676655 oracle pair=(0, 0) err=2.741002570680407
+mismatch: w=(0.31915920839970646-1.2960304674368406j) search pair=(0, 3) err=0.7424137802854877 oracle pair=(0, 0) err=2.122479856025036
+mismatch: w=(-0.6122550681612521+1.7630958708877709j) search pair=(1, 1) err=0.6564905443946343 oracle pair=(0, 0) err=3.151568433506665
+mismatch: w=(-1.2566716139961966+0.3779942138386162j) search pair=(1, 2) err=0.672882987933009 oracle pair=(0, 0) err=3.278534676818909
+oracle check FAILED: 7/8 mismatches
+"""
+
+
+def _zero_oracle(c, grid):
+    return np.zeros(np.shape(c) + (2,), int)
+
+
+def _sha256(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("key", sorted(ORACLE_CHECK_STDOUT))
+def test_oracle_check_stdout_is_pinned(key, capsys):
+    bits, trials, seed = key
+    assert run_cli(["oracle-check", f"--bits={bits}", f"--trials={trials}",
+                    f"--seed={seed}"]) == 0
+    assert _sha256(capsys.readouterr().out) == ORACLE_CHECK_STDOUT[key]
+
+
 def test_oracle_check_reports_mismatch(monkeypatch, capsys):
     # Force a wrong oracle answer to exercise the mismatch exit path.
-    monkeypatch.setattr(dps_quantize, "exhaustive_oracle", lambda w, grid: (0, 0))
+    monkeypatch.setattr(dps_quantize, "exhaustive_oracle", _zero_oracle)
     assert run_cli(["oracle-check", "--bits=2", "--trials=8",
                     "--seed=1"]) == 3
     out = capsys.readouterr().out
     assert "mismatch" in out
     # Python scalars, not numpy reprs such as np.int64(0).
     assert "np." not in out
+    assert out == FORCED_MISMATCH_BITS2_TRIALS8
+    for (bits, trials), digest in FORCED_MISMATCH_STDOUT.items():
+        assert run_cli(["oracle-check", f"--bits={bits}",
+                        f"--trials={trials}", "--seed=1"]) == 3
+        assert _sha256(capsys.readouterr().out) == digest
+
+
+def test_oracle_check_reports_a_mirrored_pair(monkeypatch, capsys):
+    # (j, i) realizes the same sum as (i, j), so only the pair tells them
+    # apart; every off-diagonal pick must still be reported.
+    real = dps_quantize.exhaustive_oracle
+    monkeypatch.setattr(dps_quantize, "exhaustive_oracle",
+                        lambda c, grid: real(c, grid)[..., ::-1])
+    assert run_cli(["oracle-check", "--bits=2", "--trials=40",
+                    "--seed=1"]) == 3
+    *lines, summary = capsys.readouterr().out.splitlines()
+    assert lines and summary == f"oracle check FAILED: {len(lines)}/40 mismatches"
+    pattern = re.compile(r"mismatch: w=\S+ search pair=\((\d+), (\d+)\) "
+                         r"err=(\S+) oracle pair=\((\d+), (\d+)\) err=(\S+)")
+    for line in lines:
+        i, j, err, oracle_i, oracle_j, oracle_err = pattern.fullmatch(
+            line).groups()
+        assert i != j and (oracle_i, oracle_j) == (j, i)
+        assert oracle_err == err
+
+
+@pytest.mark.parametrize("trials", [
+    1, 15, 16, 17, cli.ORACLE_CHECK_MAX_BLOCKS * 16 + 1,
+    cli.ORACLE_CHECK_MAX_BLOCKS * 16 + 17,  # one full block over the cap
+])
+def test_oracle_check_memory_does_not_grow_with_trials(monkeypatch, capsys,
+                                                      trials):
+    shapes = []
+
+    def recording(w, grid):
+        shapes.append(np.shape(w))
+        return dps_quantize.oracle_mismatches(w, grid)
+
+    monkeypatch.setattr(cli, "oracle_mismatches", recording)
+    assert run_cli(["oracle-check", "--bits=2", f"--trials={trials}",
+                    "--seed=3"]) == 0
+    assert f"passed: {trials} weights" in capsys.readouterr().out
+    counts = [math.prod(shape) for shape in shapes]
+    assert max(counts) <= cli.ORACLE_CHECK_MAX_BLOCKS * 16
+    assert sum(counts) == trials
+    # Full blocks are rows of 16, each normalized on its own along the last
+    # axis; a last partial block is checked, and normalized, alone.
+    full, rest = divmod(trials, 16)
+    assert all(shape[-1] == 16 for shape in shapes[:len(shapes) - bool(rest)])
+    if rest:
+        assert shapes[-1][-1] == rest == counts[-1]
 
 
 @pytest.mark.parametrize("argv", [

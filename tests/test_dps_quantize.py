@@ -316,14 +316,14 @@ def test_approximate_error_non_increasing_in_candidates():
 # ------------------------------------------------------ exhaustive_oracle
 
 def test_oracle_examples():
-    assert exhaustive_oracle(2.0, PhaseGrid(3)) == (0, 0)
+    assert tuple(exhaustive_oracle(2.0, PhaseGrid(3)).tolist()) == (0, 0)
     grid = PhaseGrid(2)
-    pair = exhaustive_oracle(1.0 + 1.0j, grid)
+    pair = tuple(exhaustive_oracle(1.0 + 1.0j, grid).tolist())
     assert pair == (0, 1)
     assert grid.phasors[pair[0]] + grid.phasors[pair[1]] == pytest.approx(1.0 + 1.0j)
     # Full enumeration of the 10 canonical pairs leaves a five-way tie at
     # distance 1; (0, 0) is the lexicographic winner.
-    assert exhaustive_oracle(1.0, grid) == (0, 0)
+    assert tuple(exhaustive_oracle(1.0, grid).tolist()) == (0, 0)
 
 
 def test_oracle_refuses_large_grids():
@@ -360,7 +360,8 @@ def test_oracle_mismatches_reports_wrong_oracle(monkeypatch):
     w = np.array([2.0, 2.0j, -1.0 + 0.5j])
     # On {1, j, -1, -j} the best pairs are 1 + 1, j + j and j - 1, so the
     # patched answer (0, 0) is right for the first weight only.
-    monkeypatch.setattr(dps_quantize, "exhaustive_oracle", lambda c, g: (0, 0))
+    monkeypatch.setattr(dps_quantize, "exhaustive_oracle",
+                        lambda c, g: np.zeros(np.shape(c) + (2,), int))
     found = oracle_mismatches(w, grid)
     assert [m.weight for m in found] == list(normalize_to_max(w, 2.0)[1:])
     assert [m.search_pair for m in found] == [(1, 1), (1, 2)]
@@ -368,6 +369,21 @@ def test_oracle_mismatches_reports_wrong_oracle(monkeypatch):
         assert m.oracle_pair == (0, 0)
         assert m.oracle_error == abs(2.0 - complex(m.weight))
         assert m.search_error < m.oracle_error
+
+
+def test_oracle_mismatches_reports_a_mirrored_pair(monkeypatch):
+    grid = PhaseGrid(2)
+    w = np.array([2.0, 2.0j, -1.0 + 0.5j])  # search pairs (0, 0), (1, 1), (1, 2)
+    real = dps_quantize.exhaustive_oracle
+    monkeypatch.setattr(dps_quantize, "exhaustive_oracle",
+                        lambda c, g: real(c, g)[..., ::-1])
+    # (0, 0) and (1, 1) read the same both ways; (2, 1) is not canonical
+    # although it realizes the same sum, with the same error.
+    [found] = oracle_mismatches(w, grid)
+    assert (found.search_pair, found.oracle_pair) == ((1, 2), (2, 1))
+    assert found.oracle_error == found.search_error
+    assert type(found.oracle_pair[0]) is int
+    assert type(found.oracle_error) is float and type(found.weight) is complex
 
 
 def test_oracle_error_non_increasing_with_bits():

@@ -6,6 +6,7 @@ the per-antenna loop in `dps_reference` produces for the same vector.
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -86,11 +87,19 @@ def _oracle_weights(grid, rng):
                                    (p + 1.0) * half])
 
 
+def _assert_oracle_matches_reference(w, grid):
+    """One batched oracle call on ``w`` against the per-row reference."""
+    got = exhaustive_oracle(w, grid)
+    assert got.shape == np.shape(w) + (2,) and got.dtype == np.int64
+    want = [ref.exhaustive_oracle(c, grid) for c in np.ravel(w).tolist()]
+    assert list(map(tuple, got.reshape(-1, 2).tolist())) == want
+
+
 @pytest.mark.parametrize("bits", range(1, 11))
 def test_oracle_matches_the_per_row_reference(bits):
     grid = PhaseGrid(bits)
-    for c in _oracle_weights(grid, np.random.default_rng([bits, 2])).tolist():
-        assert exhaustive_oracle(c, grid) == ref.exhaustive_oracle(c, grid)
+    _assert_oracle_matches_reference(
+        _oracle_weights(grid, np.random.default_rng([bits, 2])), grid)
 
 
 @pytest.mark.parametrize("bits", [11, 12])
@@ -98,21 +107,86 @@ def test_oracle_matches_the_per_row_reference_at_the_cap(bits):
     # An on-grid pair sum, |c| = 2, the zero weight and a midpoint phase.
     grid = PhaseGrid(bits)
     p, half = grid.phasors, np.exp(0.5j * grid.step)
-    for c in (p[5] + p[1000], 2.0 * p[777], 0.0, 2.0 * p[3] * half):
-        assert exhaustive_oracle(c, grid) == ref.exhaustive_oracle(c, grid)
+    _assert_oracle_matches_reference(
+        np.array([p[5] + p[1000], 2.0 * p[777], 0.0, 2.0 * p[3] * half]), grid)
 
 
-@pytest.mark.parametrize("chunk", [1, 20])
+@pytest.mark.parametrize("bits", [2, 5])
+def test_oracle_takes_any_batch_shape(bits):
+    grid = PhaseGrid(bits)
+    w = _oracle_weights(grid, np.random.default_rng([bits, 5]))[:24]
+    for shaped in (w[7], w[7].item(), w, w.reshape(4, 6), w.reshape(2, 3, 4)):
+        _assert_oracle_matches_reference(shaped, grid)
+    # Each weight's pair does not depend on the batch it came in.
+    batched = exhaustive_oracle(w.reshape(4, 6), grid).reshape(-1, 2)
+    for c, pair in zip(w.tolist(), batched.tolist()):
+        assert exhaustive_oracle(c, grid).tolist() == pair
+    assert exhaustive_oracle(np.zeros((0, 3)), grid).shape == (0, 3, 2)
+
+
+@pytest.mark.parametrize("chunk", [1, 20, 200])
 def test_oracle_gives_the_same_pair_in_any_number_of_chunks(monkeypatch,
                                                            chunk):
     # With 20 entries a chunk, bits 3 splits into rows [0, 2), [2, 5) and
     # [5, 8), and bits 4 into 1, 2 and 3 rows; with 1, every row is a chunk.
+    # With 200, bits 1-3 score several weights per pass and bits 4 splits
+    # into rows [0, 12) one weight at a time, then rows [12, 16) twelve
+    # weights at a time, so one oracle call splits across rows and weights.
     monkeypatch.setattr(dps_quantize, "ORACLE_CHUNK_ENTRIES", chunk)
     for bits in range(1, 7):
         grid = PhaseGrid(bits)
         rng = np.random.default_rng([bits, 3])
-        for c in _oracle_weights(grid, rng).tolist():
-            assert exhaustive_oracle(c, grid) == ref.exhaustive_oracle(c, grid)
+        _assert_oracle_matches_reference(_oracle_weights(grid, rng), grid)
+
+
+class _PassSizes:
+    """numpy, recording the size of every add, subtract and abs result."""
+
+    def __init__(self):
+        self.sizes = []
+
+    def __getattr__(self, name):
+        fn = getattr(np, name)
+        if name not in ("add", "subtract", "abs"):
+            return fn
+
+        def recorded(*args, **kwargs):
+            out = fn(*args, **kwargs)
+            self.sizes.append(out.size)
+            return out
+        return recorded
+
+
+@pytest.mark.parametrize("chunk", [20, 200, 1 << 14])
+def test_oracle_passes_stay_within_the_chunk_bound(monkeypatch, chunk):
+    monkeypatch.setattr(dps_quantize, "ORACLE_CHUNK_ENTRIES", chunk)
+    passes = _PassSizes()
+    monkeypatch.setattr(dps_quantize, "np", passes)
+    rng = np.random.default_rng(6)
+    for bits in (1, 4, 6):
+        grid = PhaseGrid(bits)
+        for w in (_disk(rng, 1), _disk(rng, 300)):
+            passes.sizes.clear()
+            exhaustive_oracle(w, grid)
+            # One pass: at most `chunk` entries, or one row if that is more.
+            assert passes.sizes and max(passes.sizes) <= max(chunk, grid.size)
+    assert max(passes.sizes) > chunk // 2  # the passes do fill the bound
+
+
+@pytest.mark.parametrize("shape", [(5,), (3, 4)])
+def test_oracle_rejects_a_non_finite_weight_anywhere_in_a_batch(shape):
+    grid = PhaseGrid(3)
+    finite = _disk(np.random.default_rng(7), shape)
+    for bad in (math.nan, math.inf, complex(1.0, math.nan),
+                complex(-math.inf, 0.0)):
+        for at in range(finite.size):
+            w = finite.copy()
+            w.flat[at] = bad
+            if at + 1 < w.size:
+                w.flat[at + 1] = complex(math.nan, math.inf)  # named second
+            with pytest.raises(ValueError, match=re.escape(
+                    f"the oracle needs a finite weight, got {complex(bad)!r}")):
+                exhaustive_oracle(w, grid)
 
 
 @pytest.mark.parametrize("bits", range(1, 7))
