@@ -301,14 +301,6 @@ def exhaustive_oracle(w, grid: PhaseGrid) -> np.ndarray:
     # A weight whose every error overflows to inf keeps (0, 0), the first.
     best_err = np.full(c.size, np.inf)
     best = np.zeros(c.size, dtype=np.int64)
-    # The passes reuse their buffers: fresh 256 KB temporaries per pass can
-    # cost more in page faults than the arithmetic itself.  A pass holds at
-    # most ORACLE_CHUNK_ENTRIES entries, or one row of n if that is more,
-    # and no more than the table for every weight.  A single weight scores
-    # each chunk once, so its differences overwrite the sums in place.
-    size = max(n, min(ORACLE_CHUNK_ENTRIES, n * n * max(1, c.size)))
-    buf, err = np.empty(size, dtype=complex), np.empty(size)
-    diff = None if c.size == 1 else np.empty(size, dtype=complex)
     # A chunk has at most sqrt(ORACLE_CHUNK_ENTRIES) rows (or one), and its
     # entries j < i are the strict lower triangle of its first columns.
     ks = np.arange(min(n, max(1, math.isqrt(ORACLE_CHUNK_ENTRIES))))
@@ -317,8 +309,7 @@ def exhaustive_oracle(w, grid: PhaseGrid) -> np.ndarray:
     while i0 < n:
         cols = n - i0
         rows = min(cols, max(1, ORACLE_CHUNK_ENTRIES // cols))
-        sums = np.add(phasors[i0:i0 + rows, None], phasors[i0:],
-                      out=buf[:rows * cols].reshape(rows, cols))
+        sums = np.add(phasors[i0:i0 + rows, None], phasors[i0:])
         # Entries j < i, in the chunk's first ``rows`` columns, are not
         # canonical.  Each mirrors an earlier entry (j, i) of equal error, so
         # the pick avoids them anyway as long as np.abs rounds alike at every
@@ -329,10 +320,7 @@ def exhaustive_oracle(w, grid: PhaseGrid) -> np.ndarray:
         group = max(1, ORACLE_CHUNK_ENTRIES // sums.size)
         for g0 in range(0, c.size, group):
             part = slice(g0, g0 + group)
-            shape = (min(group, c.size - g0), sums.size)
-            d = np.subtract(sums, c[part, None], out=sums if diff is None else
-                            diff[:shape[0] * shape[1]].reshape(shape))
-            e = np.abs(d, out=err[:d.size].reshape(shape))
+            e = np.abs(np.subtract(sums, c[part, None]))
             # The first in row-major, i.e. lexicographic, order per weight;
             # a later chunk wins only strictly.  Entry k is the pair
             # (i0 + k // cols, i0 + k % cols).

@@ -107,8 +107,10 @@ def test_oracle_matches_the_per_row_reference_at_the_cap(bits):
     # An on-grid pair sum, |c| = 2, the zero weight and a midpoint phase.
     grid = PhaseGrid(bits)
     p, half = grid.phasors, np.exp(0.5j * grid.step)
-    _assert_oracle_matches_reference(
-        np.array([p[5] + p[1000], 2.0 * p[777], 0.0, 2.0 * p[3] * half]), grid)
+    w = np.array([p[5] + p[1000], 2.0 * p[777], 0.0, 2.0 * p[3] * half])
+    # A batch, and one weight alone, whose table spans many chunks.
+    for shaped in (w, w[:1], w[3].item()):
+        _assert_oracle_matches_reference(shaped, grid)
 
 
 @pytest.mark.parametrize("bits", [2, 5])
@@ -135,8 +137,10 @@ def test_oracle_gives_the_same_pair_in_any_number_of_chunks(monkeypatch,
     monkeypatch.setattr(dps_quantize, "ORACLE_CHUNK_ENTRIES", chunk)
     for bits in range(1, 7):
         grid = PhaseGrid(bits)
-        rng = np.random.default_rng([bits, 3])
-        _assert_oracle_matches_reference(_oracle_weights(grid, rng), grid)
+        w = _oracle_weights(grid, np.random.default_rng([bits, 3]))
+        # A batch, and one weight alone, across the same chunks.
+        for shaped in (w, w[:1], w[0].item()):
+            _assert_oracle_matches_reference(shaped, grid)
 
 
 class _PassSizes:
@@ -167,7 +171,7 @@ def test_oracle_passes_stay_within_the_chunk_bound(monkeypatch, chunk):
         grid = PhaseGrid(bits)
         for w in (_disk(rng, 1), _disk(rng, 300)):
             passes.sizes.clear()
-            exhaustive_oracle(w, grid)
+            _assert_oracle_matches_reference(w, grid)
             # One pass: at most `chunk` entries, or one row if that is more.
             assert passes.sizes and max(passes.sizes) <= max(chunk, grid.size)
     assert max(passes.sizes) > chunk // 2  # the passes do fill the bound
