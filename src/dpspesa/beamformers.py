@@ -49,6 +49,15 @@ class TargetScenario:
         return self.target_angles_deg[self.desired_index]
 
 
+def _check_gamma(gamma: float | None) -> None:
+    """A given gamma must be finite and strictly positive."""
+    if gamma is not None:
+        if not gamma > 0:
+            raise ValueError("gamma must be strictly positive when present")
+        if not math.isfinite(gamma):
+            raise ValueError(f"gamma must be finite, got {gamma:g}")
+
+
 def mvdr_beamformer(config: ArrayConfig, scenario: TargetScenario,
                     gamma: float) -> np.ndarray:
     """Multi-target beamformer pointing at the desired target with nulls elsewhere.
@@ -75,10 +84,7 @@ def mvdr_beamformer(config: ArrayConfig, scenario: TargetScenario,
     ndarray
         Complex weights of length ``config.n_antennas``.
     """
-    if not gamma > 0:
-        raise ValueError("gamma must be strictly positive")
-    if not math.isfinite(gamma):
-        raise ValueError(f"gamma must be finite, got {gamma:g}")
+    _check_gamma(gamma)
     n = config.n_antennas
     if n * n > MAX_GRID_ENTRIES:
         raise ValueError(

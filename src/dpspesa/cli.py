@@ -35,12 +35,11 @@ from .array_model import (
     beampattern_trace,
     steering_vector,
 )
-from .beamformers import TargetScenario, mvdr_beamformer
+from .beamformers import TargetScenario, _check_gamma, mvdr_beamformer
 from .dps_quantize import PhaseGrid, approximate, oracle_mismatches, quantize_pesa
 from .experiments import (
     DEFAULT_GAMMA,
     ScenarioSpec,
-    _check_gamma,
     draw_target_angles,
     run_monte_carlo,
     run_mvdr_clutter,

@@ -4,8 +4,9 @@ A complex weight of modulus at most 2 splits uniquely into a sum of two
 unit phasors.  With B-bit phase shifters each phasor must come from the
 uniform grid of 2**B phases, so a weight vector is realized by picking,
 per antenna, the pair of grid phases whose phasor sum lands closest to
-the wanted weight.  `approximate` does this with a top-L candidate search
-around the exact split; `exhaustive_oracle` brute-forces all pairs for
+the wanted weight.  `decompose` computes the exact split of weights of
+any shape.  `approximate` does the quantization with a top-L candidate
+search around that split; `exhaustive_oracle` brute-forces all pairs for
 small B, and `oracle_mismatches` compares the two for the tests and the
 CLI's ``oracle-check``.  `approximate`, `quantize_pesa` and
 `normalize_to_max` take arrays of any leading batch shape, weights
@@ -15,7 +16,6 @@ weights of any shape and scores them in bounded batches.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -62,13 +62,6 @@ class PhaseGrid:
         return e
 
 
-class Decomposition(NamedTuple):
-    """Unit-phasor pair summing to a decomposed weight; phases in [0, 2*pi]."""
-
-    phi1: float
-    phi2: float
-
-
 @dataclass(frozen=True)
 class DpsBeamformer:
     """Grid-phase pairs and the complex weights they realize.
@@ -94,16 +87,24 @@ def _map(fn, *arrays) -> np.ndarray:
     return np.fromiter(values, float, count=math.prod(shape)).reshape(shape)
 
 
-def _split(c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Phases ``(phi1, phi2)`` in [0, 2*pi] of the phasor pair summing to ``c``.
+def decompose(c) -> tuple[np.ndarray, np.ndarray]:
+    """Split weights ``c`` (modulus <= 2) into two unit phasors each.
+
+    ``c`` is a scalar or an array of any shape; the result is the phase
+    arrays ``(phi1, phi2)`` of that shape (numpy scalars for a scalar).
+    With a = |c| and omega = arg(c), the phases are omega +/- acos(a/2),
+    reduced to [0, 2*pi]; phi1 carries the positive offset.  The zero
+    weight uses the omega = 0 convention, giving (pi/2, 3*pi/2).
 
     The modulus, arctangent and arccosine are the C library's scalar results
     (``np.hypot`` and the ``math`` functions).  numpy's vectorized
     ``abs``/``arctan2``/``arccos`` differ from them in the last bit on some
     hosts, which flips the ranking of a phase sitting on a tie between two
-    candidate grid phases.  A phase x just below 0 reduces to 2*pi itself:
-    ``x % (2*pi)`` is ``2*pi + x`` rounded to the nearest float.
+    candidate grid phases.  A phase x just below 0 reduces to 2*pi itself
+    (the phasor of 0): ``x % (2*pi)`` is ``2*pi + x`` rounded to the nearest
+    float.
     """
+    c = np.asarray(c, dtype=complex)
     a = np.hypot(c.real, c.imag)
     if np.any(a > 2.0 + 1e-12):
         raise ValueError(
@@ -112,23 +113,6 @@ def _split(c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     omega = _map(math.atan2, c.imag, c.real)
     half = _map(math.acos, np.minimum(a / 2.0, 1.0))
     return (omega + half) % TWO_PI, (omega - half) % TWO_PI
-
-
-def decompose(c: complex) -> Decomposition:
-    """Split ``c`` (modulus <= 2) into two unit phasors.
-
-    With a = |c| and omega = arg(c), the phases are omega +/- acos(a/2),
-    reduced to [0, 2*pi] (a phase just below 0 rounds to 2*pi, the phasor
-    of 0; see `_split`); phi1 carries the positive offset.  The zero
-    weight uses the omega = 0 convention, giving (pi/2, 3*pi/2).
-    """
-    phi1, phi2 = _split(np.asarray(c, dtype=complex))
-    return Decomposition(float(phi1), float(phi2))
-
-
-def recompose(d: Decomposition) -> complex:
-    """Sum the two unit phasors of a decomposition."""
-    return cmath.exp(1j * d.phi1) + cmath.exp(1j * d.phi2)
 
 
 def normalize_to_max(w, target=2.0) -> np.ndarray:
@@ -147,15 +131,12 @@ def normalize_to_max(w, target=2.0) -> np.ndarray:
         raise ValueError("target must lie in (0, 2]")
     if w.ndim == 0 or w.size == 0:
         raise ValueError("weights must be a non-empty (..., N) array")
+    if not np.all(np.isfinite(w)):
+        raise ValueError("weights must be finite")
     peak = np.abs(w).max(axis=-1)
     if np.any(peak == 0):
         raise ValueError("all-zero weights cannot be normalized")
     return w * (target / peak)[..., None]
-
-
-def circular_distance(x: float, y: float) -> float:
-    """Shortest angular distance between two phases, in [0, pi]."""
-    return abs((x - y + math.pi) % TWO_PI - math.pi)
 
 
 def _nearest(phi: np.ndarray, grid: PhaseGrid, count: int) -> np.ndarray:
@@ -172,7 +153,7 @@ def _nearest(phi: np.ndarray, grid: PhaseGrid, count: int) -> np.ndarray:
     if 2 * count + 2 >= n:
         ks = np.broadcast_to(np.arange(n), phi.shape + (n,))
     else:
-        # x % (2*pi) is x itself on [0, 2*pi), where `_split` puts nearly
+        # x % (2*pi) is x itself on [0, 2*pi), where `decompose` puts nearly
         # every phase, so only the phases outside are reduced; n is a power
         # of two, so & (n - 1) wraps the window as % n does.
         reduced = np.remainder(phi, TWO_PI, out=np.array(phi, dtype=float),
@@ -216,46 +197,54 @@ def approximate(w, grid: PhaseGrid, candidates: int = 3,
         Selected index pairs and the weights they realize, with the
         normalized weights' shape.
     """
-    wn = normalize_to_max(w, norm_target)
-    return _search(wn, np.stack(_split(wn)), grid, candidates)
+    [dps] = _search(normalize_to_max(w, norm_target), [grid], candidates)
+    return dps
 
 
-def _search(wn: np.ndarray, split: np.ndarray, grid: PhaseGrid,
-            candidates: int) -> DpsBeamformer:
-    """The candidate search of `approximate` on normalized weights ``wn``
-    and their stacked split ``np.stack(_split(wn))``; the split does not
-    depend on the grid, so callers sweeping bits compute it once."""
+def _search(wn: np.ndarray, grids, candidates: int) -> list[DpsBeamformer]:
+    """The candidate search of `approximate` on normalized weights ``wn``,
+    one `DpsBeamformer` per grid of ``grids``.  The split does not depend
+    on the grid, so it is computed once, and only if some grid ranks
+    candidates: a full-grid search scores every pair without it."""
     if candidates < 1:
         raise ValueError("candidates must be a positive integer")
-    count = min(candidates, grid.size)
+    counts = [min(candidates, grid.size) for grid in grids]
     # Each weight builds count x count candidate pairs.  Weights are
     # searched independently, so they run in chunks of at most
     # MAX_GRID_ENTRIES pairs with the same result.
-    if count**2 > MAX_GRID_ENTRIES:
-        raise ValueError(
-            f"a candidate search with {count} candidates per phase builds "
-            f"{count}^2 pairs per weight, more than {MAX_GRID_ENTRIES}; "
-            f"use fewer candidates"
-        )
-    chunk = MAX_GRID_ENTRIES // count**2
-    flat_wn, flat_split = wn.reshape(-1), split.reshape(2, -1)
-    parts = [_best_pairs(flat_wn[i:i + chunk], flat_split[:, i:i + chunk],
-                         grid, count)
-             for i in range(0, flat_wn.size, chunk)]
-    pairs, realized = (np.concatenate(x) for x in zip(*parts))
-    return DpsBeamformer(grid=grid, pairs=pairs.reshape(wn.shape + (2,)),
-                         realized=realized.reshape(wn.shape))
+    for count in counts:
+        if count**2 > MAX_GRID_ENTRIES:
+            raise ValueError(
+                f"a candidate search with {count} candidates per phase builds "
+                f"{count}^2 pairs per weight, more than {MAX_GRID_ENTRIES}; "
+                f"use fewer candidates"
+            )
+    flat = wn.reshape(-1)
+    ranked = [count < grid.size for grid, count in zip(grids, counts)]
+    split = np.stack(decompose(flat)) if any(ranked) else None
+    found = []
+    for grid, count, rank in zip(grids, counts, ranked):
+        chunk = MAX_GRID_ENTRIES // count**2
+        parts = [_best_pairs(flat[i:i + chunk],
+                             split[:, i:i + chunk] if rank else None,
+                             grid, count)
+                 for i in range(0, flat.size, chunk)]
+        pairs, realized = (np.concatenate(x) for x in zip(*parts))
+        found.append(DpsBeamformer(grid=grid,
+                                   pairs=pairs.reshape(wn.shape + (2,)),
+                                   realized=realized.reshape(wn.shape)))
+    return found
 
 
-def _best_pairs(wn: np.ndarray, split: np.ndarray, grid: PhaseGrid,
+def _best_pairs(wn: np.ndarray, split: np.ndarray | None, grid: PhaseGrid,
                 count: int) -> tuple[np.ndarray, np.ndarray]:
     """Best index pairs ``(E, 2)`` of the weights ``wn`` ``(E,)`` among
-    ``count`` candidates per phase, and the sums they realize ``(E,)``."""
+    ``count`` candidates per phase, and the sums they realize ``(E,)``.
+    ``split`` holds the weights' phases ``(2, E)``; a full-grid search
+    (``count`` the grid size) reads none and takes None."""
     if count == grid.size:
         # Every grid phase is a candidate, so every weight scores the same
         # canonical pairs; the pick below does not depend on their order.
-        if not np.all(np.isfinite(split)):
-            raise ValueError("phases must be finite")
         ks = np.arange(grid.size)
         lo, hi = np.nonzero(ks[:, None] <= ks)
     else:
@@ -358,7 +347,7 @@ def oracle_mismatches(w, grid: PhaseGrid) -> list[OracleMismatch]:
     equal too.
     """
     wn = normalize_to_max(w, 2.0)
-    dps = _search(wn, np.stack(_split(wn)), grid, grid.size)
+    [dps] = _search(wn, [grid], grid.size)
     oracle = exhaustive_oracle(wn, grid).reshape(-1, 2)
     search = dps.pairs.reshape(-1, 2)
     flagged = np.flatnonzero((oracle != search).any(axis=-1)).tolist()

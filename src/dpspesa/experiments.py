@@ -28,11 +28,10 @@ from .array_model import (
     levels_db,
     steering_vector,
 )
-from .beamformers import TargetScenario, mvdr_beamformer
+from .beamformers import TargetScenario, _check_gamma, mvdr_beamformer
 from .dps_quantize import (
     PhaseGrid,
     _search,
-    _split,
     approximate,
     normalize_to_max,
     quantize_pesa,
@@ -77,15 +76,6 @@ class ScenarioSpec:
     @property
     def scenario(self) -> TargetScenario:
         return TargetScenario(self.target_angles_deg, self.desired_index)
-
-
-def _check_gamma(gamma: float | None) -> None:
-    """A given gamma must be finite and strictly positive."""
-    if gamma is not None:
-        if not gamma > 0:
-            raise ValueError("gamma must be strictly positive when present")
-        if not math.isfinite(gamma):
-            raise ValueError(f"gamma must be finite, got {gamma:g}")
 
 
 class TargetLevels(NamedTuple):
@@ -135,9 +125,11 @@ def draw_target_angles(rng: np.random.Generator, count: int = 3,
     from near-coincident steering vectors.  A count so dense that
     `TARGET_DRAW_ATTEMPTS` whole draws all fail is placed directly: a
     uniform choice of the gaps left after the minimum separations, in
-    random order.  Raises `ValueError` when ``count`` such angles cannot
-    fit in the span.
+    random order.  Raises `ValueError` when ``count`` is below 1 or when
+    ``count`` such angles cannot fit in the span.
     """
+    if count < 1:
+        raise ValueError(f"count must be a positive integer, got {count}")
     lo, hi = -int(span_deg), int(span_deg)
     sep = math.ceil(min_sep_deg) if count > 1 and min_sep_deg > 0 else 0
     if sep:
@@ -244,14 +236,13 @@ def _sweep_block(spec: ScenarioSpec, bits_list, norm_list, trials: range):
         w_ref.append(mvdr_beamformer(spec.config, scenario, spec.gamma))
         w_steer.append(steering_vector(spec.config, scenario.desired_angle_deg))
 
-    # Every trial's reference at every norm, normalized and split once and
-    # searched once per bits value.
-    grids = [PhaseGrid(bits) for bits in bits_list]
+    # Every trial's reference at every norm, normalized once and searched
+    # on every grid by one `_search`, which splits it at most once.
+    grids = tuple(PhaseGrid(bits) for bits in bits_list)
     refs = normalize_to_max(np.stack(w_ref)[:, None, :], norm_list)
-    split = np.stack(_split(refs))
     steers = np.stack(w_steer)
-    dps = np.stack([_search(refs, split, g, spec.candidates_l).realized
-                    for g in grids], axis=1)
+    dps = np.stack([d.realized for d in
+                    _search(refs, grids, spec.candidates_l)], axis=1)
     pesa = np.stack([quantize_pesa(steers, g) for g in grids], axis=1)
 
     n_bits, n_norms = len(bits_list), len(norm_list)

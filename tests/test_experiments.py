@@ -76,6 +76,10 @@ def test_draw_target_angles_refuses_a_count_that_cannot_fit():
         def integers(self, *args, **kwargs):
             raise AssertionError("drew before checking the count")
 
+    for count in (0, -1):
+        with pytest.raises(ValueError, match=rf"^count must be a positive "
+                           rf"integer, got {count}$"):
+            draw_target_angles(NoDraws(), count=count)
     # 86 integer angles 2 degrees apart fill [-85, 85]; one more cannot fit.
     with pytest.raises(ValueError, match="do not fit"):
         draw_target_angles(NoDraws(), count=87)
@@ -254,14 +258,30 @@ def test_monte_carlo_row_layout_and_determinism():
     assert res1.rows[0].mean_rms_pesa_db == res1.rows[1].mean_rms_pesa_db
 
 
-def test_sweep_block_equals_trace_based_scoring():
+def test_sweep_block_equals_trace_based_scoring(monkeypatch):
     # Reference: whole traces per trial with the public quantizers, read at
     # the closest grid points (the first one on a tie) and scored with the
     # RMS formula written out here.
     spec = ScenarioSpec(config=ArrayConfig(12, 0.5), gamma=0.1, candidates_l=2,
                         grid_step_deg=0.5, floor_db=-70.0, seed=3)
     bits, norms, trials = (2, 5, 9), (1.0, 1.7, 2.0), range(4, 9)
+    splits = []  # weights per split
+    decompose = dps_quantize.decompose
+
+    def counted(c):
+        splits.append(np.size(c))
+        return decompose(c)
+
+    monkeypatch.setattr(dps_quantize, "decompose", counted)
+    # The split does not depend on the grid: one per block, whatever the
+    # number of bits, and none when every grid is searched whole.
     rms_dps, rms_pesa = _sweep_block(spec, bits, norms, trials)
+    one_bits = _sweep_block(spec, bits[1:2], norms, trials)
+    assert splits == [len(trials) * len(norms) * 12] * 2
+    assert np.array_equal(one_bits[0], rms_dps[:, 1:2])
+    assert np.array_equal(one_bits[1], rms_pesa[:, 1:2])
+    _sweep_block(replace(spec, candidates_l=4), (1, 2), norms, trials)
+    assert len(splits) == 2
     want_dps = np.empty((len(trials), len(bits), len(norms)))
     want_pesa = np.empty((len(trials), len(bits)))
 

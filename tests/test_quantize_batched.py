@@ -7,6 +7,7 @@ the per-antenna loop in `dps_reference` produces for the same vector.
 
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from dpspesa.dps_quantize import (
     approximate,
     exhaustive_oracle,
     normalize_to_max,
+    oracle_mismatches,
     quantize_pesa,
 )
 
@@ -199,13 +201,18 @@ def test_full_grid_search_takes_every_phase_without_ranking(monkeypatch,
     def nearest(*args):
         raise AssertionError("the full grid needs no ranking")
 
+    def decompose(*args):
+        raise AssertionError("the full grid needs no split")
+
     monkeypatch.setattr(dps_quantize, "_nearest", nearest)
+    monkeypatch.setattr(dps_quantize, "decompose", decompose)
     grid = PhaseGrid(bits)
     rng = np.random.default_rng([bits, 4])
     cases = [(_disk(rng, 16), 2.0), (_disk(rng, 16), 1.0)]
     for w, norm in cases + _tie_prone(grid, rng):
         _assert_matches_reference(w, grid, grid.size, norm,
                                   approximate(w, grid, grid.size, norm))
+        assert oracle_mismatches(w, grid) == []
 
 
 @pytest.mark.parametrize("bits", range(7, 13))
@@ -278,12 +285,17 @@ def test_normalize_is_per_last_axis():
 
 def test_non_finite_weights_are_rejected():
     grid = PhaseGrid(4)
-    with pytest.raises(ValueError, match="finite"):
-        approximate([1.0, np.nan], grid)
-    with pytest.raises(ValueError, match="finite"):
-        quantize_pesa([1.0, complex(np.nan, 1.0)], grid)
-    with pytest.raises(ValueError, match="finite"):
-        _nearest(np.float64(np.inf), grid, 2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # rejected before any arithmetic
+        for w in ([1.0, np.nan], [1.0, np.inf], [complex(-np.inf, 1.0), 1.0]):
+            with pytest.raises(ValueError, match="^weights must be finite$"):
+                approximate(w, grid)
+            with pytest.raises(ValueError, match="^weights must be finite$"):
+                normalize_to_max(w)
+        with pytest.raises(ValueError, match="finite"):
+            quantize_pesa([1.0, complex(np.nan, 1.0)], grid)
+        with pytest.raises(ValueError, match="finite"):
+            _nearest(np.float64(np.inf), grid, 2)
 
 
 def test_nearest_phases_takes_arrays_of_phases():
