@@ -84,6 +84,8 @@ def mvdr_beamformer(config: ArrayConfig, scenario: TargetScenario,
     ndarray
         Complex weights of length ``config.n_antennas``.
     """
+    if gamma is None:
+        raise ValueError("MVDR needs a gamma, got None")
     _check_gamma(gamma)
     n = config.n_antennas
     if n * n > MAX_GRID_ENTRIES:

@@ -96,6 +96,8 @@ def decompose(c) -> tuple[np.ndarray, np.ndarray]:
     reduced to [0, 2*pi]; phi1 carries the positive offset.  The zero
     weight uses the omega = 0 convention, giving (pi/2, 3*pi/2).
 
+    A non-finite weight raises `ValueError`.
+
     The modulus, arctangent and arccosine are the C library's scalar results
     (``np.hypot`` and the ``math`` functions).  numpy's vectorized
     ``abs``/``arctan2``/``arccos`` differ from them in the last bit on some
@@ -106,6 +108,8 @@ def decompose(c) -> tuple[np.ndarray, np.ndarray]:
     """
     c = np.asarray(c, dtype=complex)
     a = np.hypot(c.real, c.imag)
+    if not np.all(np.isfinite(a)):
+        raise ValueError("weights must be finite")
     if np.any(a > 2.0 + 1e-12):
         raise ValueError(
             f"amplitude no larger than 2 required, got |c| = {a.max()}"
@@ -143,23 +147,68 @@ def _nearest(phi: np.ndarray, grid: PhaseGrid, count: int) -> np.ndarray:
     """Indices ``(..., count)`` of the grid phases closest to each ``phi``.
 
     ``count`` must not exceed the grid size.  Sorted by distance ascending,
-    ties broken by the smaller index.
+    ties broken by the smaller index, where the distance is the float
+    ``|(phase - phi + pi) % 2pi - pi|``.  A grid of at most 2*count + 2
+    phases is ranked whole.  On a larger grid, with ``phi`` at u = base + f
+    grid steps (f in [0, 1)), the candidates are placed without ranking:
+    base + 0, +1, -1, +2, -2, ... when f < 1/2, and base + 1, 0, +2, -1,
+    +3, ... when f > 1/2.  A phase whose f lies within a rounding margin of
+    0, 1/2 or 1 (of 1/2 alone for one candidate), where the float
+    distances may tie or swap, or with |phi| above 4*pi, falls back to
+    ranking the window base - count .. base + count + 1 (`_rank`).
     """
     if not np.all(np.isfinite(phi)):
         raise ValueError("phases must be finite")
     n = grid.size
-    # The top-count set is a contiguous arc around phi, so only a small
-    # window of indices ever needs ranking.
     if 2 * count + 2 >= n:
-        ks = np.broadcast_to(np.arange(n), phi.shape + (n,))
-    else:
-        # x % (2*pi) is x itself on [0, 2*pi), where `decompose` puts nearly
-        # every phase, so only the phases outside are reduced; n is a power
-        # of two, so & (n - 1) wraps the window as % n does.
-        reduced = np.remainder(phi, TWO_PI, out=np.array(phi, dtype=float),
-                               where=(phi < 0.0) | (phi >= TWO_PI))
-        base = (reduced / grid.step).astype(np.int64)
-        ks = (base[..., None] + np.arange(-count, count + 2)) & (n - 1)
+        return _rank(phi, np.broadcast_to(np.arange(n), phi.shape + (n,)),
+                     grid, count)
+    # x % (2*pi) is x itself on [0, 2*pi), where `decompose` puts nearly
+    # every phase, so only the phases outside are reduced; n is a power of
+    # two, so & (n - 1) wraps an index as % n does.
+    reduced = np.remainder(phi, TWO_PI, out=np.array(phi, dtype=float),
+                           where=(phi < 0.0) | (phi >= TWO_PI))
+    u = reduced / grid.step
+    base = u.astype(np.int64)
+    f = u - base
+    # Exactly, with s = step = T/n for the float T = 2*pi (exact, as n is a
+    # power of two), phase k sits k*s on the circle of length T, and window
+    # offset d is |d - f| steps from phi.  Offsets ordered by that distance
+    # differ by 2f, |1 - 2f| or 2(1 - f) steps, so the placement below is
+    # the exact order whenever f is off 0, 1/2 and 1.  The reference rounds
+    # five times on values below 32 when |phi| <= 4*pi: k*s (below 8, at
+    # most 2^-51), minus phi and plus pi (below 32, 2^-49 each), % T (the
+    # fmod is exact, adding T back rounds below 8, 2^-51) and minus pi
+    # (below 4, 2^-52).  So each float distance is within E = 21 * 2^-52
+    # rad of the exact one, which is at most pi - s, so no rounding carries
+    # it across the wrap.  In steps E is below n * 2^-50, and f itself is
+    # off by less than n * 2^-52 (u rounds once, the reduction once).  The
+    # order, and the side of 1/2, are therefore exact when f is more than
+    # n * 2^-49 from 0, 1/2 and 1; the margin keeps 8x of that.
+    # A single candidate is only compared with the runner-up, |1 - 2f| steps
+    # away, so it needs no margin at 0 and 1.
+    margin = n * 2.0**-46
+    g = np.abs(f - 0.5)
+    tie = (g < margin) | (np.abs(phi) > 2 * TWO_PI)
+    if count > 1:
+        tie |= g > 0.5 - margin
+    # Offsets 0, +1, -1, +2, -2, ... from the nearer of base and base + 1,
+    # mirrored when that is base + 1.
+    i = np.arange(count)
+    row = (i + 1) // 2 * np.where(i % 2, 1, -1)
+    up = f > 0.5
+    ks = (base + up)[..., None] + np.where(up[..., None], -row, row)
+    ks &= n - 1
+    if tie.any():
+        window = (base[tie][:, None] + np.arange(-count, count + 2)) & (n - 1)
+        ks[tie] = _rank(phi[tie], window, grid, count)
+    return ks
+
+
+def _rank(phi: np.ndarray, ks: np.ndarray, grid: PhaseGrid,
+          count: int) -> np.ndarray:
+    """The ``count`` indices of ``ks`` ``(..., K)`` nearest each ``phi``,
+    sorted by the float distance and then the smaller index."""
     dist = np.abs((grid.phases[ks] - phi[..., None] + np.pi) % TWO_PI - np.pi)
     order = np.lexsort((ks, dist), axis=-1)
     return np.take_along_axis(ks, order[..., :count], axis=-1)
@@ -372,8 +421,15 @@ def quantize_pesa(w, grid: PhaseGrid) -> np.ndarray:
     Returns unit-modulus weights of the input's shape; the modulus of the
     input is discarded, which is all a single-shifter array can realize.
     """
+    [quantized] = _quantize_pesa(w, [grid])
+    return quantized
+
+
+def _quantize_pesa(w, grids) -> list[np.ndarray]:
+    """`quantize_pesa` of ``w`` on each grid of ``grids``; the phases of
+    ``w`` do not depend on the grid, so they are computed once."""
     w = np.asarray(w, dtype=complex)
     if np.any(w == 0):
         raise ValueError("zero weights have no phase to quantize")
     phase = _map(math.atan2, w.imag, w.real)
-    return grid.phasors[_nearest(phase, grid, 1)[..., 0]]
+    return [grid.phasors[_nearest(phase, grid, 1)[..., 0]] for grid in grids]

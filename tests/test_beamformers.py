@@ -94,6 +94,12 @@ def test_mvdr_rejects_nonpositive_gamma():
         mvdr_beamformer(cfg, scenario, math.inf)
 
 
+def test_mvdr_requires_a_gamma():
+    scenario = TargetScenario((6.0, 29.0))
+    with pytest.raises(ValueError, match="^MVDR needs a gamma, got None$"):
+        mvdr_beamformer(ArrayConfig(8, 0.5), scenario, None)
+
+
 def test_mvdr_bounds_n_squared_before_building_arrays(monkeypatch):
     # A lowered bound stands in for a huge N: 9 x 9 exceeds 64 entries, and
     # the check must run before any steering vector or matrix is built.

@@ -88,6 +88,13 @@ def test_decompose_rejects_large_amplitude():
     decompose(2.0 + 1e-13)
 
 
+@pytest.mark.parametrize("c", [complex("nan"), math.inf, complex(1.0, -math.inf),
+                               complex(math.nan, 1.0), [1.0, math.nan]])
+def test_decompose_rejects_non_finite_weights(c):
+    with pytest.raises(ValueError, match="^weights must be finite$"):
+        decompose(c)
+
+
 def test_recompose_values():
     # The phasor sums of the splits of 2, 0 and 1 + j.
     phi1, phi2 = decompose(2.0)

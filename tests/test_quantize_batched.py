@@ -233,6 +233,85 @@ def test_nearest_window_matches_reference(bits):
             assert row.tolist() == ref.nearest_phases(phi, grid, count).tolist()
 
 
+# `_nearest` places candidates directly unless a phase is within this many
+# radians (n * 2^-46 grid steps) of a grid point or a midpoint.
+PLACEMENT_MARGIN = TWO_PI * 2.0**-46
+SPECIAL_PHASES = [0.0, -0.0, TWO_PI, np.nextafter(TWO_PI, 0.0), -1e-300,
+                  2 * TWO_PI, np.nextafter(2 * TWO_PI, np.inf), -2 * TWO_PI,
+                  np.nextafter(-2 * TWO_PI, -np.inf), 1e18, -1e18, 1e300,
+                  -1e300]
+
+
+def _near_ties(grid, k):
+    """The grid points and midpoints of the indices ``k``, their float
+    neighbours, and the phases 0.5, 1 and 2 placement margins from them."""
+    anchors = np.concatenate([k * grid.step, (k + 0.5) * grid.step])
+    phis = [anchors, np.nextafter(anchors, -np.inf),
+            np.nextafter(anchors, np.inf)]
+    for scale in (0.5, 1.0, 2.0):
+        phis += [anchors - scale * PLACEMENT_MARGIN,
+                 anchors + scale * PLACEMENT_MARGIN]
+    return np.concatenate(phis)
+
+
+@pytest.mark.parametrize("bits", range(4, 15))
+def test_nearest_placement_matches_reference_in_order(bits):
+    # Near-ties on both sides of 0 and 2*pi and of the 4*pi bound of the
+    # placement, and huge phases; at bits 4 counts 7 and 8 rank the whole
+    # grid, so the boundary between the two branches is crossed.
+    grid = PhaseGrid(bits)
+    rng = np.random.default_rng([bits, 16])
+    k = np.concatenate([[0, 1, grid.size // 2, grid.size - 1],
+                        rng.integers(0, grid.size, 8)])
+    phis = _near_ties(grid, k)
+    phis = np.concatenate([phis, -phis, phis - TWO_PI, phis + TWO_PI,
+                           SPECIAL_PHASES])
+    for count in range(1, 9):
+        got = _nearest(phis, grid, count)
+        for phi, row in zip(phis.tolist(), got):
+            assert row.tolist() == ref.nearest_phases(phi, grid, count).tolist()
+
+
+@settings(max_examples=300, deadline=None)
+@given(bits=st.integers(4, 14), count=st.integers(1, 8), data=st.data())
+def test_nearest_property_matches_reference_around_ties(bits, count, data):
+    grid = PhaseGrid(bits)
+    k = data.draw(st.integers(0, grid.size - 1))
+    anchor = (k + data.draw(st.sampled_from([0.0, 0.5]))) * grid.step
+    shift = data.draw(st.sampled_from([0.0, -TWO_PI, TWO_PI]))
+    offset = data.draw(st.floats(-4.0, 4.0)) * PLACEMENT_MARGIN
+    phis = np.array([anchor + offset + shift, -(anchor + offset)])
+    got = _nearest(phis, grid, count)
+    for phi, row in zip(phis.tolist(), got):
+        assert row.tolist() == ref.nearest_phases(phi, grid, count).tolist()
+
+
+def test_nearest_ranks_the_window_only_near_ties(monkeypatch):
+    ranked = []
+    rank = dps_quantize._rank
+
+    def recording_rank(phi, ks, grid, count):
+        ranked.append(np.array(phi).tolist())
+        return rank(phi, ks, grid, count)
+
+    monkeypatch.setattr(dps_quantize, "_rank", recording_rank)
+    grid = PhaseGrid(8)
+    k = np.arange(grid.size)
+    generic = np.concatenate([(k + f) * grid.step for f in (0.1, 0.3, 0.7, 0.9)])
+    points, midpoints = k * grid.step, (k + 0.5) * grid.step
+    huge = [5 * math.pi, -1e18]
+    for count in (1, 3):
+        _nearest(generic, grid, count)
+    assert ranked == []
+    phis = np.concatenate([generic, points, midpoints, huge])
+    _nearest(phis, grid, 3)
+    assert ranked == [np.concatenate([points, midpoints, huge]).tolist()]
+    # A single candidate ties only at midpoints.
+    ranked.clear()
+    _nearest(phis, grid, 1)
+    assert ranked == [np.concatenate([midpoints, huge]).tolist()]
+
+
 def _row(dps, index):
     return type(dps)(dps.grid, dps.pairs[index].copy(), dps.realized[index].copy())
 
