@@ -9,6 +9,7 @@ only the steering functions convert them, right before the sine.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -85,16 +86,19 @@ def _as_weights(config: ArrayConfig, w) -> np.ndarray:
     return w
 
 
-def steering_vector(config: ArrayConfig, angle_deg: float) -> np.ndarray:
+def steering_vector(config: ArrayConfig, angle_deg) -> np.ndarray:
     """Steering vector for a plane wave toward ``angle_deg`` degrees.
 
     Entry ``n`` is ``exp(1j * 2*pi * n * d/lambda * sin(theta))`` with
     ``theta`` the angle in radians; entry 0 is exactly 1 and all entries
-    have unit modulus.
+    have unit modulus.  An array of angles ``(...)`` gives one vector per
+    angle, ``(..., N)``, each equal bit for bit to its scalar call (unlike
+    `steering_matrix`, whose product is taken in another order).
     """
-    theta = np.radians(_check_angles(float(angle_deg)))
+    theta = np.radians(_check_angles(angle_deg))
     n = np.arange(config.n_antennas)
-    return np.exp(1j * TWO_PI * n * config.spacing_wavelengths * np.sin(theta))
+    return np.exp(1j * TWO_PI * n * config.spacing_wavelengths
+                  * np.sin(theta)[..., None])
 
 
 def steering_matrix(config: ArrayConfig, angles_deg) -> np.ndarray:
@@ -162,46 +166,65 @@ def levels_db(config: ArrayConfig, w, angles_deg,
     Equal, bit for bit, to ``beampattern_trace(config, w, step_deg,
     floor_db).power_db[..., idx]`` with ``idx`` the index of the closest
     grid point to each angle (the first one on a tie).  ``w`` has shape
-    ``(..., N)``; the result ``(..., K)``.  The angles must lie in
-    [-90, 90] degrees.
+    ``(..., N)``; with angles ``(K,)`` the result is ``(..., K)``.  Angles
+    ``(T, K)`` give each of T blocks its own: ``w`` is then ``(T, ..., N)``
+    and block t is read at ``angles_deg[t]``, as one call per block would
+    read it.  The angles must lie in [-90, 90] degrees.
 
     The peak is found in two passes instead of over the whole grid.  The
     first computes the powers at every `PEAK_COARSE_ROWS`-th grid point and
-    the last one.  Between two neighbouring points a < b of that pass, with
-    u = sin(angle), the field magnitude of a vector is at most
-    ``(|F(a)| + |F(b)| + lip * (u_b - u_a)) / 2``, where ``lip`` is
-    ``2*pi*d * sum(|n - (N-1)/2| * |w_n|)``.  The second pass computes the
-    K target points and every point between a and b where, for some
-    vector of the stack, that bound is within rounding of the vector's
-    first-pass peak.  Each power comes from a matrix-vector product over a
-    subset of at least two of the grid's rows, so the peak is the whole
-    grid's peak bit for bit only if such a product equals the same rows of
-    the whole-grid product.  That is probed once per geometry
+    the last one, for every block at once.  Between two neighbouring points
+    a < b of that pass, with u = sin(angle), the field magnitude of a
+    vector is at most ``(|F(a)| + |F(b)| + lip * (u_b - u_a)) / 2``, where
+    ``lip`` is ``2*pi*d * sum(|n - (N-1)/2| * |w_n|)``.  The second pass
+    computes, per block, its K target points and every point between a and
+    b where, for some vector of the block, that bound is within rounding of
+    the vector's first-pass peak.  Each power comes from a matrix-vector
+    product over a subset of at least two of the grid's rows, so the peak
+    is the whole grid's peak bit for bit only if such a product equals the
+    same rows of the whole-grid product.  That is probed once per geometry
     (`_subset_rows_exact`); where it fails, the whole grid is computed.
     """
     w = _as_weights(config, w)
     step_deg = float(step_deg)
     grid_deg, response = _grid_response(config, step_deg)
-    idx = _grid_index(grid_deg, angles_deg)
+    angles_deg = np.asarray(angles_deg, dtype=float)
+    if angles_deg.ndim == 2:
+        if w.ndim < 2 or w.shape[0] != len(angles_deg):
+            raise ValueError(f"angles of {len(angles_deg)} blocks need weights "
+                             f"(T, ..., N) with T = {len(angles_deg)}, got "
+                             f"shape {w.shape}")
+        idx = _grid_index(grid_deg, angles_deg).reshape(angles_deg.shape)
+        blocks = w.reshape(len(w), math.prod(w.shape[1:-1]), w.shape[-1])
+    else:
+        idx = _grid_index(grid_deg, angles_deg)[None]
+        blocks = w.reshape(1, math.prod(w.shape[:-1]), w.shape[-1])
+    shape = w.shape[:-1] + idx.shape[-1:]
     if not _subset_rows_exact(config, step_deg):
         _, power, peak = _grid_powers(config, w, step_deg)
-        return _normalized_db(power[..., idx], peak, floor_db)
+        levels = _normalized_db(power, peak, floor_db)
+        return np.take_along_axis(levels.reshape(blocks.shape[:-1] + (-1,)),
+                                  idx[:, None], axis=-1).reshape(shape)
 
     # A one-row product takes numpy's dot path and rounds differently: the
     # coarse rows include both grid endpoints, and a lone second-pass row is
     # computed twice.
     coarse = _coarse_rows(grid_deg.size)
-    magnitude = np.abs(_field(response[coarse], w))
-    fine = _rows_to_refine(config, w, np.sin(np.radians(grid_deg[coarse])),
+    magnitude = np.abs(_field(response[coarse], blocks))
+    fine = _rows_to_refine(config, blocks, np.sin(np.radians(grid_deg[coarse])),
                            coarse, magnitude)
-    rows = np.concatenate((fine, idx))
-    if rows.size == 1:
-        rows = np.repeat(rows, 2)
-    power = np.abs(_field(response[rows], w)) ** 2
-    peak = np.maximum((magnitude**2).max(axis=-1, keepdims=True),
-                      power.max(axis=-1, keepdims=True, initial=0.0))
-    return _normalized_db(power[..., fine.size:fine.size + idx.size], peak,
-                          floor_db)
+    peak = (magnitude**2).max(axis=-1, keepdims=True)
+    power = np.empty(blocks.shape[:-1] + idx.shape[-1:])
+    for t, rows in enumerate(fine):
+        at = slice(rows.size, rows.size + idx.shape[-1])
+        rows = np.concatenate((rows, idx[t]))
+        if rows.size == 1:
+            rows = np.repeat(rows, 2)
+        block = np.abs(_field(response[rows], blocks[t])) ** 2
+        peak[t] = np.maximum(peak[t], block.max(axis=-1, keepdims=True,
+                                                initial=0.0))
+        power[t] = block[..., at]
+    return _normalized_db(power, peak, floor_db).reshape(shape)
 
 
 def _coarse_rows(points: int) -> np.ndarray:
@@ -212,11 +235,12 @@ def _coarse_rows(points: int) -> np.ndarray:
 
 
 def _rows_to_refine(config: ArrayConfig, w: np.ndarray, sines: np.ndarray,
-                    rows: np.ndarray, magnitude: np.ndarray) -> np.ndarray:
-    """Grid indices between the sorted ``rows``, which include 0, whose
-    field magnitude may exceed the largest of ``magnitude`` ``(..., R)``,
-    the computed magnitudes of ``w`` at ``rows``, for some vector of the
-    stack; ``sines`` holds sin(angle) at ``rows``."""
+                    rows: np.ndarray, magnitude: np.ndarray) -> list:
+    """Per block of ``w`` ``(T, V, N)``, the grid indices between the
+    sorted ``rows``, which include 0, whose field magnitude may exceed the
+    largest of ``magnitude`` ``(T, V, R)``, the computed magnitudes of ``w``
+    at ``rows``, for some vector of the block; ``sines`` holds sin(angle)
+    at ``rows``."""
     n = config.n_antennas
     d = config.spacing_wavelengths
     abs_w = np.abs(w)
@@ -229,12 +253,11 @@ def _rows_to_refine(config: ArrayConfig, w: np.ndarray, sines: np.ndarray,
     slack = 1e-9 * top + 16 * n * (1 + TWO_PI * d) * eps * abs_w.sum(axis=-1)
     bound = (magnitude[..., :-1] + magnitude[..., 1:]
              + lip[..., None] * np.diff(sines)) / 2
-    keep = bound > (top - slack)[..., None]
-    keep = keep.reshape(-1, rows.size - 1).any(axis=0)
+    keep = (bound > (top - slack)[..., None]).any(axis=-2)
     # Index g with rows[k] < g <= rows[k + 1] lies in interval k.
-    inside = np.repeat(keep, np.diff(rows))
-    inside[rows[1:] - 1] = False
-    return 1 + np.flatnonzero(inside)
+    inside = np.repeat(keep, np.diff(rows), axis=-1)
+    inside[:, rows[1:] - 1] = False
+    return [1 + np.flatnonzero(block) for block in inside]
 
 
 def _grid_index(grid_deg: np.ndarray, angles_deg) -> np.ndarray:
@@ -261,21 +284,34 @@ def _field(response: np.ndarray, w: np.ndarray) -> np.ndarray:
 
 @functools.lru_cache(maxsize=8)
 def _subset_rows_exact(config: ArrayConfig, step_deg: float) -> bool:
-    """Whether, with the BLAS in use, the field of a probe vector over
-    subsets of at least two rows of the cached response equals the same
-    rows of the field over the whole response; `levels_db` relies on it."""
+    """Whether, with the BLAS in use, the field over subsets of at least two
+    rows of the cached response equals the same rows of the field over the
+    whole response, in every call shape `levels_db` uses: one probe vector
+    against several row sets, a stack of blocks ``(T, V, N)`` against the
+    coarse rows, and each block against its own gathered rows."""
     _, response = _grid_response(config, step_deg)
     points = len(response)
     n = np.arange(config.n_antennas)
-    probe = (1.0 + n) * np.exp(1j * (0.7 * n + 0.3 * n**2))
-    full = _field(response, probe)
+    probes = (1.0 + n) * np.exp(1j * (0.7 * n + 0.3 * n**2
+                                      + np.arange(6).reshape(2, 3, 1)))
+    full = _field(response, probes)
     every = np.arange(points)
+    coarse = _coarse_rows(points)
     # Row counts of every remainder mod 4, at several row alignments.
-    subsets = (_coarse_rows(points), every[1::7], every[points // 2:],
-               every[-2:], every[:3], every[points // 3:points // 3 + 4],
-               every[1::2])
-    return all(np.array_equal(_field(response[rows], probe), full[rows])
-               for rows in subsets if rows.size >= 2)
+    subsets = (coarse, every[1::7], every[points // 2:], every[-2:],
+               every[:3], every[points // 3:points // 3 + 4], every[1::2])
+    # A block's fine rows, then its target rows, in no particular order.
+    gathered = (np.concatenate((every[points // 4:points // 2],
+                                every[[-1, 0, points // 2]])),
+                np.concatenate((every[1::5], every[[points // 3, 0]])))
+    return (all(np.array_equal(_field(response[rows], probes[0, 0]),
+                               full[0, 0, rows])
+                for rows in subsets if rows.size >= 2)
+            and np.array_equal(_field(response[coarse], probes),
+                               full[..., coarse])
+            and all(np.array_equal(_field(response[rows], block),
+                                   block_full[..., rows])
+                    for rows, block, block_full in zip(gathered, probes, full)))
 
 
 def _grid_powers(config: ArrayConfig, w, step_deg: float):

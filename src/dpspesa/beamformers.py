@@ -84,6 +84,19 @@ def mvdr_beamformer(config: ArrayConfig, scenario: TargetScenario,
     ndarray
         Complex weights of length ``config.n_antennas``.
     """
+    [w] = _mvdr(config, [scenario.target_angles_deg],
+                [scenario.desired_index], gamma)
+    return w
+
+
+def _mvdr(config: ArrayConfig, angles_deg, desired, gamma: float) -> np.ndarray:
+    """`mvdr_beamformer` weights ``(T, N)`` of T scenarios: target angles
+    ``(T, K)`` and desired indices ``(T,)``.
+
+    One batched product builds every system matrix; each system is then
+    factored and solved on its own, so every row equals the one-scenario
+    solve bit for bit.
+    """
     if gamma is None:
         raise ValueError("MVDR needs a gamma, got None")
     _check_gamma(gamma)
@@ -93,15 +106,17 @@ def mvdr_beamformer(config: ArrayConfig, scenario: TargetScenario,
             f"a {n} x {n} MVDR matrix exceeds {MAX_GRID_ENTRIES} entries; "
             "use fewer antennas"
         )
-    if scenario.n_targets > n:
+    angles_deg = np.asarray(angles_deg, dtype=float)
+    if angles_deg.shape[-1] > n:
         warnings.warn(
-            f"nulling {scenario.n_targets} targets with only {n} antennas "
+            f"nulling {angles_deg.shape[-1]} targets with only {n} antennas "
             "exceeds the array's degrees of freedom",
-            stacklevel=2,
+            stacklevel=3,
         )
-    a_mat = np.column_stack(
-        [steering_vector(config, t) for t in scenario.target_angles_deg]
-    )
-    lhs = gamma * np.eye(n) + a_mat @ a_mat.conj().T
-    rhs = a_mat[:, scenario.desired_index]
-    return cho_solve(cho_factor(lhs), rhs)
+    # Each A is C-ordered with the steering vectors as columns, as
+    # np.column_stack builds it, so each product takes the same BLAS call.
+    a_mat = np.ascontiguousarray(
+        steering_vector(config, angles_deg).swapaxes(-1, -2))
+    lhs = gamma * np.eye(n) + a_mat @ a_mat.conj().swapaxes(-1, -2)
+    rhs = a_mat[np.arange(len(a_mat)), :, desired]
+    return np.stack([cho_solve(cho_factor(m), b) for m, b in zip(lhs, rhs)])

@@ -148,21 +148,18 @@ def _nearest(phi: np.ndarray, grid: PhaseGrid, count: int) -> np.ndarray:
 
     ``count`` must not exceed the grid size.  Sorted by distance ascending,
     ties broken by the smaller index, where the distance is the float
-    ``|(phase - phi + pi) % 2pi - pi|``.  A grid of at most 2*count + 2
-    phases is ranked whole.  On a larger grid, with ``phi`` at u = base + f
-    grid steps (f in [0, 1)), the candidates are placed without ranking:
-    base + 0, +1, -1, +2, -2, ... when f < 1/2, and base + 1, 0, +2, -1,
-    +3, ... when f > 1/2.  A phase whose f lies within a rounding margin of
-    0, 1/2 or 1 (of 1/2 alone for one candidate), where the float
-    distances may tie or swap, or with |phi| above 4*pi, falls back to
-    ranking the window base - count .. base + count + 1 (`_rank`).
+    ``|(phase - phi + pi) % 2pi - pi|``.  With ``phi`` at u = base + f grid
+    steps (f in [0, 1)), the candidates are placed without ranking: base +
+    0, +1, -1, +2, -2, ... when f < 1/2, and base + 1, 0, +2, -1, +3, ...
+    when f > 1/2.  A phase whose f lies within a rounding margin of 0, 1/2
+    or 1 (of 1/2 alone for one candidate), where the float distances may
+    tie or swap, or with |phi| above 4*pi, falls back to ranking (`_rank`)
+    the window base - count .. base + count + 1, or the whole grid when it
+    has at most 2*count + 2 phases.
     """
     if not np.all(np.isfinite(phi)):
         raise ValueError("phases must be finite")
     n = grid.size
-    if 2 * count + 2 >= n:
-        return _rank(phi, np.broadcast_to(np.arange(n), phi.shape + (n,)),
-                     grid, count)
     # x % (2*pi) is x itself on [0, 2*pi), where `decompose` puts nearly
     # every phase, so only the phases outside are reduced; n is a power of
     # two, so & (n - 1) wraps an index as % n does.
@@ -172,21 +169,27 @@ def _nearest(phi: np.ndarray, grid: PhaseGrid, count: int) -> np.ndarray:
     base = u.astype(np.int64)
     f = u - base
     # Exactly, with s = step = T/n for the float T = 2*pi (exact, as n is a
-    # power of two), phase k sits k*s on the circle of length T, and window
-    # offset d is |d - f| steps from phi.  Offsets ordered by that distance
-    # differ by 2f, |1 - 2f| or 2(1 - f) steps, so the placement below is
-    # the exact order whenever f is off 0, 1/2 and 1.  The reference rounds
-    # five times on values below 32 when |phi| <= 4*pi: k*s (below 8, at
-    # most 2^-51), minus phi and plus pi (below 32, 2^-49 each), % T (the
-    # fmod is exact, adding T back rounds below 8, 2^-51) and minus pi
-    # (below 4, 2^-52).  So each float distance is within E = 21 * 2^-52
-    # rad of the exact one, which is at most pi - s, so no rounding carries
-    # it across the wrap.  In steps E is below n * 2^-50, and f itself is
-    # off by less than n * 2^-52 (u rounds once, the reduction once).  The
-    # order, and the side of 1/2, are therefore exact when f is more than
-    # n * 2^-49 from 0, 1/2 and 1; the margin keeps 8x of that.
-    # A single candidate is only compared with the runner-up, |1 - 2f| steps
-    # away, so it needs no margin at 0 and 1.
+    # power of two), phase k sits k*s on the circle of length T.  With e = f
+    # or f - 1, so that phi is e steps from the nearer point p, offset d
+    # from p is |d - e| steps from phi while |d - e| <= n/2, which holds for
+    # every offset placed, up to the antipode n/2 on a grid of at most
+    # 2*count + 2 phases.  Offsets ordered by that distance differ by 2|e|
+    # or 1 - 2|e| steps, so the placement below is the exact order of the
+    # whole grid whenever f is off 0, 1/2 and 1.  The reference rounds five
+    # times on values below 32 when |phi| <= 4*pi: k*s (below 8, at most
+    # 2^-51), minus phi and plus pi (below 32, 2^-49 each), % T (the fmod
+    # is exact, adding T back rounds below 8, 2^-51) and minus pi (below 4,
+    # 2^-52).  So each float distance is within E = 21 * 2^-52 rad of the
+    # exact one, which is at most pi - |e| s.  Off the margin below, |e| s
+    # exceeds E, so no rounding carries a distance across the wrap, not
+    # even the antipode's; for one candidate, which takes no margin at 0,
+    # a distance near pi comes out the same on either side of the wrap, as
+    # the reference takes its absolute value.  In steps E is below
+    # n * 2^-50, and f itself is off by less than n * 2^-52 (u rounds once,
+    # the reduction once).  The order, and the side of 1/2, are therefore
+    # exact when f is more than n * 2^-49 from 0, 1/2 and 1; the margin
+    # keeps 8x of that.  A single candidate is only compared with the
+    # runner-up, 1 - 2|e| steps away, so it needs no margin at 0 and 1.
     margin = n * 2.0**-46
     g = np.abs(f - 0.5)
     tie = (g < margin) | (np.abs(phi) > 2 * TWO_PI)
@@ -200,7 +203,10 @@ def _nearest(phi: np.ndarray, grid: PhaseGrid, count: int) -> np.ndarray:
     ks = (base + up)[..., None] + np.where(up[..., None], -row, row)
     ks &= n - 1
     if tie.any():
-        window = (base[tie][:, None] + np.arange(-count, count + 2)) & (n - 1)
+        if 2 * count + 2 >= n:
+            window = np.broadcast_to(np.arange(n), (tie.sum(), n))
+        else:
+            window = (base[tie][:, None] + np.arange(-count, count + 2)) & (n - 1)
         ks[tie] = _rank(phi[tie], window, grid, count)
     return ks
 

@@ -29,7 +29,7 @@ from .array_model import (
     levels_db,
     steering_vector,
 )
-from .beamformers import TargetScenario, _check_gamma, mvdr_beamformer
+from .beamformers import TargetScenario, _check_gamma, _mvdr, mvdr_beamformer
 from .dps_quantize import (
     MAX_GRID_BITS,
     PhaseGrid,
@@ -236,32 +236,30 @@ def _sweep_block(spec: ScenarioSpec, bits_list, norm_list, trials: range):
     Returns dps errors ``(T, bits, norms)`` and pesa errors ``(T, bits)``,
     scored from `levels_db` at the targets, as clutter runs are.
     """
-    angles, w_ref, w_steer = [], [], []
+    angles, desired = [], []
     for index in trials:
         rng = trial_rng(spec.seed, index)
         drawn = draw_target_angles(rng, count=3)
-        desired = int(rng.integers(drawn.size))
-        scenario = TargetScenario(drawn, desired)
         angles.append(drawn)
-        w_ref.append(mvdr_beamformer(spec.config, scenario, spec.gamma))
-        w_steer.append(steering_vector(spec.config, scenario.desired_angle_deg))
+        desired.append(int(rng.integers(drawn.size)))
+    angles = np.stack(angles)
+    w_ref = _mvdr(spec.config, angles, desired, spec.gamma)
+    steers = steering_vector(spec.config, angles[np.arange(len(angles)), desired])
 
     # Every trial's reference at every norm, normalized once and searched
     # on every grid by one `_search`, which splits it at most once.
     grids = tuple(_sweep_grid(bits) for bits in bits_list)
-    refs = normalize_to_max(np.stack(w_ref)[:, None, :], norm_list)
-    steers = np.stack(w_steer)
+    refs = normalize_to_max(w_ref[:, None, :], norm_list)
     dps = np.stack([d.realized for d in
                     _search(refs, grids, spec.candidates_l)], axis=1)
     pesa = np.stack(_quantize_pesa(steers, grids), axis=1)
 
+    # Per trial: the reference, then pesa per bits, then dps per (bits, norm).
     n_bits, n_norms = len(bits_list), len(norm_list)
-    rms = np.empty((len(trials), n_bits * (1 + n_norms)))
-    for t, w in enumerate(w_ref):
-        # Reference, then pesa per bits, then dps per (bits, norm).
-        stack = np.concatenate([w[None], pesa[t], dps[t].reshape(-1, w.size)])
-        rms[t] = _rms_db(levels_db(spec.config, stack, angles[t],
-                                   spec.grid_step_deg, spec.floor_db))
+    stack = np.concatenate((w_ref[:, None], pesa,
+                            dps.reshape(len(w_ref), -1, w_ref.shape[-1])), axis=1)
+    rms = _rms_db(levels_db(spec.config, stack, angles, spec.grid_step_deg,
+                            spec.floor_db))
     return rms[:, n_bits:].reshape(-1, n_bits, n_norms), rms[:, :n_bits]
 
 

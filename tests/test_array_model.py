@@ -100,6 +100,25 @@ def test_steering_in_degrees_keeps_the_radian_formula_bits(n_antennas, spacing):
     assert np.array_equal(_grid_response(cfg, 0.1)[1], np.exp(1j * phase).conj())
 
 
+@settings(max_examples=100, deadline=None)
+@given(n_antennas=st.integers(1, 40), spacing=st.floats(0.05, 3.0),
+       shape=st.sampled_from([(0,), (1,), (5,), (3, 4), (2, 1, 3)]),
+       data=st.data())
+def test_steering_rows_of_an_angle_array_equal_scalar_calls(n_antennas,
+                                                            spacing, shape,
+                                                            data):
+    cfg = ArrayConfig(n_antennas, spacing)
+    size = math.prod(shape)
+    angles = np.array(data.draw(st.lists(
+        st.floats(-90.0, 90.0) | st.sampled_from([-90.0, -0.0, 0.0, 90.0]),
+        min_size=size, max_size=size))).reshape(shape)
+    rows = steering_vector(cfg, angles)
+    assert rows.shape == shape + (n_antennas,)
+    for index in np.ndindex(shape):
+        assert np.array_equal(rows[index],
+                              steering_vector(cfg, float(angles[index])))
+
+
 def _power_at(config, w, angle_deg):
     tr = beampattern_trace(config, w, 0.1)
     return tr.power_linear[np.argmin(np.abs(tr.angles_deg - angle_deg))]
@@ -278,6 +297,52 @@ def test_levels_equal_the_trace_at_the_nearest_points(n, shape, step, offsets,
     assert np.array_equal(levels, trace.power_db[..., idx])
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(1, 9),
+    shape=st.sampled_from([(1,), (3,), (2, 5), (4, 2, 2)]),
+    step=st.sampled_from([0.1, 0.5, 2.0, 9.0]),
+    count=st.integers(1, 4),
+    data=st.data(),
+)
+def test_levels_of_blocks_equal_one_call_per_block(n, shape, step, count,
+                                                   data):
+    # Weights (T, ..., N) read at angles (T, K): block t at its own angles,
+    # grid points and midpoints among them.
+    size = math.prod(shape) * n
+    mod = np.array(data.draw(st.lists(_moduli, min_size=size, max_size=size)))
+    arg = np.array(data.draw(st.lists(_phases, min_size=size, max_size=size)))
+    w = (mod * np.exp(1j * arg)).reshape(shape + (n,))
+    cfg = ArrayConfig(n, 0.5)
+    grid = angle_grid_deg(step)
+    points = st.integers(0, grid.size - 1).map(lambda i: grid[i])
+    angle = points | points.map(lambda a: min(a + step / 2, 90.0)) | \
+        st.floats(-90.0, 90.0)
+    angles = np.array(data.draw(st.lists(
+        angle, min_size=shape[0] * count, max_size=shape[0] * count)))
+    angles = angles.reshape(shape[0], count)
+    levels = levels_db(cfg, w, angles, step, -60.0)
+    assert levels.shape == shape + (count,)
+    for t in range(shape[0]):
+        assert np.array_equal(levels[t],
+                              levels_db(cfg, w[t], angles[t], step, -60.0))
+
+
+def test_levels_of_sweep_sized_blocks_equal_one_call_per_block(monkeypatch):
+    # Ten blocks of 45 vectors at N=16 on the 0.1-degree grid, each with
+    # its own three angles, as a sweep block scores them: one coarse
+    # product for all blocks, then one product per block.
+    cfg = ArrayConfig(16, 0.5)
+    rng = np.random.default_rng(17)
+    w = np.stack([steering_vector(cfg, a) for a in rng.uniform(-80, 80, 10)])
+    w = w[:, None] * np.exp(0.3j * rng.normal(size=(10, 45, 16)))
+    angles = rng.integers(-85, 86, size=(10, 3)).astype(float)
+    want = np.stack([levels_db(cfg, w[t], angles[t]) for t in range(10)])
+    rows = _count_product_rows(monkeypatch)
+    assert np.array_equal(levels_db(cfg, w, angles), want)
+    assert len(rows) == 11 and rows[0] == 114 and min(rows) >= 2
+
+
 @settings(max_examples=200, deadline=None)
 @given(intervals=st.integers(20, 1800), data=st.data())
 def test_grid_index_equals_the_argmin_over_the_grid(intervals, data):
@@ -328,6 +393,10 @@ def test_levels_contract_errors():
         levels_db(cfg, np.ones(4), [0.0], 0.1, 0.0)
     with pytest.raises(ValueError, match="weights along the last axis"):
         levels_db(cfg, np.ones(3), [0.0])
+    # Angles (T, K) need weights (T, ..., N).
+    for w in (np.ones(4), np.ones((3, 4)), np.ones((3, 2, 4))):
+        with pytest.raises(ValueError, match="angles of 2 blocks"):
+            levels_db(cfg, w, [[0.0], [10.0]])
 
 
 def test_levels_reject_angles_outside_the_grid_span():
@@ -474,6 +543,17 @@ def test_levels_fall_back_to_the_whole_grid_when_the_probe_fails(monkeypatch):
     monkeypatch.setattr(array_model, "_subset_rows_exact", lambda *args: False)
     assert np.array_equal(levels_db(cfg, w, angles), want)
     assert calls == [(2, 16)]
+    # Per-block angles: each block at its own angles, from one whole-grid
+    # pass over every block.
+    blocks = np.stack([w, w[::-1], w * 1j])
+    block_angles = [angles, [-40.0, 12.3], [89.95, -90.0]]
+    monkeypatch.undo()
+    want = [levels_db(cfg, b, a) for b, a in zip(blocks, block_angles)]
+    monkeypatch.setattr(array_model, "_grid_powers", counted)
+    monkeypatch.setattr(array_model, "_subset_rows_exact", lambda *args: False)
+    calls.clear()
+    assert np.array_equal(levels_db(cfg, blocks, block_angles), want)
+    assert calls == [(3, 2, 16)]
 
 
 def test_rms_identical_traces_is_zero():
@@ -500,3 +580,24 @@ def test_rms_index_selection_and_errors():
                       [-7.5, -17.5, -47.5]])
     assert_allclose(_rms_db(stack), [3.872983346207417, 7.5], atol=1e-12)
     assert _rms_db(np.stack([stack, stack[::-1]])).shape == (2, 2)
+
+
+@pytest.mark.parametrize("ndim", [1, 2, 3])
+def test_probe_covers_every_call_shape_of_the_levels(monkeypatch, ndim):
+    # A BLAS whose subset products round differently in one call shape must
+    # fail the probe: one vector (ndim 1), one block against its gathered
+    # rows (2, the second pass) or every block against the coarse rows (3,
+    # the first pass).
+    cfg = ArrayConfig(16, 0.5)
+    _, response = _grid_response(cfg, 0.1)
+    field = array_model._field
+
+    def skewed(rows, w):
+        out = field(rows, w)
+        if len(rows) < len(response) and np.ndim(w) == ndim:
+            out = out * (1 + 2.0**-50)
+        return out
+
+    assert array_model._subset_rows_exact.__wrapped__(cfg, 0.1)
+    monkeypatch.setattr(array_model, "_field", skewed)
+    assert not array_model._subset_rows_exact.__wrapped__(cfg, 0.1)

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy.linalg import cho_factor, cho_solve
 
 from dpspesa import beamformers
 from dpspesa.array_model import (
@@ -11,8 +12,8 @@ from dpspesa.array_model import (
     levels_db,
     steering_vector,
 )
-from dpspesa.beamformers import TargetScenario, mvdr_beamformer
-from dpspesa.experiments import draw_target_angles
+from dpspesa.beamformers import TargetScenario, _mvdr, mvdr_beamformer
+from dpspesa.experiments import draw_target_angles, trial_rng
 
 FIG3_TARGETS = (-47.0, 30.0, 49.0)
 
@@ -114,6 +115,51 @@ def test_mvdr_bounds_n_squared_before_building_arrays(monkeypatch):
     monkeypatch.setattr(np, "eye", forbidden)
     with pytest.raises(ValueError, match="9 x 9 MVDR matrix exceeds 64"):
         mvdr_beamformer(ArrayConfig(9, 0.5), scenario, 0.1)
+
+
+@pytest.mark.parametrize("n_antennas, spacing, gamma", [
+    (16, 0.5, 0.1), (12, 0.37, 0.05), (5, 0.8, 1.0)])
+def test_batched_mvdr_equals_the_inline_solve_bit_for_bit(n_antennas, spacing,
+                                                          gamma):
+    # The sweep's three-target draws, solved per scenario with the steering
+    # vectors stacked as columns, as the solver was written before it took
+    # blocks of scenarios.
+    cfg = ArrayConfig(n_antennas, spacing)
+    n = np.arange(n_antennas)
+    angles, desired = [], []
+    for index in range(300):
+        rng = trial_rng(11, index)
+        angles.append(draw_target_angles(rng, count=3))
+        desired.append(int(rng.integers(3)))
+    angles = np.stack(angles)
+    got = _mvdr(cfg, angles, desired, gamma)
+    assert got.shape == (300, n_antennas)
+    for t, k in enumerate(desired):
+        a_mat = np.column_stack([
+            np.exp(1j * 2.0 * np.pi * n * spacing * np.sin(np.radians(a)))
+            for a in angles[t].tolist()])
+        lhs = gamma * np.eye(n_antennas) + a_mat @ a_mat.conj().T
+        want = cho_solve(cho_factor(lhs), a_mat[:, k])
+        assert np.array_equal(got[t], want)
+        scenario = TargetScenario(angles[t], k)
+        assert np.array_equal(mvdr_beamformer(cfg, scenario, gamma), want)
+
+
+def test_batched_mvdr_checks_like_the_one_scenario_solve(monkeypatch):
+    cfg = ArrayConfig(4, 0.5)
+    angles = [[-46.0, -23.0, 0.0, 23.0, 46.0], [-40.0, -20.0, 0.0, 20.0, 40.0]]
+    with pytest.warns(UserWarning, match="nulling 5 targets"):
+        assert _mvdr(cfg, angles, [0, 3], 0.1).shape == (2, 4)
+    for gamma, message in ((None, "needs a gamma"), (0.0, "strictly positive"),
+                           (math.inf, "finite")):
+        with pytest.raises(ValueError, match=message):
+            _mvdr(cfg, angles, [0, 3], gamma)
+    with pytest.raises(np.linalg.LinAlgError):
+        _mvdr(ArrayConfig(16, 0.5), [[0.0, 30.0, 50.0]], [0], 1e-30)
+    monkeypatch.setattr(beamformers, "MAX_GRID_ENTRIES", 8)
+    monkeypatch.setattr(beamformers, "steering_vector", None)
+    with pytest.raises(ValueError, match="3 x 3 MVDR matrix exceeds 8"):
+        _mvdr(ArrayConfig(3, 0.5), [[0.0, 30.0]], [0], 0.1)
 
 
 def test_mvdr_warns_when_targets_exceed_antennas():

@@ -316,6 +316,14 @@ def test_clutter_ill_conditioned_solve(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "ill-conditioned solve" in err and "increase --gamma" in err
     assert "usage error" not in err
+    # The sweep solves a block of trials at once; a failing solve still ends
+    # the run the same way, before anything is written.
+    out = tmp_path / "sweep"
+    assert run_cli(["sweep", "--bits=2", "--trials=3", "--gamma=1e-30",
+                    f"--out={out}"]) == 2
+    err = capsys.readouterr().err
+    assert "ill-conditioned solve" in err and "usage error" not in err
+    assert not out.exists()
 
 
 def test_sweep_csv_layout(tmp_path):

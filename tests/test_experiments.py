@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from dpspesa import array_model, dps_quantize
+from dpspesa import array_model, dps_quantize, experiments
 from dpspesa.array_model import (
     ArrayConfig,
     angle_grid_deg,
@@ -308,6 +308,28 @@ def test_sweep_block_equals_trace_based_scoring(monkeypatch):
                     ref, beampattern_trace(spec.config, dps, 0.5, -70.0), at)
     assert np.array_equal(rms_dps, want_dps)
     assert np.array_equal(rms_pesa, want_pesa)
+
+
+@pytest.mark.parametrize("trials", [1, 10, 64])
+def test_sweep_block_solves_and_scores_in_one_pass(monkeypatch, trials):
+    # One MVDR solve, one level pass and one RMS pass per block, whatever its
+    # trial count: no per-trial loop around any of them.
+    spec = ScenarioSpec(config=CFG, gamma=0.1, seed=5)
+    calls = []
+
+    def spy(name, fn):
+        def recorded(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(experiments, name, recorded)
+
+    for name in ("_mvdr", "mvdr_beamformer", "levels_db", "_rms_db",
+                 "steering_vector"):
+        spy(name, getattr(experiments, name))
+    rms_dps, rms_pesa = _sweep_block(spec, (2, 5), (1.0, 2.0), range(trials))
+    assert rms_dps.shape == (trials, 2, 2) and rms_pesa.shape == (trials, 2)
+    assert sorted(calls) == ["_mvdr", "_rms_db", "levels_db",
+                             "steering_vector"]
 
 
 def test_monte_carlo_worker_count_invariance():

@@ -272,6 +272,43 @@ def test_nearest_placement_matches_reference_in_order(bits):
             assert row.tolist() == ref.nearest_phases(phi, grid, count).tolist()
 
 
+@pytest.mark.parametrize("bits", range(1, 5))
+def test_nearest_on_small_grids_matches_whole_grid_ranking(monkeypatch, bits):
+    # Every count below the grid size, including those whose placement runs
+    # to the antipode (2L + 2 >= n): grid points, midpoints, their float
+    # neighbours and their +-10^-k neighbours, on both sides of 0, 2*pi and
+    # 4*pi, against `_rank` over the whole grid.
+    grid = PhaseGrid(bits)
+    k = np.arange(grid.size)
+    anchors = np.concatenate([k * grid.step, (k + 0.5) * grid.step])
+    phis = [anchors, np.nextafter(anchors, -np.inf),
+            np.nextafter(anchors, np.inf)]
+    for e in range(1, 17):
+        phis += [anchors - 10.0**-e, anchors + 10.0**-e]
+    phis = np.concatenate(phis)
+    phis = np.concatenate([phis, -phis, phis - TWO_PI, phis + TWO_PI,
+                           SPECIAL_PHASES[:9]])
+    generic = np.concatenate([(k + f) * grid.step for f in (0.1, 0.3, 0.7)])
+    rank = dps_quantize._rank
+    ranked = []
+
+    def recording_rank(phi, ks, grid, count):
+        ranked.append(phi.size)
+        return rank(phi, ks, grid, count)
+
+    monkeypatch.setattr(dps_quantize, "_rank", recording_rank)
+    for count in range(1, grid.size):
+        want = rank(phis, np.broadcast_to(k, phis.shape + (grid.size,)), grid,
+                    count)
+        assert np.array_equal(_nearest(phis, grid, count), want)
+        # Phases off the near-ties are placed, not ranked.
+        ranked.clear()
+        want = rank(generic, np.broadcast_to(k, generic.shape + (grid.size,)),
+                    grid, count)
+        assert np.array_equal(_nearest(generic, grid, count), want)
+        assert ranked == []
+
+
 @settings(max_examples=300, deadline=None)
 @given(bits=st.integers(4, 14), count=st.integers(1, 8), data=st.data())
 def test_nearest_property_matches_reference_around_ties(bits, count, data):
