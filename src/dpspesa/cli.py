@@ -6,10 +6,12 @@ experiment), ``clutter`` (multi-target clutter-reduction experiment),
 candidate search against the exhaustive oracle).
 
 Angles are degrees, as everywhere in the package; one that is not finite
-or lies outside [-90, 90] is a usage error.  Scenario values may come
+or lies outside [-90, 90] is a usage error.  Each subcommand takes only
+the flags its handler reads, spelled in full.  Scenario values may come
 from a ``key=value`` config file (``--config``) whose keys name flags;
 inline flags win on conflict, and ``DPS_SEED`` overrides the built-in
-default seed.  Exit codes: 0 success, 1 I/O failure, 2 usage, 3 validation
+default seed.  `_resolve` parses and checks every value, whatever its
+source.  Exit codes: 0 success, 1 I/O failure, 2 usage, 3 validation
 failure.
 
 `build_parser` returns one parser shared by every call in the process;
@@ -194,18 +196,17 @@ def _out_dir(args) -> str:
     return out
 
 
-def _scenario_common(args, with_bits: bool = True) -> dict:
+def _scenario_common(args, swept: bool = False) -> dict:
     common = {
         "config": ArrayConfig(_resolve(args, "antennas", int),
                               _resolve(args, "spacing", float)),
         "candidates_l": _resolve(args, "candidates", int),
-        "norm_target": _resolve(args, "norm", float),
         "grid_step_deg": _resolve(args, "grid_step", float),
         "floor_db": _resolve(args, "floor_db", float),
-        "seed": _resolve(args, "seed", int),
     }
-    if with_bits:
+    if not swept:  # the sweep resolves its own bits and norms
         common["bits"] = _resolve(args, "bits", int)
+        common["norm_target"] = _resolve(args, "norm", float)
     # The grid bound, checked before any steering vector or O(N^2) solve.
     _grid_points(common["grid_step_deg"], common["config"].n_antennas)
     return common
@@ -227,6 +228,8 @@ def cmd_pattern(args) -> int:
     common = _scenario_common(args)
     config = common["config"]
     kind = str(_resolve(args, "beamformer"))
+    if kind not in ("steering", "mvdr", "dps", "pesa-quantized"):
+        raise UsageError(f"unknown beamformer {kind!r}")
     targets = _resolve(args, "targets", _parse_float_list)
     desired = _resolve(args, "desired", float)
     gamma = _resolve(args, "gamma", float)
@@ -249,11 +252,9 @@ def cmd_pattern(args) -> int:
             else steering_vector(config, targets[idx])
         w = approximate(w, PhaseGrid(common["bits"]), common["candidates_l"],
                         common["norm_target"]).realized
-    elif kind == "pesa-quantized":
+    else:
         w = quantize_pesa(steering_vector(config, targets[idx]),
                           PhaseGrid(common["bits"]))
-    else:
-        raise UsageError(f"unknown beamformer {kind!r}")
 
     trace = beampattern_trace(config, w, common["grid_step_deg"],
                               common["floor_db"])
@@ -265,6 +266,7 @@ def cmd_pattern(args) -> int:
 
 def cmd_single(args) -> int:
     common = _scenario_common(args)
+    common["seed"] = _resolve(args, "seed", int)
     targets = _resolve(args, "targets", _parse_float_list)
     if targets is None:
         rng = trial_rng(common["seed"], 0)
@@ -320,7 +322,8 @@ def cmd_clutter(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    common = _scenario_common(args, with_bits=False)
+    common = _scenario_common(args, swept=True)
+    common["seed"] = _resolve(args, "seed", int)
     bits_sweep = _resolve(args, "bits", _parse_bits_sweep)
     norm_sweep = _resolve(args, "norms", _parse_float_list)
     trials = _resolve(args, "trials", int)
@@ -392,68 +395,62 @@ def _help(command: str, key: str, text: str) -> str:
         return text
     if isinstance(value, float):
         value = format(value, "g")
+    if key == "seed":
+        value = f"$DPS_SEED or {value}"
     return f"{text} (default {value})"
 
 
 @functools.lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
-        prog="dpspesa",
+        prog="dpspesa", allow_abbrev=False,
         description="Double-phase-shifter PESA beamforming experiments",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_parser(command, help):
-        p = sub.add_parser(command, help=help)
-
-        def add(*flags, help, **kwargs):
-            # The flag's dest is its `DEFAULTS` key.
-            key = flags[-1].lstrip("-").replace("-", "_")
-            p.add_argument(*flags, help=_help(command, key, help), **kwargs)
-
+    # Help text per `DEFAULTS` key, or per (subcommand, key) where it differs.
+    helps = {
+        "antennas": "array elements",
+        "spacing": "element spacing in wavelengths",
+        "bits": "phase shifter bits",
+        "candidates": "top-L candidate phases per shifter",
+        "norm": "normalization target in (0, 2]",
+        "grid_step": "angle grid step in degrees",
+        "floor_db": "dB clamp for normalized patterns",
+        "seed": "RNG seed",
+        "out": "output directory",
+        "beamformer": "weight source: steering, mvdr, dps or pesa-quantized",
+        "targets": "comma-separated target angles in degrees",
+        ("single", "targets"): "target angle in degrees (default: random)",
+        "desired": "desired target angle in degrees",
+        "gamma": "null-depth regularizer",
+        "norms": "comma-separated normalization targets",
+        "trials": "trials per combination",
+        ("oracle-check", "trials"): "random weights to check",
+        "workers": "parallel trial workers, at most the CPU count",
+    }
+    scenario = "antennas spacing bits candidates grid_step floor_db"
+    # Each subcommand's handler, help line and the keys its handler reads,
+    # one flag each; argparse only collects text, `_resolve` parses it.
+    for command, func, help, keys in (
+        ("pattern", cmd_pattern, "write one beampattern CSV",
+         f"{scenario} norm out beamformer targets desired gamma"),
+        ("single", cmd_single, "single-target tracking experiment",
+         f"{scenario} norm seed out targets"),
+        ("clutter", cmd_clutter, "multi-target clutter-reduction experiment",
+         f"{scenario} norm out targets desired gamma"),
+        ("sweep", cmd_sweep, "Monte-Carlo sweep over bits and norms",
+         f"{scenario} seed out norms trials gamma workers"),
+        ("oracle-check", cmd_oracle_check,
+         "compare the candidate search to the exhaustive oracle",
+         "bits seed trials"),
+    ):
+        p = sub.add_parser(command, help=help, allow_abbrev=False)
+        p.set_defaults(func=func)
         p.add_argument("--config", help="key=value scenario file; inline flags win")
-        add("--antennas", type=int, help="array elements")
-        add("--spacing", type=float, help="element spacing in wavelengths")
-        add("--bits", help="phase shifter bits")
-        add("-L", "--candidates", type=int,
-            help="top-L candidate phases per shifter")
-        add("--norm", type=float, help="normalization target in (0, 2]")
-        add("--grid-step", type=float, help="angle grid step in degrees")
-        add("--floor-db", type=float, help="dB clamp for normalized patterns")
-        p.add_argument("--seed", type=int,
-                       help=f"RNG seed (default $DPS_SEED or {DEFAULTS['seed']})")
-        add("--out", help="output directory")
-        return p, add
-
-    p, add = add_parser("pattern", help="write one beampattern CSV")
-    add("--beamformer", choices=["steering", "mvdr", "dps", "pesa-quantized"],
-        help="weight source")
-    add("--targets", help="comma-separated target angles in degrees")
-    add("--desired", type=float, help="desired target angle in degrees")
-    add("--gamma", type=float, help="null-depth regularizer")
-    p.set_defaults(func=cmd_pattern)
-
-    p, add = add_parser("single", help="single-target tracking experiment")
-    p.add_argument("--targets", help="target angle in degrees (default: random)")
-    p.set_defaults(func=cmd_single)
-
-    p, add = add_parser("clutter", help="multi-target clutter-reduction experiment")
-    add("--targets", help="comma-separated target angles in degrees")
-    add("--desired", type=float, help="desired target angle in degrees")
-    add("--gamma", type=float, help="null-depth regularizer")
-    p.set_defaults(func=cmd_clutter)
-
-    p, add = add_parser("sweep", help="Monte-Carlo sweep over bits and norms")
-    add("--norms", help="comma-separated normalization targets")
-    add("--trials", type=int, help="trials per combination")
-    add("--gamma", type=float, help="null-depth regularizer")
-    add("--workers", type=int, help="parallel trial workers, at most the CPU count")
-    p.set_defaults(func=cmd_sweep)
-
-    p, add = add_parser("oracle-check",
-                        help="compare the candidate search to the exhaustive oracle")
-    add("--trials", type=int, help="random weights to check")
-    p.set_defaults(func=cmd_oracle_check)
+        for key in keys.split():
+            flags = ("-L",) if key == "candidates" else ()
+            p.add_argument(*flags, "--" + key.replace("_", "-"), help=_help(
+                command, key, helps.get((command, key), helps[key])))
     return parser
 
 
@@ -461,8 +458,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        config_path = getattr(args, "config", None)
-        args._config_values = _load_config_file(config_path) if config_path else {}
+        args._config_values = _load_config_file(args.config) if args.config else {}
         return args.func(args)
     except LinAlgError as exc:  # a ValueError subclass, so caught first
         print(f"ill-conditioned solve ({exc}); increase --gamma",

@@ -203,10 +203,8 @@ def _nearest(phi: np.ndarray, grid: PhaseGrid, count: int) -> np.ndarray:
     ks = (base + up)[..., None] + np.where(up[..., None], -row, row)
     ks &= n - 1
     if tie.any():
-        if 2 * count + 2 >= n:
-            window = np.broadcast_to(np.arange(n), (tie.sum(), n))
-        else:
-            window = (base[tie][:, None] + np.arange(-count, count + 2)) & (n - 1)
+        half = min(n, 2 * count + 2) // 2
+        window = (base[tie][:, None] + np.arange(1 - half, half + 1)) & (n - 1)
         ks[tie] = _rank(phi[tie], window, grid, count)
     return ks
 

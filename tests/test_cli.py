@@ -1,7 +1,10 @@
 import argparse
 import hashlib
 import math
+import os
 import re
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -78,9 +81,15 @@ def test_pattern_steering_matches_single_reference(tmp_path):
                 == (single / "reference.csv").read_bytes())
 
 
-def test_pattern_rejects_unknown_beamformer(tmp_path):
-    assert run_cli(["pattern", "--beamformer=magic",
-                    f"--out={tmp_path}"]) == 2
+def test_pattern_rejects_unknown_beamformer(tmp_path, capsys):
+    cfg = tmp_path / "magic.cfg"
+    cfg.write_text("beamformer=magic\n")
+    out = tmp_path / "out"
+    for source in ("--beamformer=magic", f"--config={cfg}"):
+        assert run_cli(["pattern", source, f"--out={out}"]) == 2
+        assert capsys.readouterr().err == \
+            "usage error: unknown beamformer 'magic'\n"
+        assert not out.exists()
 
 
 def test_single_outputs_and_rerun_identical(tmp_path):
@@ -607,6 +616,98 @@ def test_defaults_table_keys_are_the_flags():
     assert dests == set(cli.DEFAULTS)
     for overlay in cli.COMMAND_DEFAULTS.values():
         assert set(overlay) <= dests
+
+
+# A small valid invocation of each subcommand; `_tiny` adds `--out`.
+TINY = {
+    "pattern": ["pattern", "--antennas=4", "--grid-step=1"],
+    "single": ["single", "--antennas=4", "--grid-step=1"],
+    "clutter": ["clutter", "--antennas=4", "--grid-step=1",
+                "--targets=-47,30,49", "--desired=49"],
+    "sweep": ["sweep", "--antennas=4", "--grid-step=1", "--bits=2",
+              "--trials=1"],
+    "oracle-check": ["oracle-check", "--bits=2", "--trials=16"],
+}
+
+
+def _tiny(command, out):
+    argv = TINY[command]
+    return argv if command == "oracle-check" else [*argv, f"--out={out}"]
+
+
+@pytest.mark.parametrize("command", sorted(TINY))
+def test_every_offered_flag_is_read(command, monkeypatch, tmp_path):
+    read = set()
+    resolve = cli._resolve
+
+    def spy(args, key, cast=None):
+        read.add(key)
+        return resolve(args, key, cast)
+
+    monkeypatch.setattr(cli, "_resolve", spy)
+    assert run_cli(_tiny(command, tmp_path)) == 0
+    sub = cli.build_parser()._subparsers._group_actions[0].choices[command]
+    assert read == {a.dest for a in sub._actions} - {"help", "config"}
+
+
+@pytest.mark.parametrize("command, flag", [
+    # Flags no handler of the subcommand reads.
+    *(("oracle-check", flag) for flag in (
+        "--antennas=4", "--spacing=0.5", "-L3", "--norm=2", "--grid-step=1",
+        "--floor-db=-80", "--out={out}")),
+    ("pattern", "--seed=1"),
+    ("clutter", "--seed=1"),
+    ("sweep", "--norm=1"),
+    # Prefixes of flags the subcommand does read.
+    ("sweep", "--wor=1"),
+    ("pattern", "--beam=dps"),
+    ("oracle-check", "--tri=16"),
+])
+def test_unread_and_abbreviated_flags_are_rejected(command, flag, tmp_path,
+                                                   capsys):
+    out = tmp_path / "out"
+    assert run_cli([*_tiny(command, out), flag.format(out=out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "unrecognized arguments" in captured.err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("key, source", [
+    ("antennas", "flag"), ("antennas", "config"),
+    ("seed", "flag"), ("seed", "config"), ("seed", "env"),
+])
+def test_a_bad_value_reads_the_same_from_every_source(key, source, tmp_path,
+                                                      monkeypatch, capsys):
+    monkeypatch.delenv("DPS_SEED", raising=False)
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(f"{key}=x\n")
+    if source == "env":
+        monkeypatch.setenv("DPS_SEED", "x")
+    argv = {"flag": [f"--{key}=x"], "config": [f"--config={cfg}"], "env": []}
+    out = tmp_path / "out"
+    assert run_cli(["single", *argv[source], f"--out={out}"]) == 2
+    assert capsys.readouterr().err == \
+        f"usage error: invalid value for --{key}: 'x'\n"
+    assert not out.exists()
+
+
+def test_module_entry_point_runs_in_a_subprocess(tmp_path):
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {key: value for key, value in os.environ.items() if key != "DPS_SEED"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+
+    def run(*argv):
+        return subprocess.run([sys.executable, "-m", "dpspesa.cli", *argv],
+                              capture_output=True, text=True, env=env,
+                              cwd=tmp_path, timeout=120)
+
+    passed = run("oracle-check", "--bits=2", "--trials=16")
+    assert (passed.returncode, passed.stderr) == (0, "")
+    assert passed.stdout.startswith("oracle check passed")
+    refused = run("oracle-check", "-L", "3")
+    assert (refused.returncode, refused.stdout) == (2, "")
+    assert "unrecognized arguments: -L 3" in refused.stderr
 
 
 def _help_text(command, capsys):
