@@ -445,7 +445,7 @@ def build_parser() -> argparse.ArgumentParser:
          "bits seed trials"),
     ):
         p = sub.add_parser(command, help=help, allow_abbrev=False)
-        p.set_defaults(func=func)
+        p.set_defaults(func=func, parser=p)
         p.add_argument("--config", help="key=value scenario file; inline flags win")
         for key in keys.split():
             flags = ("-L",) if key == "candidates" else ()
@@ -455,8 +455,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args, extras = build_parser().parse_known_args(argv)
+    if extras:  # reported with the usage of the subcommand that was chosen
+        args.parser.error(f"unrecognized arguments: {' '.join(extras)}")
     try:
         args._config_values = _load_config_file(args.config) if args.config else {}
         return args.func(args)

@@ -156,6 +156,9 @@ def _nearest(phi: np.ndarray, grid: PhaseGrid, count: int) -> np.ndarray:
     tie or swap, or with |phi| above 4*pi, falls back to ranking (`_rank`)
     the window base - count .. base + count + 1, or the whole grid when it
     has at most 2*count + 2 phases.
+
+    The result is a view of a candidate-major ``(count, ...)`` array, so
+    each candidate's indices are contiguous.
     """
     if not np.all(np.isfinite(phi)):
         raise ValueError("phases must be finite")
@@ -197,11 +200,12 @@ def _nearest(phi: np.ndarray, grid: PhaseGrid, count: int) -> np.ndarray:
         tie |= g > 0.5 - margin
     # Offsets 0, +1, -1, +2, -2, ... from the nearer of base and base + 1,
     # mirrored when that is base + 1.
-    i = np.arange(count)
-    row = (i + 1) // 2 * np.where(i % 2, 1, -1)
+    offsets = [(k + 1) // 2 * (-1) ** (k + 1) for k in range(count)]
     up = f > 0.5
-    ks = (base + up)[..., None] + np.where(up[..., None], -row, row)
+    ks = np.multiply.outer(offsets, np.where(up, -1, 1))
+    ks += base + up
     ks &= n - 1
+    ks = ks.transpose(*range(1, ks.ndim), 0)
     if tie.any():
         half = min(n, 2 * count + 2) // 2
         window = (base[tie][:, None] + np.arange(1 - half, half + 1)) & (n - 1)
@@ -294,22 +298,27 @@ def _best_pairs(wn: np.ndarray, split: np.ndarray | None, grid: PhaseGrid,
     """Best index pairs ``(E, 2)`` of the weights ``wn`` ``(E,)`` among
     ``count`` candidates per phase, and the sums they realize ``(E,)``.
     ``split`` holds the weights' phases ``(2, E)``; a full-grid search
-    (``count`` the grid size) reads none and takes None."""
+    (``count`` the grid size) reads none and takes None.
+
+    The pairs are scored candidate-major, ``(pairs, E)``, so each pick
+    below reduces over the leading axis in contiguous passes."""
     if count == grid.size:
         # Every grid phase is a candidate, so every weight scores the same
         # canonical pairs; the pick below does not depend on their order.
         ks = np.arange(grid.size)
-        lo, hi = np.nonzero(ks[:, None] <= ks)
+        lo, hi = (k[:, None] for k in np.nonzero(ks[:, None] <= ks))
     else:
-        idx_a, idx_b = _nearest(split, grid, count)
-        idx_a, idx_b = idx_a[..., :, None], idx_b[..., None, :]
-        lo = np.minimum(idx_a, idx_b).reshape(wn.shape + (-1,))
-        hi = np.maximum(idx_a, idx_b).reshape(wn.shape + (-1,))
-    err = np.abs(grid.phasors[lo] + grid.phasors[hi] - wn[..., None])
+        # Each phase's candidates ``(count, E)``, views without a copy.
+        idx_a, idx_b = _nearest(split, grid, count).swapaxes(1, 2)
+        idx_a, idx_b = idx_a[:, None], idx_b[None, :]
+        lo = np.minimum(idx_a, idx_b).reshape(count**2, -1)
+        hi = np.maximum(idx_a, idx_b).reshape(count**2, -1)
+    err = np.abs(grid.phasors[lo] + grid.phasors[hi] - wn)
     # The first lexicographically smallest (err, lo, hi): among the pairs of
     # least error, the least code lo * size + hi, which orders (lo, hi) pairs.
-    code = np.where(err == err.min(axis=-1, keepdims=True),
-                    lo * grid.size + hi, grid.size**2).min(axis=-1)
+    code = np.minimum.reduce(
+        np.where(err == np.minimum.reduce(err, axis=0), lo * grid.size + hi,
+                 grid.size**2), axis=0)
     lo, hi = code >> grid.bits, code & (grid.size - 1)
     return np.stack((lo, hi), axis=-1), grid.phasors[lo] + grid.phasors[hi]
 

@@ -293,14 +293,21 @@ def run_monte_carlo(base: ScenarioSpec, bits_sweep, norm_sweep,
 
     rms_dps = np.concatenate([r[0] for r in results])
     rms_pesa = np.concatenate([r[1] for r in results])
+    # Means over trials from trials-last C-ordered copies: numpy sums each
+    # contiguous row as it sums one vector of trials, so every mean has the
+    # bits of that vector's `.mean()`.  A mean over axis 0 sums in another
+    # order and can differ in the last bit from 8 trials on.
+    mean_dps, mean_pesa = (
+        np.ascontiguousarray(np.moveaxis(rms, 0, -1)).mean(axis=-1).tolist()
+        for rms in (rms_dps, rms_pesa))
     rows = []
     for bi, bits in enumerate(bits_list):
         for ni, norm in enumerate(norm_list):
             rows.append(SweepRow(
                 bits=bits,
                 norm_target=norm,
-                mean_rms_dps_db=float(rms_dps[:, bi, ni].mean()),
-                mean_rms_pesa_db=float(rms_pesa[:, bi].mean()),
+                mean_rms_dps_db=mean_dps[bi][ni],
+                mean_rms_pesa_db=mean_pesa[bi],
                 trials=trials,
             ))
     return SweepResult(rows=tuple(rows))

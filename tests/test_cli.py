@@ -673,6 +673,40 @@ def test_unread_and_abbreviated_flags_are_rejected(command, flag, tmp_path,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command, flag", [
+    *((command, "--bogus=8") for command in sorted(TINY)),
+    ("oracle-check", "--antennas=8"),  # a flag of other subcommands
+])
+def test_unknown_flags_are_reported_with_the_subcommands_usage(command, flag,
+                                                               tmp_path,
+                                                               capsys):
+    out = tmp_path / "out"
+    assert run_cli([*_tiny(command, out), flag]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"usage: dpspesa {command} [-h]")
+    assert captured.err.endswith(
+        f"dpspesa {command}: error: unrecognized arguments: {flag}\n")
+    assert not out.exists()
+
+
+def test_a_list_starting_negative_needs_the_equals_form(tmp_path, capsys):
+    out = tmp_path / "out"
+    spaced = ["clutter", "--antennas=4", "--grid-step=1", "--desired", "49",
+              f"--out={out}", "--targets", "-47,30,49"]
+    assert run_cli(spaced) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "argument --targets: expected one argument" in captured.err
+    assert not out.exists()
+    # The `=` form takes the list; a lone negative number passes either way.
+    assert run_cli([*spaced[:-2], "--targets=-47,30,49"]) == 0
+    assert read_summary(out / "summary.txt")["targets_deg"] == "-47,30,49"
+    assert run_cli([*spaced[:-2], "--targets=-47,30,49", "--desired",
+                    "-47"]) == 0
+    assert read_summary(out / "summary.txt")["desired_deg"] == "-47"
+
+
 @pytest.mark.parametrize("key, source", [
     ("antennas", "flag"), ("antennas", "config"),
     ("seed", "flag"), ("seed", "config"), ("seed", "env"),

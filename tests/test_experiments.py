@@ -258,6 +258,31 @@ def test_monte_carlo_row_layout_and_determinism():
     assert res1.rows[0].mean_rms_pesa_db == res1.rows[1].mean_rms_pesa_db
 
 
+@pytest.mark.parametrize("trials", [1, 8, 10, 129, 200])
+def test_monte_carlo_rows_are_the_per_slice_means(monkeypatch, trials):
+    # Blocks of spread-out values, so that the summation order shows in the
+    # last bits; each row must equal the mean of its own vector of trials.
+    bits, norms = (2, 3, 4), (1.0, 2.0)
+    blocks = []
+
+    def fake_block(spec, bits_list, norm_list, block):
+        rng = np.random.default_rng(block.start)
+        dps = rng.standard_normal((len(block), len(bits_list), len(norm_list)))
+        pesa = rng.standard_normal((len(block), len(bits_list)))
+        blocks.append((dps * 1e3 - 40.0, pesa * 1e3 - 30.0))
+        return blocks[-1]
+
+    monkeypatch.setattr(experiments, "_sweep_block", fake_block)
+    base = ScenarioSpec(config=CFG, gamma=0.1, seed=1)
+    rows = run_monte_carlo(base, bits, norms, trials).rows
+    rms_dps = np.concatenate([b[0] for b in blocks])
+    rms_pesa = np.concatenate([b[1] for b in blocks])
+    assert len(rms_dps) == trials
+    want = [(float(rms_dps[:, b, n].mean()), float(rms_pesa[:, b].mean()))
+            for b in range(len(bits)) for n in range(len(norms))]
+    assert [(r.mean_rms_dps_db, r.mean_rms_pesa_db) for r in rows] == want
+
+
 def test_sweep_block_equals_trace_based_scoring(monkeypatch):
     # Reference: whole traces per trial with the public quantizers, read at
     # the closest grid points (the first one on a tie) and scored with the

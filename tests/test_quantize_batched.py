@@ -353,6 +353,38 @@ def _row(dps, index):
     return type(dps)(dps.grid, dps.pairs[index].copy(), dps.realized[index].copy())
 
 
+@pytest.mark.parametrize("bits", range(1, 9))
+def test_exact_pair_ties_resolve_as_the_reference(bits):
+    # Weights on which several of the L^2 candidate pairs score the very
+    # same float error: the zero weight, |c| = 2 on a grid phase, the sum
+    # of two adjacent grid phasors (found as (i, i+1) and as (i+1, i)), and
+    # the midpoints between two such sums, equidistant from distinct pairs.
+    grid = PhaseGrid(bits)
+    p = grid.phasors
+    adjacent = p + np.roll(p, -1)
+    w = np.concatenate([[0.0], 2.0 * p, adjacent,
+                        (adjacent + np.roll(adjacent, -1)) / 2,
+                        (2.0 * p + adjacent) / 2])
+    # Searched as they are: a peak of at most 2 normalizes onto itself.
+    w = w[np.abs(w) <= 2.0]
+    norm = float(np.abs(w).max())
+    assert np.array_equal(normalize_to_max(w, norm), w)
+    for count in range(2, 6):
+        count = min(count, grid.size)
+        tied = distinct = 0
+        for c in w.tolist():
+            a, b = (ref.nearest_phases(phi, grid, count)
+                    for phi in ref.decompose(c))
+            lo, hi = np.minimum.outer(a, b).ravel(), np.maximum.outer(a, b).ravel()
+            err = np.abs(p[lo] + p[hi] - c)
+            least = err == err.min()
+            tied += least.sum() > 1
+            distinct += len(set(zip(lo[least].tolist(), hi[least].tolist()))) > 1
+        assert tied > 0 and distinct > 0
+        _assert_matches_reference(w, grid, count, norm,
+                                  approximate(w, grid, count, norm))
+
+
 @pytest.mark.parametrize("bits,count", [(2, 2), (4, 3), (7, 5), (12, 1), (3, 8)])
 def test_leading_shapes_match_row_by_row_reference(bits, count):
     grid = PhaseGrid(bits)
