@@ -35,7 +35,8 @@ class ArrayConfig:
     spacing_wavelengths: float = 0.5
 
     def __post_init__(self):
-        if self.n_antennas < 1:
+        n = self.n_antennas
+        if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
             raise ValueError("n_antennas must be a positive integer")
         if not self.spacing_wavelengths > 0:
             raise ValueError("spacing_wavelengths must be positive")

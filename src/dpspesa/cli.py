@@ -1,9 +1,7 @@
 """Command-line front end.
 
-Subcommands: ``pattern`` (one beampattern CSV), ``single`` (single-target
-experiment), ``clutter`` (multi-target clutter-reduction experiment),
-``sweep`` (Monte-Carlo sweep CSV), ``oracle-check`` (validates the
-candidate search against the exhaustive oracle).
+Two tables define the interface: `FLAGS`, each flag's default, parser
+and help, and `COMMANDS`, each subcommand's flags and handler.
 
 Angles are degrees, as everywhere in the package; one that is not finite
 or lies outside [-90, 90] is a usage error.  Each subcommand takes only
@@ -24,6 +22,8 @@ import argparse
 import functools
 import os
 import sys
+from collections.abc import Callable
+from typing import NamedTuple
 
 import numpy as np
 from numpy.linalg import LinAlgError
@@ -57,33 +57,6 @@ ORACLE_CHECK_MAX_BLOCKS = 64
 # The CSV files of `single` and `clutter`, one per row of `TrialResult.traces`.
 TRIAL_TRACE_FILES = ("reference.csv", "dps.csv", "pesa.csv")
 
-# One entry per flag and config-file key; None means "not given".
-DEFAULTS = {
-    "antennas": 16,
-    "spacing": 0.5,
-    "targets": None,
-    "desired": None,
-    "gamma": None,
-    "bits": "4",
-    "candidates": 3,
-    "norm": 2.0,
-    "norms": "1,1.5,2",
-    "grid_step": DEFAULT_GRID_STEP_DEG,
-    "floor_db": DEFAULT_FLOOR_DB,
-    "trials": None,
-    "seed": 0,
-    "workers": 1,
-    "out": ".",
-    "beamformer": "steering",
-}
-# Per-subcommand overrides of `DEFAULTS`.  Pattern keeps gamma None: it
-# picks the steering vector or the MVDR reference for ``dps``.
-COMMAND_DEFAULTS = {
-    "sweep": {"bits": "2:12", "trials": 200, "gamma": DEFAULT_GAMMA},
-    "clutter": {"gamma": DEFAULT_GAMMA},
-    "oracle-check": {"trials": 1000},
-}
-
 
 class UsageError(Exception):
     """Bad flag combination or value; maps to exit code 2."""
@@ -91,13 +64,12 @@ class UsageError(Exception):
 
 def _parse_float_list(text: str) -> tuple:
     try:
-        return tuple(float(v) for v in str(text).split(","))
+        return tuple(float(v) for v in text.split(","))
     except ValueError as exc:
         raise UsageError(f"expected comma-separated numbers, got {text!r}") from exc
 
 
 def _parse_bits_sweep(text: str) -> tuple:
-    text = str(text)
     try:
         if ":" in text:
             lo, hi = (int(v) for v in text.split(":"))
@@ -111,6 +83,38 @@ def _parse_bits_sweep(text: str) -> tuple:
         ) from exc
 
 
+class Flag(NamedTuple):
+    """A flag's default (None: not given), value parser and help text."""
+
+    default: object
+    parse: Callable
+    help: str
+
+
+# One entry per flag and config-file key.
+FLAGS = {
+    "antennas": Flag(16, int, "array elements"),
+    "spacing": Flag(0.5, float, "element spacing in wavelengths"),
+    "targets": Flag(None, _parse_float_list,
+                    "comma-separated target angles in degrees"),
+    "desired": Flag(None, float, "desired target angle in degrees"),
+    "gamma": Flag(None, float, "null-depth regularizer"),
+    "bits": Flag(4, int, "phase shifter bits"),
+    "candidates": Flag(3, int, "top-L candidate phases per shifter"),
+    "norm": Flag(2.0, float, "normalization target in (0, 2]"),
+    "norms": Flag("1,1.5,2", _parse_float_list,
+                  "comma-separated normalization targets"),
+    "grid_step": Flag(DEFAULT_GRID_STEP_DEG, float, "angle grid step in degrees"),
+    "floor_db": Flag(DEFAULT_FLOOR_DB, float, "dB clamp for normalized patterns"),
+    "trials": Flag(None, int, "trials per combination"),
+    "seed": Flag(0, int, "RNG seed"),
+    "workers": Flag(1, int, "parallel trial workers, at most the CPU count"),
+    "out": Flag(".", str, "output directory"),
+    "beamformer": Flag("steering", str,
+                       "weight source: steering, mvdr, dps or pesa-quantized"),
+}
+
+
 def _load_config_file(path: str) -> dict:
     values = {}
     with open(path, encoding="utf-8") as fh:
@@ -122,31 +126,33 @@ def _load_config_file(path: str) -> dict:
                 raise UsageError(f"{path}:{lineno}: expected key=value")
             key, value = (part.strip() for part in line.split("=", 1))
             name = key.replace("-", "_")
-            if name not in DEFAULTS:
+            if name not in FLAGS:
                 raise UsageError(f"{path}:{lineno}: unknown key '{key}'")
             values[name] = value
     return values
 
 
-def _resolve(args, key, cast=None):
+def _flag(command: str, key: str) -> Flag:
+    """``key``'s `FLAGS` entry with ``command``'s overrides applied."""
+    return FLAGS[key]._replace(**COMMANDS[command].overrides.get(key, {}))
+
+
+def _resolve(args, key):
     """Inline flag, then config file, then DPS_SEED (seed only), then the
-    subcommand's `COMMAND_DEFAULTS`, then `DEFAULTS`."""
+    default, parsed by the subcommand's parser for ``key``."""
+    default, parse, _ = _flag(args.command, key)
     value = getattr(args, key, None)
     if value is None:
         value = args._config_values.get(key)
     if value is None and key == "seed":
         value = os.environ.get("DPS_SEED")
     if value is None:
-        value = COMMAND_DEFAULTS.get(args.command, {}).get(key, DEFAULTS[key])
-    if value is None or cast is None:
-        return value
-    if isinstance(value, str):
-        try:
-            return cast(value)
-        except ValueError as exc:
-            raise UsageError(f"invalid value for --{key.replace('_', '-')}: "
-                             f"{value!r}") from exc
-    return cast(value)
+        value = default
+    try:
+        return None if value is None else parse(value)
+    except ValueError as exc:  # defaults parse, so this is a given value
+        raise UsageError(f"invalid value for --{key.replace('_', '-')}: "
+                         f"{value!r}") from exc
 
 
 def _fmt(x) -> str:
@@ -186,27 +192,25 @@ def _write_traces(out: str, trace: BeampatternTrace, names) -> None:
 def _write_summary(path: str, items) -> None:
     lines = [f"{key}={value}" for key, value in items]
     _write_lines(path, lines)
-    for line in lines:
-        print(line)
+    print("\n".join(lines))
 
 
 def _out_dir(args) -> str:
-    out = str(_resolve(args, "out"))
+    out = _resolve(args, "out")
     os.makedirs(out, exist_ok=True)
     return out
 
 
 def _scenario_common(args, swept: bool = False) -> dict:
     common = {
-        "config": ArrayConfig(_resolve(args, "antennas", int),
-                              _resolve(args, "spacing", float)),
-        "candidates_l": _resolve(args, "candidates", int),
-        "grid_step_deg": _resolve(args, "grid_step", float),
-        "floor_db": _resolve(args, "floor_db", float),
+        "config": ArrayConfig(_resolve(args, "antennas"), _resolve(args, "spacing")),
+        "candidates_l": _resolve(args, "candidates"),
+        "grid_step_deg": _resolve(args, "grid_step"),
+        "floor_db": _resolve(args, "floor_db"),
     }
     if not swept:  # the sweep resolves its own bits and norms
-        common["bits"] = _resolve(args, "bits", int)
-        common["norm_target"] = _resolve(args, "norm", float)
+        common["bits"] = _resolve(args, "bits")
+        common["norm_target"] = _resolve(args, "norm")
     # The grid bound, checked before any steering vector or O(N^2) solve.
     _grid_points(common["grid_step_deg"], common["config"].n_antennas)
     return common
@@ -217,22 +221,20 @@ def _desired_index(targets: tuple, desired) -> int:
         if len(targets) == 1:
             return 0
         raise UsageError("--desired is required when several targets are given")
-    desired = float(desired)
-    for i, t in enumerate(targets):
-        if t == desired:
-            return i
-    raise UsageError(f"--desired={desired:g} is not one of the target angles")
+    if desired not in targets:
+        raise UsageError(f"--desired={desired:g} is not one of the target angles")
+    return targets.index(desired)
 
 
 def cmd_pattern(args) -> int:
     common = _scenario_common(args)
     config = common["config"]
-    kind = str(_resolve(args, "beamformer"))
+    kind = _resolve(args, "beamformer")
     if kind not in ("steering", "mvdr", "dps", "pesa-quantized"):
         raise UsageError(f"unknown beamformer {kind!r}")
-    targets = _resolve(args, "targets", _parse_float_list)
-    desired = _resolve(args, "desired", float)
-    gamma = _resolve(args, "gamma", float)
+    targets = _resolve(args, "targets")
+    desired = _resolve(args, "desired")
+    gamma = _resolve(args, "gamma")
     _check_gamma(gamma)  # every beamformer, also those that ignore it
 
     if targets is None:
@@ -266,8 +268,8 @@ def cmd_pattern(args) -> int:
 
 def cmd_single(args) -> int:
     common = _scenario_common(args)
-    common["seed"] = _resolve(args, "seed", int)
-    targets = _resolve(args, "targets", _parse_float_list)
+    common["seed"] = _resolve(args, "seed")
+    targets = _resolve(args, "targets")
     if targets is None:
         rng = trial_rng(common["seed"], 0)
         targets = tuple(draw_target_angles(rng, count=1))
@@ -292,12 +294,12 @@ def cmd_single(args) -> int:
 
 def cmd_clutter(args) -> int:
     common = _scenario_common(args)
-    targets = _resolve(args, "targets", _parse_float_list)
+    targets = _resolve(args, "targets")
     if targets is None or len(targets) < 2:
         raise UsageError("clutter requires --targets with at least two angles")
-    idx = _desired_index(targets, _resolve(args, "desired", float))
+    idx = _desired_index(targets, _resolve(args, "desired"))
     spec = ScenarioSpec(target_angles_deg=targets, desired_index=idx,
-                        gamma=_resolve(args, "gamma", float), **common)
+                        gamma=_resolve(args, "gamma"), **common)
     result = run_mvdr_clutter(spec)
 
     items = [
@@ -323,14 +325,14 @@ def cmd_clutter(args) -> int:
 
 def cmd_sweep(args) -> int:
     common = _scenario_common(args, swept=True)
-    common["seed"] = _resolve(args, "seed", int)
-    bits_sweep = _resolve(args, "bits", _parse_bits_sweep)
-    norm_sweep = _resolve(args, "norms", _parse_float_list)
-    trials = _resolve(args, "trials", int)
-    workers = _resolve(args, "workers", int)
+    common["seed"] = _resolve(args, "seed")
+    bits_sweep = _resolve(args, "bits")
+    norm_sweep = _resolve(args, "norms")
+    trials = _resolve(args, "trials")
+    workers = _resolve(args, "workers")
 
     # Targets are drawn per trial.
-    spec = ScenarioSpec(gamma=_resolve(args, "gamma", float), **common)
+    spec = ScenarioSpec(gamma=_resolve(args, "gamma"), **common)
     result = run_monte_carlo(spec, bits_sweep, norm_sweep, trials,
                              workers=workers)
 
@@ -348,19 +350,17 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_oracle_check(args) -> int:
-    bits = _resolve(args, "bits", int)
+    bits = _resolve(args, "bits")
     if not 1 <= bits <= MAX_ORACLE_CHECK_BITS:
-        raise UsageError(
-            f"oracle-check requires 1 <= bits <= {MAX_ORACLE_CHECK_BITS}"
-        )
-    count = _resolve(args, "trials", int)
+        raise UsageError("oracle-check requires 1 <= bits <= "
+                         f"{MAX_ORACLE_CHECK_BITS}")
+    count = _resolve(args, "trials")
     if count < 1:
         raise UsageError("oracle-check requires --trials >= 1")
 
     grid = PhaseGrid(bits)
-    rng = trial_rng(_resolve(args, "seed", int), 0)
-    mismatches = 0
-    checked = 0
+    rng = trial_rng(_resolve(args, "seed"), 0)
+    mismatches = checked = 0
     while checked < count:
         # Weights are drawn and normalized a block at a time, the block's
         # radii then its angles; what a seed checks depends on the block
@@ -388,13 +388,48 @@ def cmd_oracle_check(args) -> int:
     return 0
 
 
-def _help(command: str, key: str, text: str) -> str:
-    """``text`` plus the default `_resolve` falls back to for ``command``."""
-    value = COMMAND_DEFAULTS.get(command, {}).get(key, DEFAULTS[key])
+class Command(NamedTuple):
+    """A subcommand's handler, help line, the space-separated keys it reads
+    (one flag each) and, per key, the `Flag` fields that differ from `FLAGS`."""
+
+    handler: Callable
+    help: str
+    keys: str
+    overrides: dict
+
+
+_SCENARIO = "antennas spacing bits candidates grid_step floor_db"
+# Pattern keeps gamma None, so that ``dps`` can pick the steering vector.
+COMMANDS = {
+    "pattern": Command(
+        cmd_pattern, "write one beampattern CSV",
+        f"{_SCENARIO} norm out beamformer targets desired gamma", {}),
+    "single": Command(
+        cmd_single, "single-target tracking experiment",
+        f"{_SCENARIO} norm seed out targets",
+        {"targets": {"help": "target angle in degrees (default: random)"}}),
+    "clutter": Command(
+        cmd_clutter, "multi-target clutter-reduction experiment",
+        f"{_SCENARIO} norm out targets desired gamma",
+        {"gamma": {"default": DEFAULT_GAMMA}}),
+    "sweep": Command(
+        cmd_sweep, "Monte-Carlo sweep over bits and norms",
+        f"{_SCENARIO} seed out norms trials gamma workers",
+        {"bits": {"default": "2:12", "parse": _parse_bits_sweep},
+         "trials": {"default": 200}, "gamma": {"default": DEFAULT_GAMMA}}),
+    "oracle-check": Command(
+        cmd_oracle_check, "compare the candidate search to the exhaustive oracle",
+        "bits seed trials",
+        {"trials": {"default": 1000, "help": "random weights to check"}}),
+}
+
+
+def _help(command: str, key: str) -> str:
+    """``key``'s help for ``command``, with the default `_resolve` uses."""
+    value, _, text = _flag(command, key)
     if value is None:
         return text
-    if isinstance(value, float):
-        value = format(value, "g")
+    value = format(value, "g") if isinstance(value, float) else value
     if key == "seed":
         value = f"$DPS_SEED or {value}"
     return f"{text} (default {value})"
@@ -402,55 +437,20 @@ def _help(command: str, key: str, text: str) -> str:
 
 @functools.lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
+    """A subparser per `COMMANDS` entry; `_resolve` parses what it collects."""
     parser = argparse.ArgumentParser(
         prog="dpspesa", allow_abbrev=False,
         description="Double-phase-shifter PESA beamforming experiments",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    # Help text per `DEFAULTS` key, or per (subcommand, key) where it differs.
-    helps = {
-        "antennas": "array elements",
-        "spacing": "element spacing in wavelengths",
-        "bits": "phase shifter bits",
-        "candidates": "top-L candidate phases per shifter",
-        "norm": "normalization target in (0, 2]",
-        "grid_step": "angle grid step in degrees",
-        "floor_db": "dB clamp for normalized patterns",
-        "seed": "RNG seed",
-        "out": "output directory",
-        "beamformer": "weight source: steering, mvdr, dps or pesa-quantized",
-        "targets": "comma-separated target angles in degrees",
-        ("single", "targets"): "target angle in degrees (default: random)",
-        "desired": "desired target angle in degrees",
-        "gamma": "null-depth regularizer",
-        "norms": "comma-separated normalization targets",
-        "trials": "trials per combination",
-        ("oracle-check", "trials"): "random weights to check",
-        "workers": "parallel trial workers, at most the CPU count",
-    }
-    scenario = "antennas spacing bits candidates grid_step floor_db"
-    # Each subcommand's handler, help line and the keys its handler reads,
-    # one flag each; argparse only collects text, `_resolve` parses it.
-    for command, func, help, keys in (
-        ("pattern", cmd_pattern, "write one beampattern CSV",
-         f"{scenario} norm out beamformer targets desired gamma"),
-        ("single", cmd_single, "single-target tracking experiment",
-         f"{scenario} norm seed out targets"),
-        ("clutter", cmd_clutter, "multi-target clutter-reduction experiment",
-         f"{scenario} norm out targets desired gamma"),
-        ("sweep", cmd_sweep, "Monte-Carlo sweep over bits and norms",
-         f"{scenario} seed out norms trials gamma workers"),
-        ("oracle-check", cmd_oracle_check,
-         "compare the candidate search to the exhaustive oracle",
-         "bits seed trials"),
-    ):
+    for command, (handler, help, keys, _) in COMMANDS.items():
         p = sub.add_parser(command, help=help, allow_abbrev=False)
-        p.set_defaults(func=func, parser=p)
+        p.set_defaults(func=handler, parser=p)
         p.add_argument("--config", help="key=value scenario file; inline flags win")
         for key in keys.split():
             flags = ("-L",) if key == "candidates" else ()
-            p.add_argument(*flags, "--" + key.replace("_", "-"), help=_help(
-                command, key, helps.get((command, key), helps[key])))
+            p.add_argument(*flags, "--" + key.replace("_", "-"),
+                           help=_help(command, key))
     return parser
 
 
@@ -462,8 +462,7 @@ def main(argv=None) -> int:
         args._config_values = _load_config_file(args.config) if args.config else {}
         return args.func(args)
     except LinAlgError as exc:  # a ValueError subclass, so caught first
-        print(f"ill-conditioned solve ({exc}); increase --gamma",
-              file=sys.stderr)
+        print(f"ill-conditioned solve ({exc}); increase --gamma", file=sys.stderr)
         return 2
     except (UsageError, ValueError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)

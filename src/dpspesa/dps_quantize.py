@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -51,15 +51,22 @@ class PhaseGrid:
 
     @cached_property
     def phases(self) -> np.ndarray:
-        p = np.arange(self.size) * self.step
-        p.setflags(write=False)
-        return p
+        return _grid_tables(self)[0]
 
     @cached_property
     def phasors(self) -> np.ndarray:
-        e = np.exp(1j * self.phases)
-        e.setflags(write=False)
-        return e
+        return _grid_tables(self)[1]
+
+
+@lru_cache(maxsize=MAX_GRID_BITS)
+def _grid_tables(grid: PhaseGrid) -> tuple[np.ndarray, np.ndarray]:
+    """The read-only phases and phasors of ``grid``, built once per process
+    and shared by every equal `PhaseGrid`, one per bits value."""
+    phases = np.arange(grid.size) * grid.step
+    phasors = np.exp(1j * phases)
+    phases.setflags(write=False)
+    phasors.setflags(write=False)
+    return phases, phasors
 
 
 @dataclass(frozen=True)
@@ -433,6 +440,7 @@ def quantize_pesa(w, grid: PhaseGrid) -> np.ndarray:
 
     Returns unit-modulus weights of the input's shape; the modulus of the
     input is discarded, which is all a single-shifter array can realize.
+    A non-finite or zero weight raises `ValueError`.
     """
     [quantized] = _quantize_pesa(w, [grid])
     return quantized
@@ -442,6 +450,8 @@ def _quantize_pesa(w, grids) -> list[np.ndarray]:
     """`quantize_pesa` of ``w`` on each grid of ``grids``; the phases of
     ``w`` do not depend on the grid, so they are computed once."""
     w = np.asarray(w, dtype=complex)
+    if not np.all(np.isfinite(w)):
+        raise ValueError("weights must be finite")
     if np.any(w == 0):
         raise ValueError("zero weights have no phase to quantize")
     phase = _map(math.atan2, w.imag, w.real)

@@ -12,7 +12,6 @@ import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
-from functools import lru_cache
 from itertools import repeat
 from typing import NamedTuple
 
@@ -31,7 +30,6 @@ from .array_model import (
 )
 from .beamformers import TargetScenario, _check_gamma, _mvdr, mvdr_beamformer
 from .dps_quantize import (
-    MAX_GRID_BITS,
     PhaseGrid,
     _quantize_pesa,
     _search,
@@ -223,13 +221,6 @@ def _trial_blocks(trials: int, workers: int, cpus: int | None):
     return workers, [range(a, b) for a, b in zip(edges, edges[1:])]
 
 
-@lru_cache(maxsize=MAX_GRID_BITS)
-def _sweep_grid(bits: int) -> PhaseGrid:
-    """The one `PhaseGrid` of ``bits`` that every sweep block in this process
-    shares, so its phases and phasors are built once; one per valid bits."""
-    return PhaseGrid(bits)
-
-
 def _sweep_block(spec: ScenarioSpec, bits_list, norm_list, trials: range):
     """RMS errors of a block of T trials at each trial's target angles.
 
@@ -248,7 +239,7 @@ def _sweep_block(spec: ScenarioSpec, bits_list, norm_list, trials: range):
 
     # Every trial's reference at every norm, normalized once and searched
     # on every grid by one `_search`, which splits it at most once.
-    grids = tuple(_sweep_grid(bits) for bits in bits_list)
+    grids = tuple(PhaseGrid(bits) for bits in bits_list)
     refs = normalize_to_max(w_ref[:, None, :], norm_list)
     dps = np.stack([d.realized for d in
                     _search(refs, grids, spec.candidates_l)], axis=1)

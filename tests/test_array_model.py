@@ -38,6 +38,18 @@ def test_config_validation():
             ArrayConfig(4, spacing)
 
 
+@pytest.mark.parametrize("n", [2.5, 4.0, True, False, "4", None])
+def test_config_rejects_a_non_integral_antenna_count(n):
+    with pytest.raises(ValueError, match="^n_antennas must be a positive integer$"):
+        ArrayConfig(n, 0.5)
+
+
+def test_config_takes_numpy_integer_antenna_counts():
+    config = ArrayConfig(np.int64(3), 0.5)
+    assert steering_vector(config, 30.0).shape == (3,)
+    assert ArrayConfig(np.int32(1)).n_antennas == 1
+
+
 def test_steering_broadside_is_all_ones():
     a = steering_vector(ArrayConfig(4, 0.5), 0.0)
     assert_allclose(a, np.ones(4), rtol=0, atol=0)

@@ -593,29 +593,43 @@ def test_oracle_check_rejects_non_positive_trials(capsys):
 def test_defaults_table_resolves_per_subcommand(monkeypatch):
     monkeypatch.delenv("DPS_SEED", raising=False)
 
-    def resolved(command, key, cast=None):
+    def resolved(command, key):
         args = argparse.Namespace(command=command, _config_values={})
-        return cli._resolve(args, key, cast)
+        return cli._resolve(args, key)
 
-    assert resolved("sweep", "bits", cli._parse_bits_sweep) == tuple(range(2, 13))
+    # Each subcommand's default goes through that subcommand's parser.
+    assert resolved("sweep", "bits") == tuple(range(2, 13))
     assert resolved("sweep", "trials") == 200
     assert resolved("oracle-check", "trials") == 1000
     for command in ("sweep", "clutter"):
         assert resolved(command, "gamma") == DEFAULT_GAMMA
     assert resolved("pattern", "gamma") is None
-    assert resolved("clutter", "bits") == "4"
+    assert resolved("clutter", "bits") == 4
+    assert resolved("sweep", "norms") == (1.0, 1.5, 2.0)
     for command in ("pattern", "single", "clutter", "sweep", "oracle-check"):
         assert resolved(command, "seed") == 0
 
 
+def _offered(command):
+    sub = cli.build_parser()._subparsers._group_actions[0].choices[command]
+    return [a.dest for a in sub._actions if a.dest not in ("help", "config")]
+
+
 def test_defaults_table_keys_are_the_flags():
+    subparsers = cli.build_parser()._subparsers._group_actions[0].choices
+    assert list(subparsers) == list(cli.COMMANDS)
     dests = set()
-    for action in cli.build_parser()._subparsers._group_actions:
-        for sub in action.choices.values():
-            dests |= {a.dest for a in sub._actions} - {"help", "config"}
-    assert dests == set(cli.DEFAULTS)
-    for overlay in cli.COMMAND_DEFAULTS.values():
-        assert set(overlay) <= dests
+    for command, entry in cli.COMMANDS.items():
+        keys = entry.keys.split()
+        assert _offered(command) == keys
+        dests |= set(keys)
+        # An override names a key the subcommand reads and only fields
+        # that differ from `FLAGS`.
+        for key, fields in entry.overrides.items():
+            assert key in keys and fields
+            for field, value in fields.items():
+                assert getattr(cli.FLAGS[key], field) != value
+    assert dests == set(cli.FLAGS)
 
 
 # A small valid invocation of each subcommand; `_tiny` adds `--out`.
@@ -640,14 +654,13 @@ def test_every_offered_flag_is_read(command, monkeypatch, tmp_path):
     read = set()
     resolve = cli._resolve
 
-    def spy(args, key, cast=None):
+    def spy(args, key):
         read.add(key)
-        return resolve(args, key, cast)
+        return resolve(args, key)
 
     monkeypatch.setattr(cli, "_resolve", spy)
     assert run_cli(_tiny(command, tmp_path)) == 0
-    sub = cli.build_parser()._subparsers._group_actions[0].choices[command]
-    assert read == {a.dest for a in sub._actions} - {"help", "config"}
+    assert read == set(_offered(command))
 
 
 @pytest.mark.parametrize("command, flag", [
@@ -763,6 +776,57 @@ def test_help_shows_each_subcommands_resolved_defaults(capsys):
     pattern = _help_text("pattern", capsys)
     assert "null-depth regularizer (default" not in pattern
     assert "(default steering)" in pattern
+
+
+# SHA-256 of the top-level and each subcommand's `--help` text at 80 columns.  argparse lays help out
+# differently across Python versions; these are CPython 3.11's.
+HELP_SHA256 = {
+    "top": "a039a31638bf19ebc24724aa0524f189cf54d61f4c2a99d7d24d9879c15797b4",
+    "pattern": "391df2962b63f65fa51d0039917d297e2321497e2d72ea53c443250cfda3e253",
+    "single": "3480012426711994159bb90e72bc953bea4a26aa20f63931391ef00445695b30",
+    "clutter": "2e1e9fb2a5b3d16fee7b6e77e483dac6eb481f505d93cd17670594c85e892b69",
+    "sweep": "c671c2806b5b9b1e20f8e13443acd4a90f92ded2d8eeaef87e4d8a821b94dcab",
+    "oracle-check":
+        "1bbecebab419ba0f396f50f1bd018fe11d52d8f61483587a06c8f8fe31dbb709",
+}
+
+
+@pytest.mark.skipif(sys.version_info[:2] != (3, 11),
+                    reason="help pins are recorded on CPython 3.11")
+@pytest.mark.parametrize("command", sorted(HELP_SHA256))
+def test_help_text_is_pinned(command, monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")
+    argv = ["--help"] if command == "top" else [command, "--help"]
+    assert run_cli(argv) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert hashlib.sha256(captured.out.encode()).hexdigest() == \
+        HELP_SHA256[command]
+
+
+README = Path(__file__).parents[1] / "README.md"
+
+
+def test_readme_lists_the_flag_tables():
+    text = README.read_text(encoding="utf-8")
+    count, keys = re.search(r"takes these (\d+) keys.*?:\n\n((?: {4}[^\n]*\n)+)",
+                            text, re.S).groups()
+    assert int(count) == len(cli.FLAGS)
+    assert keys.split() == list(cli.FLAGS)
+
+    def flags(cell):
+        return [f.replace("-", "_") for f in re.findall(r"`(?:-L/)?--([a-z-]+)`",
+                                                         cell)]
+
+    scenario = flags(re.search(r"share the scenario flags\n(.*?):\n", text,
+                               re.S)[1])
+    block = re.search(r"\| subcommand \| flags \|\n(.*?)\n\n", text, re.S)[1]
+    rows = re.findall(r"^\| `([a-z-]+)` \| (.*) \|$", block, re.M)
+    table = {command: (scenario if cell.startswith("scenario, ") else [])
+             + flags(cell) for command, cell in rows}
+    assert list(table) == list(cli.COMMANDS)
+    for command, entry in cli.COMMANDS.items():
+        assert sorted(table[command]) == sorted(entry.keys.split())
 
 
 def test_config_file_rejects_unknown_key(tmp_path, capsys):

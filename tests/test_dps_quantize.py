@@ -49,6 +49,20 @@ def test_grid_bits_bounds():
         PhaseGrid(21)
 
 
+def test_grid_tables_are_one_read_only_copy_per_bits():
+    for bits in (1, 4, 12):
+        grid = PhaseGrid(bits)
+        assert grid.phases is PhaseGrid(bits).phases
+        assert grid.phasors is PhaseGrid(bits).phasors
+        assert not grid.phases.flags.writeable
+        assert not grid.phasors.flags.writeable
+        # The formula the tables have always been built with, bit for bit.
+        phases = np.arange(grid.size) * grid.step
+        np.testing.assert_array_equal(grid.phases, phases)
+        np.testing.assert_array_equal(grid.phasors, np.exp(1j * phases))
+    assert PhaseGrid(3).phasors is not PhaseGrid(4).phasors
+
+
 # -------------------------------------------------------------- decompose
 
 def test_decompose_full_amplitude():
@@ -446,6 +460,13 @@ def test_quantize_pesa_unit_modulus():
 def test_quantize_pesa_rejects_zero_entry():
     with pytest.raises(ValueError):
         quantize_pesa([1.0, 0.0], PhaseGrid(2))
+
+
+@pytest.mark.parametrize("bad", [complex(math.inf, math.inf), math.inf,
+                                 complex(math.nan, 0.0), math.nan])
+def test_quantize_pesa_rejects_non_finite_weights(bad):
+    with pytest.raises(ValueError, match="^weights must be finite$"):
+        quantize_pesa(np.array([1.0, bad]), PhaseGrid(3))
 
 
 def test_quantize_pesa_error_bound():
