@@ -27,6 +27,12 @@ MAX_GRID_ENTRIES = 1 << 22
 PEAK_COARSE_ROWS = 16
 
 
+def _is_count(n) -> bool:
+    """Whether ``n`` is an integral, non-bool number (numpy integers pass):
+    the one type check of antenna, bit, candidate and trial counts."""
+    return isinstance(n, (int, np.integer)) and not isinstance(n, bool)
+
+
 @dataclass(frozen=True)
 class ArrayConfig:
     """Uniform linear array: element count and spacing in carrier wavelengths."""
@@ -35,8 +41,7 @@ class ArrayConfig:
     spacing_wavelengths: float = 0.5
 
     def __post_init__(self):
-        n = self.n_antennas
-        if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
+        if not _is_count(self.n_antennas) or self.n_antennas < 1:
             raise ValueError("n_antennas must be a positive integer")
         if not self.spacing_wavelengths > 0:
             raise ValueError("spacing_wavelengths must be positive")
@@ -115,6 +120,8 @@ def _normalized_db(power: np.ndarray, peak: np.ndarray, floor_db: float) -> np.n
     ``floor_db``; ``floor_db`` wherever the peak is zero."""
     if not floor_db < 0:
         raise ValueError("floor_db must be negative")
+    if not math.isfinite(floor_db):
+        raise ValueError("floor_db must be finite")
     with np.errstate(divide="ignore", invalid="ignore"):
         power_db = np.maximum(10.0 * np.log10(power / peak), floor_db)
     return np.where(peak > 0, power_db, floor_db)

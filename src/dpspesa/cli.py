@@ -8,9 +8,10 @@ or lies outside [-90, 90] is a usage error.  Each subcommand takes only
 the flags its handler reads, spelled in full.  Scenario values may come
 from a ``key=value`` config file (``--config``) whose keys name flags;
 inline flags win on conflict, and ``DPS_SEED`` overrides the built-in
-default seed.  `_resolve` parses and checks every value, whatever its
-source.  Exit codes: 0 success, 1 I/O failure, 2 usage, 3 validation
-failure.
+default seed.  `main` resolves the chosen subcommand's keys once, in
+table order, and hands its handler the plain values: each is parsed,
+whatever its source, before any is checked.  Exit codes: 0 success,
+1 I/O failure, 2 usage, 3 validation failure.
 
 `build_parser` returns one parser shared by every call in the process;
 callers must not mutate it.
@@ -195,22 +196,22 @@ def _write_summary(path: str, items) -> None:
     print("\n".join(lines))
 
 
-def _out_dir(args) -> str:
-    out = _resolve(args, "out")
+def _out_dir(values: dict) -> str:
+    out = values["out"]
     os.makedirs(out, exist_ok=True)
     return out
 
 
-def _scenario_common(args, swept: bool = False) -> dict:
+def _scenario_common(values: dict) -> dict:
     common = {
-        "config": ArrayConfig(_resolve(args, "antennas"), _resolve(args, "spacing")),
-        "candidates_l": _resolve(args, "candidates"),
-        "grid_step_deg": _resolve(args, "grid_step"),
-        "floor_db": _resolve(args, "floor_db"),
+        "config": ArrayConfig(values["antennas"], values["spacing"]),
+        "candidates_l": values["candidates"],
+        "grid_step_deg": values["grid_step"],
+        "floor_db": values["floor_db"],
     }
-    if not swept:  # the sweep resolves its own bits and norms
-        common["bits"] = _resolve(args, "bits")
-        common["norm_target"] = _resolve(args, "norm")
+    if "norm" in values:  # the sweep reads lists of bits and norms instead
+        common["bits"] = values["bits"]
+        common["norm_target"] = values["norm"]
     # The grid bound, checked before any steering vector or O(N^2) solve.
     _grid_points(common["grid_step_deg"], common["config"].n_antennas)
     return common
@@ -226,15 +227,13 @@ def _desired_index(targets: tuple, desired) -> int:
     return targets.index(desired)
 
 
-def cmd_pattern(args) -> int:
-    common = _scenario_common(args)
+def cmd_pattern(values: dict) -> int:
+    common = _scenario_common(values)
     config = common["config"]
-    kind = _resolve(args, "beamformer")
+    kind = values["beamformer"]
     if kind not in ("steering", "mvdr", "dps", "pesa-quantized"):
         raise UsageError(f"unknown beamformer {kind!r}")
-    targets = _resolve(args, "targets")
-    desired = _resolve(args, "desired")
-    gamma = _resolve(args, "gamma")
+    targets, desired, gamma = values["targets"], values["desired"], values["gamma"]
     _check_gamma(gamma)  # every beamformer, also those that ignore it
 
     if targets is None:
@@ -260,16 +259,16 @@ def cmd_pattern(args) -> int:
 
     trace = beampattern_trace(config, w, common["grid_step_deg"],
                               common["floor_db"])
-    out = _out_dir(args)
+    out = _out_dir(values)
     _write_traces(out, trace, ["pattern.csv"])
     print(f"wrote {os.path.join(out, 'pattern.csv')} ({trace.angles_deg.size} rows)")
     return 0
 
 
-def cmd_single(args) -> int:
-    common = _scenario_common(args)
-    common["seed"] = _resolve(args, "seed")
-    targets = _resolve(args, "targets")
+def cmd_single(values: dict) -> int:
+    common = _scenario_common(values)
+    common["seed"] = values["seed"]
+    targets = values["targets"]
     if targets is None:
         rng = trial_rng(common["seed"], 0)
         targets = tuple(draw_target_angles(rng, count=1))
@@ -278,7 +277,7 @@ def cmd_single(args) -> int:
 
     spec = ScenarioSpec(target_angles_deg=targets, **common)
     result = run_single_target(spec)
-    out = _out_dir(args)
+    out = _out_dir(values)
     _write_traces(out, result.traces, TRIAL_TRACE_FILES)
     _write_summary(os.path.join(out, "summary.txt"), [
         ("target_deg", _fmt(targets[0])),
@@ -292,14 +291,14 @@ def cmd_single(args) -> int:
     return 0
 
 
-def cmd_clutter(args) -> int:
-    common = _scenario_common(args)
-    targets = _resolve(args, "targets")
+def cmd_clutter(values: dict) -> int:
+    common = _scenario_common(values)
+    targets = values["targets"]
     if targets is None or len(targets) < 2:
         raise UsageError("clutter requires --targets with at least two angles")
-    idx = _desired_index(targets, _resolve(args, "desired"))
+    idx = _desired_index(targets, values["desired"])
     spec = ScenarioSpec(target_angles_deg=targets, desired_index=idx,
-                        gamma=_resolve(args, "gamma"), **common)
+                        gamma=values["gamma"], **common)
     result = run_mvdr_clutter(spec)
 
     items = [
@@ -317,26 +316,20 @@ def cmd_clutter(args) -> int:
         items.append((f"reference_db_at_{tag}", _fmt(levels.reference)))
         items.append((f"dps_db_at_{tag}", _fmt(levels.dps)))
         items.append((f"pesa_db_at_{tag}", _fmt(levels.pesa)))
-    out = _out_dir(args)
+    out = _out_dir(values)
     _write_traces(out, result.traces, TRIAL_TRACE_FILES)
     _write_summary(os.path.join(out, "summary.txt"), items)
     return 0
 
 
-def cmd_sweep(args) -> int:
-    common = _scenario_common(args, swept=True)
-    common["seed"] = _resolve(args, "seed")
-    bits_sweep = _resolve(args, "bits")
-    norm_sweep = _resolve(args, "norms")
-    trials = _resolve(args, "trials")
-    workers = _resolve(args, "workers")
-
+def cmd_sweep(values: dict) -> int:
+    common = _scenario_common(values)
     # Targets are drawn per trial.
-    spec = ScenarioSpec(gamma=_resolve(args, "gamma"), **common)
-    result = run_monte_carlo(spec, bits_sweep, norm_sweep, trials,
-                             workers=workers)
+    spec = ScenarioSpec(gamma=values["gamma"], seed=values["seed"], **common)
+    result = run_monte_carlo(spec, values["bits"], values["norms"],
+                             values["trials"], workers=values["workers"])
 
-    out = _out_dir(args)
+    out = _out_dir(values)
     path = os.path.join(out, "sweep.csv")
     lines = ["bits,norm_target,mean_rms_dps_db,mean_rms_pesa_db,trials"]
     lines.extend(
@@ -345,21 +338,21 @@ def cmd_sweep(args) -> int:
         for row in result.rows
     )
     _write_lines(path, lines)
-    print(f"wrote {path} ({len(result.rows)} rows, {trials} trials)")
+    print(f"wrote {path} ({len(result.rows)} rows, {values['trials']} trials)")
     return 0
 
 
-def cmd_oracle_check(args) -> int:
-    bits = _resolve(args, "bits")
+def cmd_oracle_check(values: dict) -> int:
+    bits = values["bits"]
     if not 1 <= bits <= MAX_ORACLE_CHECK_BITS:
         raise UsageError("oracle-check requires 1 <= bits <= "
                          f"{MAX_ORACLE_CHECK_BITS}")
-    count = _resolve(args, "trials")
+    count = values["trials"]
     if count < 1:
         raise UsageError("oracle-check requires --trials >= 1")
 
     grid = PhaseGrid(bits)
-    rng = trial_rng(_resolve(args, "seed"), 0)
+    rng = trial_rng(values["seed"], 0)
     mismatches = checked = 0
     while checked < count:
         # Weights are drawn and normalized a block at a time, the block's
@@ -443,9 +436,9 @@ def build_parser() -> argparse.ArgumentParser:
         description="Double-phase-shifter PESA beamforming experiments",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for command, (handler, help, keys, _) in COMMANDS.items():
+    for command, (_, help, keys, _) in COMMANDS.items():
         p = sub.add_parser(command, help=help, allow_abbrev=False)
-        p.set_defaults(func=handler, parser=p)
+        p.set_defaults(parser=p)
         p.add_argument("--config", help="key=value scenario file; inline flags win")
         for key in keys.split():
             flags = ("-L",) if key == "candidates" else ()
@@ -460,7 +453,8 @@ def main(argv=None) -> int:
         args.parser.error(f"unrecognized arguments: {' '.join(extras)}")
     try:
         args._config_values = _load_config_file(args.config) if args.config else {}
-        return args.func(args)
+        handler, _, keys, _ = COMMANDS[args.command]
+        return handler({key: _resolve(args, key) for key in keys.split()})
     except LinAlgError as exc:  # a ValueError subclass, so caught first
         print(f"ill-conditioned solve ({exc}); increase --gamma", file=sys.stderr)
         return 2

@@ -18,12 +18,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
 
-from .array_model import MAX_GRID_ENTRIES, TWO_PI
+from .array_model import MAX_GRID_ENTRIES, TWO_PI, _is_count
 
 MAX_ORACLE_BITS = 12
 MAX_GRID_BITS = 20
@@ -38,7 +38,7 @@ class PhaseGrid:
     bits: int
 
     def __post_init__(self):
-        if not 1 <= self.bits <= MAX_GRID_BITS:
+        if not _is_count(self.bits) or not 1 <= self.bits <= MAX_GRID_BITS:
             raise ValueError(f"bits must be in [1, {MAX_GRID_BITS}]")
 
     @property
@@ -49,11 +49,11 @@ class PhaseGrid:
     def step(self) -> float:
         return TWO_PI / self.size
 
-    @cached_property
+    @property
     def phases(self) -> np.ndarray:
         return _grid_tables(self)[0]
 
-    @cached_property
+    @property
     def phasors(self) -> np.ndarray:
         return _grid_tables(self)[1]
 
@@ -270,7 +270,7 @@ def _search(wn: np.ndarray, grids, candidates: int) -> list[DpsBeamformer]:
     one `DpsBeamformer` per grid of ``grids``.  The split does not depend
     on the grid, so it is computed once, and only if some grid ranks
     candidates: a full-grid search scores every pair without it."""
-    if candidates < 1:
+    if not _is_count(candidates) or candidates < 1:
         raise ValueError("candidates must be a positive integer")
     counts = [min(candidates, grid.size) for grid in grids]
     # Each weight builds count x count candidate pairs.  Weights are

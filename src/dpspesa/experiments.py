@@ -23,6 +23,7 @@ from .array_model import (
     ArrayConfig,
     BeampatternTrace,
     _grid_index,
+    _is_count,
     _rms_db,
     beampattern_trace,
     levels_db,
@@ -265,10 +266,13 @@ def run_monte_carlo(base: ScenarioSpec, bits_sweep, norm_sweep,
     blocks, sharded over up to ``workers`` processes (see `_trial_blocks`).
     Deterministic for a given ``base.seed`` regardless of ``workers``.
     """
-    bits_list = tuple(int(b) for b in bits_sweep)
     norm_list = tuple(float(v) for v in norm_sweep)
+    if not _is_count(trials):
+        raise ValueError("trials must be an integer")
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    trials = int(trials)
+    bits_list = tuple(int(PhaseGrid(b).bits) for b in bits_sweep)
     if not bits_list or not norm_list:
         raise ValueError("bits_sweep and norm_sweep must be non-empty")
     if base.gamma is None:

@@ -196,6 +196,18 @@ def test_trace_contract_errors():
             _db([1.0, 1.0], floor_db)
 
 
+def test_non_finite_floor_is_refused():
+    cfg = ArrayConfig(4, 0.5)
+    w = np.ones(4, dtype=complex)
+    with pytest.raises(ValueError, match="^floor_db must be finite$"):
+        beampattern_trace(cfg, w, 0.1, -math.inf)
+    with pytest.raises(ValueError, match="^floor_db must be finite$"):
+        levels_db(cfg, w, [0.0], 0.1, -math.inf)
+    for floor_db in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="^floor_db must be negative$"):
+            _db([1.0, 0.0], floor_db)
+
+
 def test_trace_peak_is_zero_db_and_at_look_direction():
     cfg = ArrayConfig(16, 0.5)
     w = steering_vector(cfg, 30.0)

@@ -663,6 +663,69 @@ def test_every_offered_flag_is_read(command, monkeypatch, tmp_path):
     assert read == set(_offered(command))
 
 
+class _ReadLog(dict):
+    """A dict that records each key read by ``[]`` or ``get``."""
+
+    def __init__(self, values, read):
+        super().__init__(values)
+        self.read = read
+
+    def __getitem__(self, key):
+        self.read.add(key)
+        return super().__getitem__(key)
+
+    def get(self, key, default=None):
+        self.read.add(key)
+        return super().get(key, default)
+
+
+@pytest.mark.parametrize("command", sorted(TINY))
+def test_every_resolved_value_is_read(command, monkeypatch, tmp_path):
+    # `main` resolves every offered key; each handler must read each one.
+    read = set()
+    entry = cli.COMMANDS[command]
+
+    def handler(values):
+        return entry.handler(_ReadLog(values, read))
+
+    monkeypatch.setitem(cli.COMMANDS, command, entry._replace(handler=handler))
+    assert run_cli(_tiny(command, tmp_path)) == 0
+    assert read == set(_offered(command))
+
+
+@pytest.mark.parametrize("argv, error", [
+    (["oracle-check", "--bits=9", "--trials=x"], "invalid value for --trials: 'x'"),
+    (["pattern", "--beamformer=magic", "--gamma=x"],
+     "invalid value for --gamma: 'x'"),
+    (["pattern", "--antennas=0", "--grid-step=x"],
+     "invalid value for --grid-step: 'x'"),
+    (["clutter", "--targets=5", "--gamma=x"], "invalid value for --gamma: 'x'"),
+])
+def test_values_are_parsed_before_any_check(argv, error, tmp_path, capsys):
+    # Each argv also holds a value that a handler refuses; the parse error
+    # is reported first.
+    out = tmp_path / "out"
+    if argv[0] != "oracle-check":
+        argv = [*argv, f"--out={out}"]
+    assert run_cli(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"usage error: {error}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("floor", ["-inf", "inf"])
+@pytest.mark.parametrize("command", ["pattern", "single", "clutter", "sweep"])
+def test_non_finite_floor_is_refused_before_any_write(command, floor, tmp_path,
+                                                      capsys):
+    out = tmp_path / "out"
+    assert run_cli([*_tiny(command, out), f"--floor-db={floor}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage error: floor_db must be")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command, flag", [
     # Flags no handler of the subcommand reads.
     *(("oracle-check", flag) for flag in (

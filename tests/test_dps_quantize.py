@@ -49,6 +49,18 @@ def test_grid_bits_bounds():
         PhaseGrid(21)
 
 
+@pytest.mark.parametrize("bits", [2.5, 3.0, True, False, "3", None])
+def test_grid_rejects_a_non_integral_bit_count(bits):
+    with pytest.raises(ValueError, match=r"^bits must be in \[1, 20\]$"):
+        PhaseGrid(bits)
+
+
+def test_grid_takes_numpy_integer_bits_and_keeps_no_tables_of_its_own():
+    grid = PhaseGrid(np.int64(3))
+    assert grid.phasors is PhaseGrid(3).phasors
+    assert vars(grid) == {"bits": 3}  # the tables live in `_grid_tables`
+
+
 def test_grid_tables_are_one_read_only_copy_per_bits():
     for bits in (1, 4, 12):
         grid = PhaseGrid(bits)
@@ -286,6 +298,18 @@ def test_approximate_validation():
         approximate([1.0], PhaseGrid(2), candidates=0)
     with pytest.raises(ValueError):
         approximate([0.0, 0.0], PhaseGrid(2))
+
+
+@pytest.mark.parametrize("candidates", [2.5, 3.0, True, "3", None])
+def test_approximate_rejects_a_non_integral_candidate_count(candidates):
+    with pytest.raises(ValueError, match="^candidates must be a positive integer$"):
+        approximate([1.0], PhaseGrid(2), candidates=candidates)
+
+
+def test_approximate_takes_a_numpy_integer_candidate_count():
+    w = [0.3 + 1.2j, -0.7]
+    assert (approximate(w, PhaseGrid(3), np.int64(2)).pairs.tolist()
+            == approximate(w, PhaseGrid(3), 2).pairs.tolist())
 
 
 def test_candidate_search_runs_in_chunks_under_the_pair_bound(monkeypatch):

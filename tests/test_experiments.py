@@ -413,3 +413,27 @@ def test_monte_carlo_validation():
         run_monte_carlo(base, (2,), (2.0,), trials=0)
     with pytest.raises(ValueError):
         run_monte_carlo(base, (), (2.0,), trials=1)
+
+
+@pytest.mark.parametrize("bits, trials, error", [
+    ((2.5,), 1, r"^bits must be in \[1, 20\]$"),
+    ((2, True), 1, r"^bits must be in \[1, 20\]$"),
+    ((2,), 2.5, "^trials must be an integer$"),
+    ((2,), True, "^trials must be an integer$"),
+    ((2, 25), 1, r"^bits must be in \[1, 20\]$"),
+])
+def test_monte_carlo_rejects_non_integral_counts(bits, trials, error,
+                                                 monkeypatch):
+    # Every count is checked before any trial block runs.
+    monkeypatch.setattr(experiments, "_sweep_block", None)
+    base = ScenarioSpec(config=ArrayConfig(4), grid_step_deg=1.0)
+    with pytest.raises(ValueError, match=error):
+        run_monte_carlo(base, bits, (2.0,), trials)
+
+
+def test_monte_carlo_takes_numpy_integer_counts():
+    base = ScenarioSpec(config=ArrayConfig(4), grid_step_deg=1.0)
+    result = run_monte_carlo(base, (np.int64(2),), (2.0,), np.int64(2))
+    assert result == run_monte_carlo(base, (2,), (2.0,), 2)
+    for row in result.rows:
+        assert type(row.bits) is int and type(row.trials) is int
