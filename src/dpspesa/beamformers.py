@@ -11,7 +11,8 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
+from numpy.linalg import LinAlgError
+from scipy.linalg.lapack import zpotrf, zpotrs
 
 from .array_model import (
     MAX_GRID_ENTRIES,
@@ -94,8 +95,8 @@ def _mvdr(config: ArrayConfig, angles_deg, desired, gamma: float) -> np.ndarray:
     ``(T, K)`` and desired indices ``(T,)``.
 
     One batched product builds every system matrix; each system is then
-    factored and solved on its own, so every row equals the one-scenario
-    solve bit for bit.
+    factored and solved on its own (`_cholesky_solve`), so every row equals
+    the one-scenario solve bit for bit.
     """
     if gamma is None:
         raise ValueError("MVDR needs a gamma, got None")
@@ -119,4 +120,22 @@ def _mvdr(config: ArrayConfig, angles_deg, desired, gamma: float) -> np.ndarray:
         steering_vector(config, angles_deg).swapaxes(-1, -2))
     lhs = gamma * np.eye(n) + a_mat @ a_mat.conj().swapaxes(-1, -2)
     rhs = a_mat[np.arange(len(a_mat)), :, desired]
-    return np.stack([cho_solve(cho_factor(m), b) for m, b in zip(lhs, rhs)])
+    return np.stack([_cholesky_solve(m, b) for m, b in zip(lhs, rhs)])
+
+
+def _cholesky_solve(m: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solve the Hermitian positive-definite system ``m x = b`` through
+    LAPACK ``zpotrf``/``zpotrs`` on the upper triangle: the calls, bits and
+    error types of scipy's ``cho_solve(cho_factor(m), b)`` without its
+    wrappers.  The MVDR matrices are finite by construction (finite gamma,
+    unit-modulus steering entries), so there is no finiteness check."""
+    c, info = zpotrf(m, lower=0, clean=0)
+    if info > 0:
+        raise LinAlgError(
+            f"{info}-th leading minor of the array is not positive definite")
+    if info == 0:
+        x, info = zpotrs(c, b, lower=0)
+    if info < 0:
+        raise ValueError(f"LAPACK reported an illegal value in {-info}-th "
+                         "argument of a Cholesky routine")
+    return x

@@ -23,6 +23,7 @@ import argparse
 import functools
 import os
 import sys
+import warnings
 from collections.abc import Callable
 from typing import NamedTuple
 
@@ -447,23 +448,37 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _print_warning(message, *_) -> None:
+    """Show a warning as one ``warning: <message>`` line on stderr, without
+    the source location, so stderr does not depend on where it was raised.
+    The line is one write, so the lines of concurrent sweep workers stay
+    whole."""
+    sys.stderr.write(f"warning: {message}\n")
+    sys.stderr.flush()
+
+
 def main(argv=None) -> int:
     args, extras = build_parser().parse_known_args(argv)
     if extras:  # reported with the usage of the subcommand that was chosen
         args.parser.error(f"unrecognized arguments: {' '.join(extras)}")
-    try:
-        args._config_values = _load_config_file(args.config) if args.config else {}
-        handler, _, keys, _ = COMMANDS[args.command]
-        return handler({key: _resolve(args, key) for key in keys.split()})
-    except LinAlgError as exc:  # a ValueError subclass, so caught first
-        print(f"ill-conditioned solve ({exc}); increase --gamma", file=sys.stderr)
-        return 2
-    except (UsageError, ValueError) as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"I/O error: {exc}", file=sys.stderr)
-        return 1
+    # A warning prints as it is raised, in order with the lines below.
+    with warnings.catch_warnings():
+        warnings.showwarning = _print_warning
+        try:
+            args._config_values = (_load_config_file(args.config)
+                                   if args.config else {})
+            handler, _, keys, _ = COMMANDS[args.command]
+            return handler({key: _resolve(args, key) for key in keys.split()})
+        except LinAlgError as exc:  # a ValueError subclass, so caught first
+            print(f"ill-conditioned solve ({exc}); increase --gamma",
+                  file=sys.stderr)
+            return 2
+        except (UsageError, ValueError) as exc:
+            print(f"usage error: {exc}", file=sys.stderr)
+            return 2
+        except OSError as exc:
+            print(f"I/O error: {exc}", file=sys.stderr)
+            return 1
 
 
 if __name__ == "__main__":

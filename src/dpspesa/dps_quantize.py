@@ -150,32 +150,36 @@ def normalize_to_max(w, target=2.0) -> np.ndarray:
     return w * (target / peak)[..., None]
 
 
-def _nearest(phi: np.ndarray, grid: PhaseGrid, count: int) -> np.ndarray:
-    """Indices ``(..., count)`` of the grid phases closest to each ``phi``.
+def _nearest(phi: np.ndarray, grids, count: int) -> np.ndarray:
+    """Indices ``(G, ..., count)`` of the phases of each of the G ``grids``
+    closest to each ``phi``, placed for every grid in one pass.
 
-    ``count`` must not exceed the grid size.  Sorted by distance ascending,
-    ties broken by the smaller index, where the distance is the float
-    ``|(phase - phi + pi) % 2pi - pi|``.  With ``phi`` at u = base + f grid
-    steps (f in [0, 1)), the candidates are placed without ranking: base +
-    0, +1, -1, +2, -2, ... when f < 1/2, and base + 1, 0, +2, -1, +3, ...
-    when f > 1/2.  A phase whose f lies within a rounding margin of 0, 1/2
-    or 1 (of 1/2 alone for one candidate), where the float distances may
-    tie or swap, or with |phi| above 4*pi, falls back to ranking (`_rank`)
-    the window base - count .. base + count + 1, or the whole grid when it
-    has at most 2*count + 2 phases.
+    ``count`` must not exceed any grid's size.  Sorted by distance
+    ascending, ties broken by the smaller index, where the distance is the
+    float ``|(phase - phi + pi) % 2pi - pi|``.  With ``phi`` at u = base + f
+    grid steps (f in [0, 1)), the candidates are placed without ranking:
+    base + 0, +1, -1, +2, -2, ... when f < 1/2, and base + 1, 0, +2, -1,
+    +3, ... when f > 1/2.  A phase whose f lies within a rounding margin of
+    0, 1/2 or 1 (of 1/2 alone for one candidate), where the float distances
+    may tie or swap, or with |phi| above 4*pi, falls back to ranking
+    (`_rank`) the window base - count .. base + count + 1, or the whole grid
+    when it has at most 2*count + 2 phases; only the grids and phases that
+    need it are ranked.
 
-    The result is a view of a candidate-major ``(count, ...)`` array, so
-    each candidate's indices are contiguous.
+    The result is a view of a candidate-major ``(count, G, ...)`` array, so
+    each candidate's indices on each grid are contiguous.
     """
     if not np.all(np.isfinite(phi)):
         raise ValueError("phases must be finite")
-    n = grid.size
     # x % (2*pi) is x itself on [0, 2*pi), where `decompose` puts nearly
     # every phase, so only the phases outside are reduced; n is a power of
     # two, so & (n - 1) wraps an index as % n does.
     reduced = np.remainder(phi, TWO_PI, out=np.array(phi, dtype=float),
                            where=(phi < 0.0) | (phi >= TWO_PI))
-    u = reduced / grid.step
+    # Each grid's size n and step, on a leading grid axis.
+    shape = (len(grids),) + (1,) * reduced.ndim
+    n = np.array([grid.size for grid in grids]).reshape(shape)
+    u = reduced / np.array([grid.step for grid in grids]).reshape(shape)
     base = u.astype(np.int64)
     f = u - base
     # Exactly, with s = step = T/n for the float T = 2*pi (exact, as n is a
@@ -213,10 +217,12 @@ def _nearest(phi: np.ndarray, grid: PhaseGrid, count: int) -> np.ndarray:
     ks += base + up
     ks &= n - 1
     ks = ks.transpose(*range(1, ks.ndim), 0)
-    if tie.any():
-        half = min(n, 2 * count + 2) // 2
-        window = (base[tie][:, None] + np.arange(1 - half, half + 1)) & (n - 1)
-        ks[tie] = _rank(phi[tie], window, grid, count)
+    for i in np.flatnonzero(tie.reshape(len(grids), -1).any(axis=1)):
+        grid, t = grids[i], tie[i]
+        half = min(grid.size, 2 * count + 2) // 2
+        window = ((base[i][t][:, None] + np.arange(1 - half, half + 1))
+                  & (grid.size - 1))
+        ks[i][t] = _rank(phi[t], window, grid, count)
     return ks
 
 
@@ -284,28 +290,47 @@ def _search(wn: np.ndarray, grids, candidates: int) -> list[DpsBeamformer]:
                 f"use fewer candidates"
             )
     flat = wn.reshape(-1)
-    ranked = [count < grid.size for grid, count in zip(grids, counts)]
-    split = np.stack(decompose(flat)) if any(ranked) else None
-    found = []
-    for grid, count, rank in zip(grids, counts, ranked):
+    parts = [[] for _ in grids]
+    ranked = []
+    for g, (grid, count) in enumerate(zip(grids, counts)):
+        if count < grid.size:
+            ranked.append(g)
+            continue
         chunk = MAX_GRID_ENTRIES // count**2
-        parts = [_best_pairs(flat[i:i + chunk],
-                             split[:, i:i + chunk] if rank else None,
-                             grid, count)
-                 for i in range(0, flat.size, chunk)]
-        pairs, realized = (np.concatenate(x) for x in zip(*parts))
+        for i in range(0, flat.size, chunk):
+            parts[g].append(_best_pairs(flat[i:i + chunk], None, grid, count))
+    if ranked:
+        # A grid ranks only when count = candidates < its size.  Each chunk
+        # places its candidates in one `_nearest` pass on as many ranked
+        # grids as keep the (G, 2, chunk, L) result within MAX_GRID_ENTRIES.
+        split = np.stack(decompose(flat))
+        chunk = MAX_GRID_ENTRIES // candidates**2
+        per_pass = max(1, MAX_GRID_ENTRIES
+                       // (2 * min(chunk, flat.size) * candidates))
+        for i in range(0, flat.size, chunk):
+            for j in range(0, len(ranked), per_pass):
+                group = ranked[j:j + per_pass]
+                cands = _nearest(split[:, i:i + chunk],
+                                 [grids[g] for g in group], candidates)
+                for g, c in zip(group, cands):
+                    parts[g].append(_best_pairs(flat[i:i + chunk], c, grids[g],
+                                                candidates))
+    found = []
+    for grid, part in zip(grids, parts):
+        pairs, realized = (np.concatenate(x) for x in zip(*part))
         found.append(DpsBeamformer(grid=grid,
                                    pairs=pairs.reshape(wn.shape + (2,)),
                                    realized=realized.reshape(wn.shape)))
     return found
 
 
-def _best_pairs(wn: np.ndarray, split: np.ndarray | None, grid: PhaseGrid,
+def _best_pairs(wn: np.ndarray, cands: np.ndarray | None, grid: PhaseGrid,
                 count: int) -> tuple[np.ndarray, np.ndarray]:
     """Best index pairs ``(E, 2)`` of the weights ``wn`` ``(E,)`` among
     ``count`` candidates per phase, and the sums they realize ``(E,)``.
-    ``split`` holds the weights' phases ``(2, E)``; a full-grid search
-    (``count`` the grid size) reads none and takes None.
+    ``cands`` holds the candidates ``(2, E, count)`` of the weights' two
+    phases, as `_nearest` places them; a full-grid search (``count`` the
+    grid size) reads none and takes None.
 
     The pairs are scored candidate-major, ``(pairs, E)``, so each pick
     below reduces over the leading axis in contiguous passes."""
@@ -316,7 +341,7 @@ def _best_pairs(wn: np.ndarray, split: np.ndarray | None, grid: PhaseGrid,
         lo, hi = (k[:, None] for k in np.nonzero(ks[:, None] <= ks))
     else:
         # Each phase's candidates ``(count, E)``, views without a copy.
-        idx_a, idx_b = _nearest(split, grid, count).swapaxes(1, 2)
+        idx_a, idx_b = cands.swapaxes(1, 2)
         idx_a, idx_b = idx_a[:, None], idx_b[None, :]
         lo = np.minimum(idx_a, idx_b).reshape(count**2, -1)
         hi = np.maximum(idx_a, idx_b).reshape(count**2, -1)
@@ -455,4 +480,5 @@ def _quantize_pesa(w, grids) -> list[np.ndarray]:
     if np.any(w == 0):
         raise ValueError("zero weights have no phase to quantize")
     phase = _map(math.atan2, w.imag, w.real)
-    return [grid.phasors[_nearest(phase, grid, 1)[..., 0]] for grid in grids]
+    return [grid.phasors[ks[..., 0]]
+            for grid, ks in zip(grids, _nearest(phase, grids, 1))]

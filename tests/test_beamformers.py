@@ -162,6 +162,28 @@ def test_batched_mvdr_checks_like_the_one_scenario_solve(monkeypatch):
         _mvdr(ArrayConfig(3, 0.5), [[0.0, 30.0]], [0], 0.1)
 
 
+@pytest.mark.parametrize("routine", ["zpotrf", "zpotrs"])
+def test_an_illegal_lapack_argument_is_a_value_error(monkeypatch, routine):
+    # LAPACK reports an illegal argument as a negative info, from the
+    # factorization or the solve; neither is taken for a failing minor.
+    real = getattr(beamformers, routine)
+
+    def illegal(*args, **kwargs):
+        return real(*args, **kwargs)[0], -2
+
+    monkeypatch.setattr(beamformers, routine, illegal)
+    with pytest.raises(ValueError, match="illegal value in 2-th argument") \
+            as raised:
+        mvdr_beamformer(ArrayConfig(8, 0.5), _fig3_scenario(), 0.1)
+    assert not isinstance(raised.value, np.linalg.LinAlgError)
+
+
+def test_a_failing_minor_is_a_linalg_error():
+    with pytest.raises(np.linalg.LinAlgError, match=(
+            "^4-th leading minor of the array is not positive definite$")):
+        mvdr_beamformer(ArrayConfig(16, 0.5), _fig3_scenario(), 1e-30)
+
+
 def test_mvdr_warns_when_targets_exceed_antennas():
     cfg = ArrayConfig(4, 0.5)
     scenario = TargetScenario((-46.0, -23.0, 0.0, 23.0, 46.0))

@@ -322,9 +322,9 @@ def test_candidate_search_bound_exits_2_before_writing(monkeypatch, tmp_path,
 def test_clutter_ill_conditioned_solve(tmp_path, capsys):
     assert run_cli(["clutter", "--targets=-47,30,49", "--desired=49",
                     "--gamma=1e-30", f"--out={tmp_path}"]) == 2
-    err = capsys.readouterr().err
-    assert "ill-conditioned solve" in err and "increase --gamma" in err
-    assert "usage error" not in err
+    assert capsys.readouterr().err == (
+        "ill-conditioned solve (4-th leading minor of the array is not "
+        "positive definite); increase --gamma\n")
     # The sweep solves a block of trials at once; a failing solve still ends
     # the run the same way, before anything is written.
     out = tmp_path / "sweep"
@@ -333,6 +333,30 @@ def test_clutter_ill_conditioned_solve(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "ill-conditioned solve" in err and "usage error" not in err
     assert not out.exists()
+
+
+def test_a_warning_prints_as_one_line_without_its_source(tmp_path, capsys):
+    # Three targets on one antenna exceed its degrees of freedom: the run
+    # succeeds and writes the files it always wrote, and the warning is one
+    # line that does not name the file or line that raised it.
+    assert run_cli(["clutter", "--antennas=1", "--targets=-47,30,49",
+                    "--desired=49", f"--out={tmp_path}"]) == 0
+    assert capsys.readouterr().err == (
+        "warning: nulling 3 targets with only 1 antennas exceeds the array's "
+        "degrees of freedom\n")
+    digests = {  # recorded before warnings were printed as one line
+        "summary.txt": "f3a4b7600ad1215607bb02c34883e762"
+                       "21b1574dfee79aea1fc6e3b1e126a554",
+        "reference.csv": "b7e42bbfa0908fabe88130f9e76af4c1"
+                         "dc964dcc1c3fc4be5a28764ab45abe3c",
+        "dps.csv": "08a650c7c9d5b9647124a94334b27b2c"
+                   "fc2aeaee7baacbb36032e15d3f5b224d",
+        "pesa.csv": "95fc73d9264e46057d32af860700c60a"
+                    "c6e447c128462c4147404809e4452438",
+    }
+    for name, digest in digests.items():
+        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() \
+            == digest
 
 
 def test_sweep_csv_layout(tmp_path):
@@ -818,6 +842,13 @@ def test_module_entry_point_runs_in_a_subprocess(tmp_path):
     refused = run("oracle-check", "-L", "3")
     assert (refused.returncode, refused.stdout) == (2, "")
     assert "unrecognized arguments: -L 3" in refused.stderr
+    # Each sweep worker process prints the warning as one whole line.
+    warned = run("sweep", "--antennas=2", "--bits=2", "--trials=2",
+                 "--workers=2", f"--out={tmp_path / 'sweep'}")
+    assert warned.returncode == 0
+    assert set(warned.stderr.splitlines(keepends=True)) == {
+        "warning: nulling 3 targets with only 2 antennas exceeds the "
+        "array's degrees of freedom\n"}
 
 
 def _help_text(command, capsys):

@@ -190,11 +190,11 @@ def test_nearest_phases_property_matches_reference_for_every_count(bits, data):
              | _below_two_pi | st.floats(-20.0, 20.0))
     phis = np.array(data.draw(st.lists(phase, min_size=1, max_size=4)))
     for count in range(1, grid.size + 1):
-        got = _nearest(phis, grid, count)
+        got = _nearest(phis, [grid], count)[0]
         assert got.shape == (phis.size, count)
         for phi, row in zip(phis, got):
             assert row.tolist() == ref.nearest_phases(phi, grid, count).tolist()
-            assert row.tolist() == _nearest(phi, grid, count).tolist()
+            assert row.tolist() == _nearest(phi, [grid], count)[0].tolist()
             dist = np.abs((grid.phases - phi + np.pi) % TWO_PI - np.pi)
             ranked = np.lexsort((np.arange(grid.size), dist))
             assert row.tolist() == ranked[:count].tolist()
@@ -212,8 +212,8 @@ def test_nearest_phases_exact_ties_go_to_the_lower_index():
                 continue
             ties += 1
             wrapped += hi - lo > 1
-            assert _nearest(np.float64(phi), grid, 2).tolist() == [lo, hi]
-            assert _nearest(np.float64(phi), grid, 1).tolist() == [lo]
+            assert _nearest(np.float64(phi), [grid], 2)[0].tolist() == [lo, hi]
+            assert _nearest(np.float64(phi), [grid], 1)[0].tolist() == [lo]
     # Both ordinary ties and ties across the 2*pi wrap were exercised.
     assert ties > 20 and wrapped >= 2
 
@@ -251,10 +251,10 @@ def test_normalize_errors():
 
 def test_nearest_phases_examples():
     grid = PhaseGrid(2)  # {0, pi/2, pi, 3*pi/2}
-    assert list(_nearest(np.float64(math.pi / 3), grid, 2)) == [1, 0]
-    assert list(_nearest(np.float64(0.0), grid, 1)) == [0]
-    assert list(_nearest(np.float64(0.0), PhaseGrid(5), 1)) == [0]
-    assert list(_nearest(np.float64(TWO_PI - 0.01), grid, 1)) == [0]
+    assert list(_nearest(np.float64(math.pi / 3), [grid], 2)[0]) == [1, 0]
+    assert list(_nearest(np.float64(0.0), [grid], 1)[0]) == [0]
+    assert list(_nearest(np.float64(0.0), [PhaseGrid(5)], 1)[0]) == [0]
+    assert list(_nearest(np.float64(TWO_PI - 0.01), [grid], 1)[0]) == [0]
 
 
 def test_nearest_phases_matches_brute_force():
@@ -263,7 +263,7 @@ def test_nearest_phases_matches_brute_force():
         grid = PhaseGrid(int(rng.integers(1, 8)))
         count = min(int(rng.integers(1, 10)), grid.size)
         phi = float(rng.uniform(-10.0, 10.0))
-        got = list(_nearest(np.float64(phi), grid, count))
+        got = list(_nearest(np.float64(phi), [grid], count)[0])
         dist = np.abs((grid.phases - phi + np.pi) % TWO_PI - np.pi)
         want = np.lexsort((np.arange(grid.size), dist))[:count]
         assert got == list(want)

@@ -357,6 +357,27 @@ def test_sweep_block_solves_and_scores_in_one_pass(monkeypatch, trials):
                              "steering_vector"]
 
 
+def test_sweep_block_places_candidates_once_per_quantizer(monkeypatch):
+    # A block of the criterion-3 sweep (bits 2..12, L = 3) places its
+    # candidates on all 11 grids in one pass for DPS and one for PESA, not
+    # once per grid and quantizer.
+    spec = ScenarioSpec(config=CFG, gamma=0.1, candidates_l=3, seed=5)
+    bits = tuple(range(2, 13))
+    want = _sweep_block(spec, bits, (1.0, 1.5, 2.0), range(10))
+    nearest = dps_quantize._nearest
+    passes = []
+
+    def counted(phi, grids, count):
+        passes.append(([grid.bits for grid in grids], count, phi.shape))
+        return nearest(phi, grids, count)
+
+    monkeypatch.setattr(dps_quantize, "_nearest", counted)
+    got = _sweep_block(spec, bits, (1.0, 1.5, 2.0), range(10))
+    assert passes == [(list(bits), 3, (2, 10 * 3 * 16)),
+                      (list(bits), 1, (10, 16))]
+    assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+
 def test_monte_carlo_worker_count_invariance():
     base = ScenarioSpec(config=CFG, target_angles_deg=(0.0,), gamma=0.1,
                         seed=42)

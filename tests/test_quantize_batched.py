@@ -228,7 +228,7 @@ def test_nearest_window_matches_reference(bits):
     phis = np.concatenate([base, -base, base - TWO_PI, base + TWO_PI,
                            [1e18, -1e18, 1e300, -1e300]])
     for count in range(1, 6):
-        got = _nearest(phis, grid, count)
+        got = _nearest(phis, [grid], count)[0]
         for phi, row in zip(phis.tolist(), got):
             assert row.tolist() == ref.nearest_phases(phi, grid, count).tolist()
 
@@ -267,7 +267,7 @@ def test_nearest_placement_matches_reference_in_order(bits):
     phis = np.concatenate([phis, -phis, phis - TWO_PI, phis + TWO_PI,
                            SPECIAL_PHASES])
     for count in range(1, 9):
-        got = _nearest(phis, grid, count)
+        got = _nearest(phis, [grid], count)[0]
         for phi, row in zip(phis.tolist(), got):
             assert row.tolist() == ref.nearest_phases(phi, grid, count).tolist()
 
@@ -300,12 +300,12 @@ def test_nearest_on_small_grids_matches_whole_grid_ranking(monkeypatch, bits):
     for count in range(1, grid.size):
         want = rank(phis, np.broadcast_to(k, phis.shape + (grid.size,)), grid,
                     count)
-        assert np.array_equal(_nearest(phis, grid, count), want)
+        assert np.array_equal(_nearest(phis, [grid], count)[0], want)
         # Phases off the near-ties are placed, not ranked.
         ranked.clear()
         want = rank(generic, np.broadcast_to(k, generic.shape + (grid.size,)),
                     grid, count)
-        assert np.array_equal(_nearest(generic, grid, count), want)
+        assert np.array_equal(_nearest(generic, [grid], count)[0], want)
         assert ranked == []
 
 
@@ -318,7 +318,7 @@ def test_nearest_property_matches_reference_around_ties(bits, count, data):
     shift = data.draw(st.sampled_from([0.0, -TWO_PI, TWO_PI]))
     offset = data.draw(st.floats(-4.0, 4.0)) * PLACEMENT_MARGIN
     phis = np.array([anchor + offset + shift, -(anchor + offset)])
-    got = _nearest(phis, grid, count)
+    got = _nearest(phis, [grid], count)[0]
     for phi, row in zip(phis.tolist(), got):
         assert row.tolist() == ref.nearest_phases(phi, grid, count).tolist()
 
@@ -338,15 +338,99 @@ def test_nearest_ranks_the_window_only_near_ties(monkeypatch):
     points, midpoints = k * grid.step, (k + 0.5) * grid.step
     huge = [5 * math.pi, -1e18]
     for count in (1, 3):
-        _nearest(generic, grid, count)
+        _nearest(generic, [grid], count)
     assert ranked == []
     phis = np.concatenate([generic, points, midpoints, huge])
-    _nearest(phis, grid, 3)
+    _nearest(phis, [grid], 3)
     assert ranked == [np.concatenate([points, midpoints, huge]).tolist()]
     # A single candidate ties only at midpoints.
     ranked.clear()
-    _nearest(phis, grid, 1)
+    _nearest(phis, [grid], 1)
     assert ranked == [np.concatenate([midpoints, huge]).tolist()]
+
+
+def _several_grid_phases(grids, data):
+    """Grid points and midpoints of the ``grids``, their float neighbours,
+    negated and shifted by multiples of 2*pi up to |phi| > 4*pi, plus
+    arbitrary phases."""
+    grid = data.draw(st.sampled_from(grids))
+    k = st.integers(0, grid.size - 1)
+    anchor = st.builds(lambda i, half: (i + half) * grid.step, k,
+                       st.sampled_from([0.0, 0.5]))
+    near = st.builds(lambda x, way: np.nextafter(x, way) if way else x,
+                     anchor, st.sampled_from([0.0, -np.inf, np.inf]))
+    shifted = st.builds(lambda x, sign, turns: sign * x + turns * TWO_PI,
+                        near, st.sampled_from([1.0, -1.0]),
+                        st.sampled_from([0, -1, 1, -2, 2, 3, -3, 1 << 20]))
+    phase = shifted | st.floats(-40.0, 40.0)
+    return np.array(data.draw(st.lists(phase, min_size=1, max_size=6)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(count=st.integers(1, 5), data=st.data())
+def test_nearest_on_several_grids_matches_the_one_grid_reference(count, data):
+    # Each grid has more phases than the count: 2^bits > count.
+    bits = data.draw(st.lists(st.integers(count.bit_length(), 20),
+                              min_size=1, max_size=4))
+    grids = [PhaseGrid(b) for b in bits]
+    phis = _several_grid_phases(grids, data)
+    got = _nearest(phis, grids, count)
+    assert got.shape == (len(grids), phis.size, count)
+    for grid, rows in zip(grids, got):
+        for phi, row in zip(phis.tolist(), rows):
+            assert row.tolist() == ref.nearest_phases(phi, grid, count).tolist()
+
+
+def test_nearest_ranks_only_the_grids_and_phases_at_a_tie(monkeypatch):
+    # Midpoints of the 8-bit grid sit 1/64 step or more off the 3-bit grid's
+    # points and midpoints, so only the 8-bit grid ranks, and only them.
+    ranked = []
+    rank = dps_quantize._rank
+
+    def recording_rank(phi, ks, grid, count):
+        ranked.append((grid.bits, np.array(phi).tolist()))
+        return rank(phi, ks, grid, count)
+
+    monkeypatch.setattr(dps_quantize, "_rank", recording_rank)
+    fine, coarse = PhaseGrid(8), PhaseGrid(3)
+    k = np.arange(fine.size)
+    generic = (k + 0.3) * fine.step
+    midpoints = (k + 0.5) * fine.step
+    phis = np.concatenate([generic, midpoints])
+    for count in (1, 3):
+        ranked.clear()
+        got = _nearest(phis, [coarse, fine, coarse], count)
+        assert ranked == [(8, midpoints.tolist())]
+        for grid, rows in zip([coarse, fine, coarse], got):
+            assert np.array_equal(rows, _nearest(phis, [grid], count)[0])
+
+
+def test_a_lowered_bound_splits_the_grids_of_a_pass(monkeypatch):
+    # 40 weights place 2 x 40 x 3 = 240 candidates per grid; a bound of
+    # 1000 entries fits 4 grids per pass, so 11 grids take passes of 4, 4
+    # and 3, and a bound of 100 (chunks of 11 weights) one grid per pass.
+    # The pairs and realized weights stay those of one unsplit search.
+    rng = np.random.default_rng(22)
+    wn = normalize_to_max(_disk(rng, (2, 20)), 2.0)
+    grids = [PhaseGrid(b) for b in range(2, 13)]
+    want = dps_quantize._search(wn, grids, 3)
+    nearest = dps_quantize._nearest
+    passes = []
+
+    def counted(phi, grids, count):
+        passes.append((phi.shape[-1], len(grids)))
+        return nearest(phi, grids, count)
+
+    monkeypatch.setattr(dps_quantize, "_nearest", counted)
+    for bound, expected in ((1000, [(40, 4), (40, 4), (40, 3)]),
+                            (100, [(11, 1)] * 33 + [(7, 1)] * 11)):
+        passes.clear()
+        monkeypatch.setattr(dps_quantize, "MAX_GRID_ENTRIES", bound)
+        got = dps_quantize._search(wn, grids, 3)
+        assert sorted(passes, reverse=True) == expected
+        for a, b in zip(got, want):
+            assert np.array_equal(a.pairs, b.pairs)
+            assert np.array_equal(a.realized, b.realized)
 
 
 def _row(dps, index):
@@ -443,13 +527,13 @@ def test_non_finite_weights_are_rejected():
         with pytest.raises(ValueError, match="finite"):
             quantize_pesa([1.0, complex(np.nan, 1.0)], grid)
         with pytest.raises(ValueError, match="finite"):
-            _nearest(np.float64(np.inf), grid, 2)
+            _nearest(np.float64(np.inf), [grid], 2)
 
 
 def test_nearest_phases_takes_arrays_of_phases():
     grid = PhaseGrid(5)
     phi = np.array([[0.0, 1.0, TWO_PI - 1e-12], [-3.0, 7.5, math.pi]])
-    got = _nearest(phi, grid, 3)
+    got = _nearest(phi, [grid], 3)[0]
     assert got.shape == (2, 3, 3)
     for index in np.ndindex(phi.shape):
         assert np.array_equal(got[index],
