@@ -42,10 +42,6 @@ class TargetScenario:
             raise ValueError("desired_index out of range")
 
     @property
-    def n_targets(self) -> int:
-        return len(self.target_angles_deg)
-
-    @property
     def desired_angle_deg(self) -> float:
         return self.target_angles_deg[self.desired_index]
 

@@ -35,11 +35,10 @@ from .array_model import (
     DEFAULT_GRID_STEP_DEG,
     ArrayConfig,
     BeampatternTrace,
-    _grid_points,
     beampattern_trace,
     steering_vector,
 )
-from .beamformers import TargetScenario, _check_gamma, mvdr_beamformer
+from .beamformers import mvdr_beamformer
 from .dps_quantize import PhaseGrid, approximate, oracle_mismatches, quantize_pesa
 from .experiments import (
     DEFAULT_GAMMA,
@@ -203,19 +202,15 @@ def _out_dir(values: dict) -> str:
     return out
 
 
-def _scenario_common(values: dict) -> dict:
-    common = {
-        "config": ArrayConfig(values["antennas"], values["spacing"]),
-        "candidates_l": values["candidates"],
-        "grid_step_deg": values["grid_step"],
-        "floor_db": values["floor_db"],
-    }
+def _spec(values: dict, **fields) -> ScenarioSpec:
+    """The subcommand's scenario from its scenario flags and the handler's
+    ``fields``; `ScenarioSpec` checks every value."""
     if "norm" in values:  # the sweep reads lists of bits and norms instead
-        common["bits"] = values["bits"]
-        common["norm_target"] = values["norm"]
-    # The grid bound, checked before any steering vector or O(N^2) solve.
-    _grid_points(common["grid_step_deg"], common["config"].n_antennas)
-    return common
+        fields.update(bits=values["bits"], norm_target=values["norm"])
+    return ScenarioSpec(ArrayConfig(values["antennas"], values["spacing"]),
+                        candidates_l=values["candidates"],
+                        grid_step_deg=values["grid_step"],
+                        floor_db=values["floor_db"], **fields)
 
 
 def _desired_index(targets: tuple, desired) -> int:
@@ -229,37 +224,37 @@ def _desired_index(targets: tuple, desired) -> int:
 
 
 def cmd_pattern(values: dict) -> int:
-    common = _scenario_common(values)
-    config = common["config"]
     kind = values["beamformer"]
     if kind not in ("steering", "mvdr", "dps", "pesa-quantized"):
         raise UsageError(f"unknown beamformer {kind!r}")
-    targets, desired, gamma = values["targets"], values["desired"], values["gamma"]
-    _check_gamma(gamma)  # every beamformer, also those that ignore it
-
+    targets, desired = values["targets"], values["desired"]
     if targets is None:
         targets = (desired,) if desired is not None else (0.0,)
-    idx = _desired_index(targets, desired)
+    # Every beamformer checks every target and gamma, also those that
+    # ignore them.
+    spec = _spec(values, target_angles_deg=targets,
+                 desired_index=_desired_index(targets, desired),
+                 gamma=values["gamma"])
+    config, scenario = spec.config, spec.scenario
 
     def mvdr_weights():
-        return mvdr_beamformer(config, TargetScenario(targets, idx),
-                               gamma if gamma is not None else DEFAULT_GAMMA)
+        return mvdr_beamformer(config, scenario, spec.gamma
+                               if spec.gamma is not None else DEFAULT_GAMMA)
 
     if kind == "steering":
-        w = steering_vector(config, targets[idx])
+        w = steering_vector(config, scenario.desired_angle_deg)
     elif kind == "mvdr":
         w = mvdr_weights()
     elif kind == "dps":
-        w = mvdr_weights() if (len(targets) > 1 or gamma is not None) \
-            else steering_vector(config, targets[idx])
-        w = approximate(w, PhaseGrid(common["bits"]), common["candidates_l"],
-                        common["norm_target"]).realized
+        w = mvdr_weights() if (len(targets) > 1 or spec.gamma is not None) \
+            else steering_vector(config, scenario.desired_angle_deg)
+        w = approximate(w, PhaseGrid(spec.bits), spec.candidates_l,
+                        spec.norm_target).realized
     else:
-        w = quantize_pesa(steering_vector(config, targets[idx]),
-                          PhaseGrid(common["bits"]))
+        w = quantize_pesa(steering_vector(config, scenario.desired_angle_deg),
+                          PhaseGrid(spec.bits))
 
-    trace = beampattern_trace(config, w, common["grid_step_deg"],
-                              common["floor_db"])
+    trace = beampattern_trace(config, w, spec.grid_step_deg, spec.floor_db)
     out = _out_dir(values)
     _write_traces(out, trace, ["pattern.csv"])
     print(f"wrote {os.path.join(out, 'pattern.csv')} ({trace.angles_deg.size} rows)")
@@ -267,21 +262,18 @@ def cmd_pattern(values: dict) -> int:
 
 
 def cmd_single(values: dict) -> int:
-    common = _scenario_common(values)
-    common["seed"] = values["seed"]
-    targets = values["targets"]
+    targets, seed = values["targets"], values["seed"]
     if targets is None:
-        rng = trial_rng(common["seed"], 0)
-        targets = tuple(draw_target_angles(rng, count=1))
+        targets = tuple(draw_target_angles(trial_rng(seed, 0), count=1))
     if len(targets) != 1:
         raise UsageError("single takes exactly one target angle")
 
-    spec = ScenarioSpec(target_angles_deg=targets, **common)
+    spec = _spec(values, target_angles_deg=targets, seed=seed)
     result = run_single_target(spec)
     out = _out_dir(values)
     _write_traces(out, result.traces, TRIAL_TRACE_FILES)
     _write_summary(os.path.join(out, "summary.txt"), [
-        ("target_deg", _fmt(targets[0])),
+        ("target_deg", _fmt(spec.target_angles_deg[0])),
         ("bits", spec.bits),
         ("candidates", spec.candidates_l),
         ("norm_target", _fmt(spec.norm_target)),
@@ -293,18 +285,17 @@ def cmd_single(values: dict) -> int:
 
 
 def cmd_clutter(values: dict) -> int:
-    common = _scenario_common(values)
     targets = values["targets"]
     if targets is None or len(targets) < 2:
         raise UsageError("clutter requires --targets with at least two angles")
-    idx = _desired_index(targets, values["desired"])
-    spec = ScenarioSpec(target_angles_deg=targets, desired_index=idx,
-                        gamma=values["gamma"], **common)
+    spec = _spec(values, target_angles_deg=targets,
+                 desired_index=_desired_index(targets, values["desired"]),
+                 gamma=values["gamma"])
     result = run_mvdr_clutter(spec)
 
     items = [
-        ("targets_deg", ",".join(_fmt(t) for t in targets)),
-        ("desired_deg", _fmt(targets[idx])),
+        ("targets_deg", ",".join(_fmt(t) for t in spec.target_angles_deg)),
+        ("desired_deg", _fmt(spec.scenario.desired_angle_deg)),
         ("gamma", _fmt(spec.gamma)),
         ("bits", spec.bits),
         ("candidates", spec.candidates_l),
@@ -324,9 +315,8 @@ def cmd_clutter(values: dict) -> int:
 
 
 def cmd_sweep(values: dict) -> int:
-    common = _scenario_common(values)
     # Targets are drawn per trial.
-    spec = ScenarioSpec(gamma=values["gamma"], seed=values["seed"], **common)
+    spec = _spec(values, gamma=values["gamma"], seed=values["seed"])
     result = run_monte_carlo(spec, values["bits"], values["norms"],
                              values["trials"], workers=values["workers"])
 

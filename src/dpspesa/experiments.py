@@ -23,6 +23,7 @@ from .array_model import (
     ArrayConfig,
     BeampatternTrace,
     _grid_index,
+    _grid_points,
     _is_count,
     _rms_db,
     beampattern_trace,
@@ -53,7 +54,10 @@ SWEEP_BLOCK_TRIALS = 64
 class ScenarioSpec:
     """One experiment configuration; defaults follow the reference setup
     (N=16, half-wavelength spacing, 4-bit shifters, L=3, normalization 2).
-    The Monte-Carlo sweep draws its targets per trial and gives none."""
+    The Monte-Carlo sweep draws its targets per trial and gives none.
+    Construction checks the grid bound (`array_model._grid_points`), the
+    target angles and gamma, so a bad spec fails before any draw, steering
+    vector or MVDR solve."""
 
     config: ArrayConfig
     target_angles_deg: tuple = ()
@@ -67,6 +71,7 @@ class ScenarioSpec:
     seed: int = 0
 
     def __post_init__(self):
+        _grid_points(self.grid_step_deg, self.config.n_antennas)
         object.__setattr__(
             self, "target_angles_deg",
             tuple(float(t) for t in self.target_angles_deg),

@@ -256,13 +256,34 @@ def test_clutter_usage_errors(tmp_path):
     (["pattern", "--beamformer=mvdr", "--targets=10,90.5", "--desired=10"],
      "90.5"),
     (["single", "--targets=nan"], "nan"),
-], ids=["single", "clutter", "pattern", "pattern-mvdr", "single-nan"])
+    # Beamformers that use only the desired target still check the others.
+    (["pattern", "--beamformer=steering", "--targets=95,10", "--desired=10"],
+     "95"),
+    (["pattern", "--beamformer=pesa-quantized", "--targets=95,10",
+      "--desired=10"], "95"),
+], ids=["single", "clutter", "pattern", "pattern-mvdr", "single-nan",
+        "pattern-steering-other-target", "pattern-pesa-quantized-other-target"])
 def test_out_of_range_angles_are_reported_in_degrees(argv, shown, tmp_path,
                                                      capsys):
     assert run_cli([*argv, f"--out={tmp_path}"]) == 2
     assert capsys.readouterr().err == (
         "usage error: angles must be finite and lie in [-90, 90] degrees, "
         f"got {shown}\n")
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("targets, message", [
+    ("10,10", "target angles must be pairwise distinct"),
+    ("nan,10", "angles must be finite and lie in [-90, 90] degrees, got nan"),
+], ids=["repeated", "nan"])
+@pytest.mark.parametrize("beamformer",
+                         ["steering", "mvdr", "dps", "pesa-quantized"])
+def test_pattern_checks_every_target_for_every_beamformer(
+        beamformer, targets, message, tmp_path, capsys):
+    assert run_cli(["pattern", f"--beamformer={beamformer}",
+                    f"--targets={targets}", "--desired=10",
+                    f"--out={tmp_path}"]) == 2
+    assert capsys.readouterr().err == f"usage error: {message}\n"
     assert not any(tmp_path.iterdir())
 
 

@@ -1,10 +1,11 @@
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from dpspesa import array_model, dps_quantize, experiments
+from dpspesa import array_model, beamformers, dps_quantize, experiments
 from dpspesa.array_model import (
     ArrayConfig,
     angle_grid_deg,
@@ -37,6 +38,26 @@ def test_spec_validation():
         ScenarioSpec(config=CFG, gamma=math.inf)
 
 
+@pytest.mark.parametrize("step, message", [
+    (0.7, "step_deg must divide 180 degrees evenly"),
+    (0.0006, "a 0.0006-degree grid for 16 antennas exceeds 4194304 "
+             "steering-matrix entries"),
+], ids=["step-does-not-divide-180", "grid-times-antennas-too-large"])
+def test_spec_checks_the_grid_bound_before_any_solve(step, message,
+                                                     monkeypatch):
+    def solve(*args):
+        raise AssertionError("the MVDR system was solved")
+
+    monkeypatch.setattr(beamformers, "_mvdr", solve)
+    monkeypatch.setattr(experiments, "_mvdr", solve)
+    fields = dict(config=CFG, target_angles_deg=(-47.0, 30.0, 49.0),
+                  desired_index=2, gamma=0.1, grid_step_deg=step)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        ScenarioSpec(**fields)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        run_mvdr_clutter(ScenarioSpec(**fields))
+
+
 def test_spec_without_targets_serves_only_the_sweep():
     spec = ScenarioSpec(config=CFG, desired_index=3, gamma=0.1)
     assert spec.target_angles_deg == ()
@@ -55,7 +76,7 @@ def test_spec_defaults_cover_reference_setup():
     assert spec.config.spacing_wavelengths == 0.5
     assert (spec.bits, spec.candidates_l, spec.norm_target) == (4, 3, 2.0)
     assert spec.scenario.desired_angle_deg == 49.0
-    assert spec.scenario.n_targets == 3
+    assert len(spec.scenario.target_angles_deg) == 3
 
 
 def test_draw_target_angles():

@@ -1,3 +1,4 @@
+import ast
 from pathlib import Path
 
 import dpspesa
@@ -32,3 +33,17 @@ def test_readme_quick_start_runs(capsys):
     # It prints the two clutter levels, both below the 0 dB peak.
     printed = capsys.readouterr().out.strip().strip("[]").split()
     assert len(printed) == 2 and all(float(v) < 0 for v in printed), printed
+
+
+def test_cli_imports_no_private_name_of_another_module():
+    # The CLI hands values to the library, which alone checks them; it
+    # reaches no module's private helpers.
+    source = Path(dpspesa.__file__).with_name("cli.py").read_text()
+    private = [
+        (node.module, alias.name)
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ImportFrom)
+        and (node.level or (node.module or "").split(".")[0] == "dpspesa")
+        for alias in node.names if alias.name.startswith("_")
+    ]
+    assert private == []
