@@ -31,8 +31,6 @@ import numpy as np
 from numpy.linalg import LinAlgError
 
 from .array_model import (
-    DEFAULT_FLOOR_DB,
-    DEFAULT_GRID_STEP_DEG,
     ArrayConfig,
     BeampatternTrace,
     beampattern_trace,
@@ -92,23 +90,29 @@ class Flag(NamedTuple):
     help: str
 
 
-# One entry per flag and config-file key.
+# One entry per flag and config-file key.  Scenario defaults are the
+# library's own, read from its dataclasses.
 FLAGS = {
     "antennas": Flag(16, int, "array elements"),
-    "spacing": Flag(0.5, float, "element spacing in wavelengths"),
+    "spacing": Flag(ArrayConfig.spacing_wavelengths, float,
+                    "element spacing in wavelengths"),
     "targets": Flag(None, _parse_float_list,
                     "comma-separated target angles in degrees"),
     "desired": Flag(None, float, "desired target angle in degrees"),
     "gamma": Flag(None, float, "null-depth regularizer"),
-    "bits": Flag(4, int, "phase shifter bits"),
-    "candidates": Flag(3, int, "top-L candidate phases per shifter"),
-    "norm": Flag(2.0, float, "normalization target in (0, 2]"),
+    "bits": Flag(ScenarioSpec.bits, int, "phase shifter bits"),
+    "candidates": Flag(ScenarioSpec.candidates_l, int,
+                       "top-L candidate phases per shifter"),
+    "norm": Flag(ScenarioSpec.norm_target, float,
+                 "normalization target in (0, 2]"),
     "norms": Flag("1,1.5,2", _parse_float_list,
                   "comma-separated normalization targets"),
-    "grid_step": Flag(DEFAULT_GRID_STEP_DEG, float, "angle grid step in degrees"),
-    "floor_db": Flag(DEFAULT_FLOOR_DB, float, "dB clamp for normalized patterns"),
+    "grid_step": Flag(ScenarioSpec.grid_step_deg, float,
+                      "angle grid step in degrees"),
+    "floor_db": Flag(ScenarioSpec.floor_db, float,
+                     "dB clamp for normalized patterns"),
     "trials": Flag(None, int, "trials per combination"),
-    "seed": Flag(0, int, "RNG seed"),
+    "seed": Flag(ScenarioSpec.seed, int, "RNG seed"),
     "workers": Flag(1, int, "parallel trial workers, at most the CPU count"),
     "out": Flag(".", str, "output directory"),
     "beamformer": Flag("steering", str,
@@ -215,7 +219,7 @@ def _spec(values: dict, **fields) -> ScenarioSpec:
 
 def _desired_index(targets: tuple, desired) -> int:
     if desired is None:
-        if len(targets) == 1:
+        if len(targets) < 2:
             return 0
         raise UsageError("--desired is required when several targets are given")
     if desired not in targets:
@@ -265,9 +269,6 @@ def cmd_single(values: dict) -> int:
     targets, seed = values["targets"], values["seed"]
     if targets is None:
         targets = tuple(draw_target_angles(trial_rng(seed, 0), count=1))
-    if len(targets) != 1:
-        raise UsageError("single takes exactly one target angle")
-
     spec = _spec(values, target_angles_deg=targets, seed=seed)
     result = run_single_target(spec)
     out = _out_dir(values)
@@ -285,9 +286,7 @@ def cmd_single(values: dict) -> int:
 
 
 def cmd_clutter(values: dict) -> int:
-    targets = values["targets"]
-    if targets is None or len(targets) < 2:
-        raise UsageError("clutter requires --targets with at least two angles")
+    targets = values["targets"] or ()
     spec = _spec(values, target_angles_deg=targets,
                  desired_index=_desired_index(targets, values["desired"]),
                  gamma=values["gamma"])

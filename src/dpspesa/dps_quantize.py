@@ -255,8 +255,8 @@ def approximate(w, grid: PhaseGrid, candidates: int = 3,
     candidates : int
         Top-L list length per phasor (clamped to the grid size).  L**2
         must not exceed `array_model.MAX_GRID_ENTRIES`, checked before any
-        pair is built; the elements are searched in chunks of at most that
-        many pairs.
+        pair is built; the elements are searched in chunks whose pairs and
+        placed candidates stay within that many entries (see `_search`).
     norm_target : float or array_like
         Maximum modulus after normalization, in (0, 2]; an array broadcasts
         against ``w.shape[:-1]`` (see `normalize_to_max`).
@@ -275,13 +275,16 @@ def _search(wn: np.ndarray, grids, candidates: int) -> list[DpsBeamformer]:
     """The candidate search of `approximate` on normalized weights ``wn``,
     one `DpsBeamformer` per grid of ``grids``.  The split does not depend
     on the grid, so it is computed once, and only if some grid ranks
-    candidates: a full-grid search scores every pair without it."""
+    candidates: a full-grid search scores every pair without it.
+
+    Weights are searched independently, so they run in chunks with the
+    same result.  A chunk keeps each grid's count x count pairs per weight
+    and the ``(G, 2, chunk, L)`` candidates of its one `_nearest` pass over
+    the G ranked grids within `MAX_GRID_ENTRIES` entries (a chunk holds at
+    least one weight)."""
     if not _is_count(candidates) or candidates < 1:
         raise ValueError("candidates must be a positive integer")
     counts = [min(candidates, grid.size) for grid in grids]
-    # Each weight builds count x count candidate pairs.  Weights are
-    # searched independently, so they run in chunks of at most
-    # MAX_GRID_ENTRIES pairs with the same result.
     for count in counts:
         if count**2 > MAX_GRID_ENTRIES:
             raise ValueError(
@@ -289,32 +292,19 @@ def _search(wn: np.ndarray, grids, candidates: int) -> list[DpsBeamformer]:
                 f"{count}^2 pairs per weight, more than {MAX_GRID_ENTRIES}; "
                 f"use fewer candidates"
             )
+    # A grid ranks only when candidates < its size.
+    ranked = [grid for grid in grids if candidates < grid.size]
+    chunk = max(1, MAX_GRID_ENTRIES // max(max(counts)**2,
+                                           2 * len(ranked) * candidates))
     flat = wn.reshape(-1)
+    split = np.stack(decompose(flat)) if ranked else None
     parts = [[] for _ in grids]
-    ranked = []
-    for g, (grid, count) in enumerate(zip(grids, counts)):
-        if count < grid.size:
-            ranked.append(g)
-            continue
-        chunk = MAX_GRID_ENTRIES // count**2
-        for i in range(0, flat.size, chunk):
-            parts[g].append(_best_pairs(flat[i:i + chunk], None, grid, count))
-    if ranked:
-        # A grid ranks only when count = candidates < its size.  Each chunk
-        # places its candidates in one `_nearest` pass on as many ranked
-        # grids as keep the (G, 2, chunk, L) result within MAX_GRID_ENTRIES.
-        split = np.stack(decompose(flat))
-        chunk = MAX_GRID_ENTRIES // candidates**2
-        per_pass = max(1, MAX_GRID_ENTRIES
-                       // (2 * min(chunk, flat.size) * candidates))
-        for i in range(0, flat.size, chunk):
-            for j in range(0, len(ranked), per_pass):
-                group = ranked[j:j + per_pass]
-                cands = _nearest(split[:, i:i + chunk],
-                                 [grids[g] for g in group], candidates)
-                for g, c in zip(group, cands):
-                    parts[g].append(_best_pairs(flat[i:i + chunk], c, grids[g],
-                                                candidates))
+    for i in range(0, flat.size, chunk):
+        cands = iter(_nearest(split[:, i:i + chunk], ranked, candidates)
+                     if ranked else ())
+        for grid, part in zip(grids, parts):
+            c = next(cands) if candidates < grid.size else None
+            part.append(_best_pairs(flat[i:i + chunk], c, grid))
     found = []
     for grid, part in zip(grids, parts):
         pairs, realized = (np.concatenate(x) for x in zip(*part))
@@ -324,27 +314,27 @@ def _search(wn: np.ndarray, grids, candidates: int) -> list[DpsBeamformer]:
     return found
 
 
-def _best_pairs(wn: np.ndarray, cands: np.ndarray | None, grid: PhaseGrid,
-                count: int) -> tuple[np.ndarray, np.ndarray]:
+def _best_pairs(wn: np.ndarray, cands: np.ndarray | None,
+                grid: PhaseGrid) -> tuple[np.ndarray, np.ndarray]:
     """Best index pairs ``(E, 2)`` of the weights ``wn`` ``(E,)`` among
-    ``count`` candidates per phase, and the sums they realize ``(E,)``.
-    ``cands`` holds the candidates ``(2, E, count)`` of the weights' two
-    phases, as `_nearest` places them; a full-grid search (``count`` the
-    grid size) reads none and takes None.
+    their candidates, and the sums they realize ``(E,)``.  ``cands`` holds
+    the L candidates ``(2, E, L)`` of the weights' two phases, as
+    `_nearest` places them; a full-grid search, where every grid phase is
+    a candidate, takes None.
 
     The pairs are scored candidate-major, ``(pairs, E)``, so each pick
     below reduces over the leading axis in contiguous passes."""
-    if count == grid.size:
-        # Every grid phase is a candidate, so every weight scores the same
-        # canonical pairs; the pick below does not depend on their order.
+    if cands is None:
+        # Every weight scores the same canonical pairs; the pick below does
+        # not depend on their order.
         ks = np.arange(grid.size)
         lo, hi = (k[:, None] for k in np.nonzero(ks[:, None] <= ks))
     else:
-        # Each phase's candidates ``(count, E)``, views without a copy.
+        # Each phase's candidates ``(L, E)``, views without a copy.
         idx_a, idx_b = cands.swapaxes(1, 2)
         idx_a, idx_b = idx_a[:, None], idx_b[None, :]
-        lo = np.minimum(idx_a, idx_b).reshape(count**2, -1)
-        hi = np.maximum(idx_a, idx_b).reshape(count**2, -1)
+        lo = np.minimum(idx_a, idx_b).reshape(-1, wn.size)
+        hi = np.maximum(idx_a, idx_b).reshape(-1, wn.size)
     err = np.abs(grid.phasors[lo] + grid.phasors[hi] - wn)
     # The first lexicographically smallest (err, lo, hi): among the pairs of
     # least error, the least code lo * size + hi, which orders (lo, hi) pairs.

@@ -249,6 +249,19 @@ def test_clutter_usage_errors(tmp_path):
                     f"--out={tmp_path}"]) == 2
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["single", "--targets=10,20"],
+     "single-target run requires exactly one target"),
+    (["clutter"], "clutter run requires at least two targets"),
+    (["clutter", "--targets=10"], "clutter run requires at least two targets"),
+], ids=["single-two-targets", "clutter-no-targets", "clutter-one-target"])
+def test_target_counts_are_checked_by_the_experiments(argv, message, tmp_path,
+                                                      capsys):
+    assert run_cli([*argv, f"--out={tmp_path}"]) == 2
+    assert capsys.readouterr().err == f"usage error: {message}\n"
+    assert not any(tmp_path.iterdir())
+
+
 @pytest.mark.parametrize("argv, shown", [
     (["single", "--targets=95"], "95"),
     (["clutter", "--targets=-47,30,95", "--desired=30"], "95"),

@@ -409,8 +409,9 @@ def test_monte_carlo_worker_count_invariance():
 
 def test_sweep_over_the_pair_bound_searches_in_chunks(monkeypatch):
     # One block searches 8 trials x 2 norms x 16 antennas = 256 weights with
-    # 3^2 pairs each; a bound of 100 pairs splits that into chunks of 11
-    # weights, which changes no row with either worker count.
+    # 3^2 pairs each on 2 grids, whose candidates take 2 x 2 x 3 = 12 entries
+    # per weight; a bound of 100 splits that into 32 chunks of 8 weights,
+    # which changes no row with either worker count.
     base = ScenarioSpec(config=CFG, target_angles_deg=(0.0,), gamma=0.1,
                         seed=42)
     want = run_monte_carlo(base, (2, 4), (1.0, 2.0), trials=8, workers=1)
@@ -427,7 +428,7 @@ def test_sweep_over_the_pair_bound_searches_in_chunks(monkeypatch):
         got = run_monte_carlo(base, (2, 4), (1.0, 2.0), trials=8,
                               workers=workers)
         assert got.rows == want.rows
-    assert max(chunks) == 11 and sum(chunks) == 2 * 256
+    assert chunks == [8] * (2 * 32) and sum(chunks) == 2 * 256
 
 
 def test_monte_carlo_error_shrinks_with_bits_under_full_search():

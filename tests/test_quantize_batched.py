@@ -405,32 +405,69 @@ def test_nearest_ranks_only_the_grids_and_phases_at_a_tie(monkeypatch):
             assert np.array_equal(rows, _nearest(phis, [grid], count)[0])
 
 
-def test_a_lowered_bound_splits_the_grids_of_a_pass(monkeypatch):
-    # 40 weights place 2 x 40 x 3 = 240 candidates per grid; a bound of
-    # 1000 entries fits 4 grids per pass, so 11 grids take passes of 4, 4
-    # and 3, and a bound of 100 (chunks of 11 weights) one grid per pass.
-    # The pairs and realized weights stay those of one unsplit search.
+def _record_search(monkeypatch, bound):
+    """Lower the pair bound to ``bound`` and record, per `_nearest` pass,
+    (weights, grids) and, per `_best_pairs` call, (weights, bits); each
+    pass and call must stay within the bound."""
+    nearest, best_pairs = dps_quantize._nearest, dps_quantize._best_pairs
+    passes, calls = [], []
+
+    def counted_nearest(phi, grids, count):
+        assert len(grids) * phi.size * count <= bound  # (G, 2, chunk, L)
+        passes.append((phi.shape[-1], len(grids)))
+        return nearest(phi, grids, count)
+
+    def counted_pairs(wn, cands, grid):
+        pairs = grid.size**2 if cands is None else cands.shape[-1]**2
+        assert wn.size * pairs <= bound
+        calls.append((wn.size, grid.bits))
+        return best_pairs(wn, cands, grid)
+
+    monkeypatch.setattr(dps_quantize, "MAX_GRID_ENTRIES", bound)
+    monkeypatch.setattr(dps_quantize, "_nearest", counted_nearest)
+    monkeypatch.setattr(dps_quantize, "_best_pairs", counted_pairs)
+    return passes, calls
+
+
+def test_a_lowered_bound_chunks_the_weights_of_every_grid(monkeypatch):
+    # 11 grids at L = 3 place 2 x 11 x 3 = 66 candidates per weight, more
+    # than its 3^2 pairs per grid: a bound of 1000 takes chunks of 15 of
+    # the 40 weights, and a bound of 100 chunks of one.  Each chunk places
+    # every grid's candidates in one pass and searches each grid once.  The
+    # pairs and realized weights stay those of one unsplit search.
     rng = np.random.default_rng(22)
     wn = normalize_to_max(_disk(rng, (2, 20)), 2.0)
     grids = [PhaseGrid(b) for b in range(2, 13)]
     want = dps_quantize._search(wn, grids, 3)
-    nearest = dps_quantize._nearest
-    passes = []
-
-    def counted(phi, grids, count):
-        passes.append((phi.shape[-1], len(grids)))
-        return nearest(phi, grids, count)
-
-    monkeypatch.setattr(dps_quantize, "_nearest", counted)
-    for bound, expected in ((1000, [(40, 4), (40, 4), (40, 3)]),
-                            (100, [(11, 1)] * 33 + [(7, 1)] * 11)):
-        passes.clear()
-        monkeypatch.setattr(dps_quantize, "MAX_GRID_ENTRIES", bound)
-        got = dps_quantize._search(wn, grids, 3)
-        assert sorted(passes, reverse=True) == expected
+    for bound, sizes in ((1000, [15, 15, 10]), (100, [1] * 40)):
+        with monkeypatch.context() as m:
+            passes, calls = _record_search(m, bound)
+            got = dps_quantize._search(wn, grids, 3)
+        assert passes == [(size, 11) for size in sizes]
+        assert calls == [(size, b) for size in sizes for b in range(2, 13)]
         for a, b in zip(got, want):
             assert np.array_equal(a.pairs, b.pairs)
             assert np.array_equal(a.realized, b.realized)
+
+
+def test_a_search_mixing_a_full_and_a_ranked_grid(monkeypatch):
+    # At L = 2 the 1-bit grid is searched whole and the 3-bit grid ranks:
+    # 2 x 1 x 2 = 4 candidates and 2^2 pairs per weight, so a bound of 20
+    # takes chunks of 5 of the 24 weights, and only the 3-bit grid's
+    # candidates are placed.  Each grid's pairs are those of its own search.
+    rng = np.random.default_rng(24)
+    w = _disk(rng, (3, 8))
+    w[0, :4] = [1, 1j, -1, 2]  # tie-prone moduli and phases
+    grids = [PhaseGrid(1), PhaseGrid(3)]
+    want = [approximate(w, grid, 2) for grid in grids]
+    passes, calls = _record_search(monkeypatch, 20)
+    got = dps_quantize._search(normalize_to_max(w, 2.0), grids, 2)
+    sizes = [5, 5, 5, 5, 4]
+    assert passes == [(size, 1) for size in sizes]
+    assert calls == [(size, b) for size in sizes for b in (1, 3)]
+    for a, b in zip(got, want):
+        assert np.array_equal(a.pairs, b.pairs)
+        assert np.array_equal(a.realized, b.realized)
 
 
 def _row(dps, index):
