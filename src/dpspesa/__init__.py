@@ -11,7 +11,7 @@ else is imported from its submodule.
 """
 
 from .array_model import ArrayConfig, beampattern_trace
-from .beamformers import TargetScenario, mvdr_beamformer
+from .beamformers import mvdr_beamformer
 from .dps_quantize import PhaseGrid, approximate
 from .experiments import (
     ScenarioSpec,
@@ -26,7 +26,6 @@ __all__ = [
     "ArrayConfig",
     "PhaseGrid",
     "ScenarioSpec",
-    "TargetScenario",
     "approximate",
     "beampattern_trace",
     "mvdr_beamformer",

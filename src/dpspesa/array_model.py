@@ -115,13 +115,18 @@ def steering_matrix(config: ArrayConfig, angles_deg) -> np.ndarray:
     return np.exp(1j * phase)
 
 
-def _normalized_db(power: np.ndarray, peak: np.ndarray, floor_db: float) -> np.ndarray:
-    """``power`` in dB relative to ``peak`` (broadcasting), clamped below at
-    ``floor_db``; ``floor_db`` wherever the peak is zero."""
+def _check_floor(floor_db: float) -> None:
+    """A dB floor must be negative and finite."""
     if not floor_db < 0:
         raise ValueError("floor_db must be negative")
     if not math.isfinite(floor_db):
         raise ValueError("floor_db must be finite")
+
+
+def _normalized_db(power: np.ndarray, peak: np.ndarray, floor_db: float) -> np.ndarray:
+    """``power`` in dB relative to ``peak`` (broadcasting), clamped below at
+    ``floor_db``; ``floor_db`` wherever the peak is zero."""
+    _check_floor(floor_db)
     with np.errstate(divide="ignore", invalid="ignore"):
         power_db = np.maximum(10.0 * np.log10(power / peak), floor_db)
     return np.where(peak > 0, power_db, floor_db)

@@ -1,4 +1,5 @@
-"""Reference multi-target beamformer: regularized MVDR.
+"""Reference multi-target beamformer: regularized MVDR, given the target
+angles and the index of the one to illuminate.
 
 The single-target reference is the steering vector itself
 (`array_model.steering_vector`).
@@ -8,7 +9,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 from numpy.linalg import LinAlgError
@@ -18,32 +18,26 @@ from .array_model import (
     MAX_GRID_ENTRIES,
     ArrayConfig,
     _check_angles,
+    _is_count,
     steering_vector,
 )
 
 
-@dataclass(frozen=True)
-class TargetScenario:
-    """Known target directions in degrees, each in [-90, 90] and pairwise
-    distinct, and the index of the one to illuminate."""
-
-    target_angles_deg: tuple
-    desired_index: int = 0
-
-    def __post_init__(self):
-        angles = tuple(float(t) for t in self.target_angles_deg)
-        object.__setattr__(self, "target_angles_deg", angles)
-        if len(angles) < 1:
-            raise ValueError("at least one target angle is required")
-        _check_angles(angles)
-        if len(set(angles)) != len(angles):
-            raise ValueError("target angles must be pairwise distinct")
-        if not 0 <= self.desired_index < len(angles):
-            raise ValueError("desired_index out of range")
-
-    @property
-    def desired_angle_deg(self) -> float:
-        return self.target_angles_deg[self.desired_index]
+def _check_targets(target_angles_deg, desired_index) -> tuple:
+    """The target directions as a tuple of floats: at least one, each in
+    [-90, 90] degrees, pairwise distinct, and ``desired_index`` one of
+    their indices."""
+    angles = tuple(float(t) for t in target_angles_deg)
+    if len(angles) < 1:
+        raise ValueError("at least one target angle is required")
+    _check_angles(angles)
+    if len(set(angles)) != len(angles):
+        raise ValueError("target angles must be pairwise distinct")
+    if not _is_count(desired_index):
+        raise ValueError("desired_index must be an integer")
+    if not 0 <= desired_index < len(angles):
+        raise ValueError("desired_index out of range")
+    return angles
 
 
 def _check_gamma(gamma: float | None) -> None:
@@ -55,8 +49,8 @@ def _check_gamma(gamma: float | None) -> None:
             raise ValueError(f"gamma must be finite, got {gamma:g}")
 
 
-def mvdr_beamformer(config: ArrayConfig, scenario: TargetScenario,
-                    gamma: float) -> np.ndarray:
+def mvdr_beamformer(config: ArrayConfig, target_angles_deg, gamma: float,
+                    desired_index: int = 0) -> np.ndarray:
     """Multi-target beamformer pointing at the desired target with nulls elsewhere.
 
     Solves ``(gamma*I + A A^H) w = a(theta_desired)`` where the columns of
@@ -71,18 +65,21 @@ def mvdr_beamformer(config: ArrayConfig, scenario: TargetScenario,
     ----------
     config : ArrayConfig
         Array geometry.
-    scenario : TargetScenario
-        Target directions and the desired index.
+    target_angles_deg : sequence of float
+        Target directions in degrees, at least one, each in [-90, 90] and
+        pairwise distinct.
     gamma : float
         Null-depth regularizer, finite and > 0.
+    desired_index : int
+        Index of the target to illuminate.
 
     Returns
     -------
     ndarray
         Complex weights of length ``config.n_antennas``.
     """
-    [w] = _mvdr(config, [scenario.target_angles_deg],
-                [scenario.desired_index], gamma)
+    [w] = _mvdr(config, [_check_targets(target_angles_deg, desired_index)],
+                [desired_index], gamma)
     return w
 
 

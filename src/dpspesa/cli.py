@@ -239,26 +239,19 @@ def cmd_pattern(values: dict) -> int:
     spec = _spec(values, target_angles_deg=targets,
                  desired_index=_desired_index(targets, desired),
                  gamma=values["gamma"])
-    config, scenario = spec.config, spec.scenario
-
-    def mvdr_weights():
-        return mvdr_beamformer(config, scenario, spec.gamma
-                               if spec.gamma is not None else DEFAULT_GAMMA)
-
-    if kind == "steering":
-        w = steering_vector(config, scenario.desired_angle_deg)
-    elif kind == "mvdr":
-        w = mvdr_weights()
-    elif kind == "dps":
-        w = mvdr_weights() if (len(targets) > 1 or spec.gamma is not None) \
-            else steering_vector(config, scenario.desired_angle_deg)
+    if kind == "mvdr" or (kind == "dps" and (len(targets) > 1
+                                             or spec.gamma is not None)):
+        w = mvdr_beamformer(spec.config, spec.target_angles_deg,
+                            spec.gamma or DEFAULT_GAMMA, spec.desired_index)
+    else:
+        w = steering_vector(spec.config, spec.desired_angle_deg)
+    if kind == "dps":
         w = approximate(w, PhaseGrid(spec.bits), spec.candidates_l,
                         spec.norm_target).realized
-    else:
-        w = quantize_pesa(steering_vector(config, scenario.desired_angle_deg),
-                          PhaseGrid(spec.bits))
+    elif kind == "pesa-quantized":
+        w = quantize_pesa(w, PhaseGrid(spec.bits))
 
-    trace = beampattern_trace(config, w, spec.grid_step_deg, spec.floor_db)
+    trace = beampattern_trace(spec.config, w, spec.grid_step_deg, spec.floor_db)
     out = _out_dir(values)
     _write_traces(out, trace, ["pattern.csv"])
     print(f"wrote {os.path.join(out, 'pattern.csv')} ({trace.angles_deg.size} rows)")
@@ -294,7 +287,7 @@ def cmd_clutter(values: dict) -> int:
 
     items = [
         ("targets_deg", ",".join(_fmt(t) for t in spec.target_angles_deg)),
-        ("desired_deg", _fmt(spec.scenario.desired_angle_deg)),
+        ("desired_deg", _fmt(spec.desired_angle_deg)),
         ("gamma", _fmt(spec.gamma)),
         ("bits", spec.bits),
         ("candidates", spec.candidates_l),

@@ -137,9 +137,7 @@ def normalize_to_max(w, target=2.0) -> np.ndarray:
     disk.
     """
     w = np.asarray(w, dtype=complex)
-    target = np.asarray(target, dtype=float)
-    if not np.all((target > 0.0) & (target <= 2.0)):
-        raise ValueError("target must lie in (0, 2]")
+    target = _check_norm_target(target)
     if w.ndim == 0 or w.size == 0:
         raise ValueError("weights must be a non-empty (..., N) array")
     if not np.all(np.isfinite(w)):
@@ -148,6 +146,14 @@ def normalize_to_max(w, target=2.0) -> np.ndarray:
     if np.any(peak == 0):
         raise ValueError("all-zero weights cannot be normalized")
     return w * (target / peak)[..., None]
+
+
+def _check_norm_target(target) -> np.ndarray:
+    """``target`` as a float array; every entry must lie in (0, 2]."""
+    target = np.asarray(target, dtype=float)
+    if not np.all((target > 0.0) & (target <= 2.0)):
+        raise ValueError("target must lie in (0, 2]")
+    return target
 
 
 def _nearest(phi: np.ndarray, grids, count: int) -> np.ndarray:
@@ -282,16 +288,7 @@ def _search(wn: np.ndarray, grids, candidates: int) -> list[DpsBeamformer]:
     and the ``(G, 2, chunk, L)`` candidates of its one `_nearest` pass over
     the G ranked grids within `MAX_GRID_ENTRIES` entries (a chunk holds at
     least one weight)."""
-    if not _is_count(candidates) or candidates < 1:
-        raise ValueError("candidates must be a positive integer")
-    counts = [min(candidates, grid.size) for grid in grids]
-    for count in counts:
-        if count**2 > MAX_GRID_ENTRIES:
-            raise ValueError(
-                f"a candidate search with {count} candidates per phase builds "
-                f"{count}^2 pairs per weight, more than {MAX_GRID_ENTRIES}; "
-                f"use fewer candidates"
-            )
+    counts = _check_candidates(candidates, grids)
     # A grid ranks only when candidates < its size.
     ranked = [grid for grid in grids if candidates < grid.size]
     chunk = max(1, MAX_GRID_ENTRIES // max(max(counts)**2,
@@ -312,6 +309,23 @@ def _search(wn: np.ndarray, grids, candidates: int) -> list[DpsBeamformer]:
                                    pairs=pairs.reshape(wn.shape + (2,)),
                                    realized=realized.reshape(wn.shape)))
     return found
+
+
+def _check_candidates(candidates: int, grids) -> list[int]:
+    """Each grid's candidate count, ``candidates`` clamped to its size.
+    ``candidates`` must be a positive integer, and no count's count x count
+    pairs per weight may exceed `MAX_GRID_ENTRIES`."""
+    if not _is_count(candidates) or candidates < 1:
+        raise ValueError("candidates must be a positive integer")
+    counts = [min(candidates, grid.size) for grid in grids]
+    for count in counts:
+        if count**2 > MAX_GRID_ENTRIES:
+            raise ValueError(
+                f"a candidate search with {count} candidates per phase builds "
+                f"{count}^2 pairs per weight, more than {MAX_GRID_ENTRIES}; "
+                f"use fewer candidates"
+            )
+    return counts
 
 
 def _best_pairs(wn: np.ndarray, cands: np.ndarray | None,

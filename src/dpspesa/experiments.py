@@ -1,9 +1,10 @@
 """Experiment harness: single-target tracking, clutter reduction, and the
 Monte-Carlo sweep over shifter resolution and normalization scale.
 
-All runs are deterministic given the scenario seed; Monte-Carlo trials
-re-seed from ``(seed, trial_index)`` so results do not depend on worker
-count, block boundaries or execution order.
+One `ScenarioSpec` describes a run and checks every value when it is
+built.  All runs are deterministic given the scenario seed; Monte-Carlo
+trials re-seed from ``(seed, trial_index)`` so results do not depend on
+worker count, block boundaries or execution order.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from .array_model import (
     DEFAULT_GRID_STEP_DEG,
     ArrayConfig,
     BeampatternTrace,
+    _check_floor,
     _grid_index,
     _grid_points,
     _is_count,
@@ -30,9 +32,11 @@ from .array_model import (
     levels_db,
     steering_vector,
 )
-from .beamformers import TargetScenario, _check_gamma, _mvdr, mvdr_beamformer
+from .beamformers import _check_gamma, _check_targets, _mvdr, mvdr_beamformer
 from .dps_quantize import (
     PhaseGrid,
+    _check_candidates,
+    _check_norm_target,
     _quantize_pesa,
     _search,
     approximate,
@@ -54,10 +58,13 @@ SWEEP_BLOCK_TRIALS = 64
 class ScenarioSpec:
     """One experiment configuration; defaults follow the reference setup
     (N=16, half-wavelength spacing, 4-bit shifters, L=3, normalization 2).
-    The Monte-Carlo sweep draws its targets per trial and gives none.
-    Construction checks the grid bound (`array_model._grid_points`), the
-    target angles and gamma, so a bad spec fails before any draw, steering
-    vector or MVDR solve."""
+    The Monte-Carlo sweep draws its targets per trial and gives none;
+    ``desired_index`` indexes ``target_angles_deg``.  Construction checks
+    every value with the check of the kernel that reads it: the grid bound
+    (`array_model._grid_points`), the targets and desired index (as
+    `beamformers.mvdr_beamformer` does), gamma, bits, L and its pair bound,
+    the normalization target and the floor.  So a bad spec fails before any
+    draw, steering vector or MVDR solve."""
 
     config: ArrayConfig
     target_angles_deg: tuple = ()
@@ -76,13 +83,16 @@ class ScenarioSpec:
             self, "target_angles_deg",
             tuple(float(t) for t in self.target_angles_deg),
         )
-        if self.target_angles_deg:  # checks the angles and desired_index
-            TargetScenario(self.target_angles_deg, self.desired_index)
+        if self.target_angles_deg:
+            _check_targets(self.target_angles_deg, self.desired_index)
         _check_gamma(self.gamma)
+        _check_candidates(self.candidates_l, [PhaseGrid(self.bits)])
+        _check_norm_target(self.norm_target)
+        _check_floor(self.floor_db)
 
     @property
-    def scenario(self) -> TargetScenario:
-        return TargetScenario(self.target_angles_deg, self.desired_index)
+    def desired_angle_deg(self) -> float:
+        return self.target_angles_deg[self.desired_index]
 
 
 class TargetLevels(NamedTuple):
@@ -195,7 +205,7 @@ def run_single_target(spec: ScenarioSpec) -> TrialResult:
         raise ValueError("single-target run requires exactly one target")
     if spec.gamma is not None:
         raise ValueError("single-target run takes no gamma")
-    w_steer = steering_vector(spec.config, spec.scenario.desired_angle_deg)
+    w_steer = steering_vector(spec.config, spec.desired_angle_deg)
     return _quantized_trial(spec, w_steer, w_steer, at_targets=False)
 
 
@@ -210,8 +220,9 @@ def run_mvdr_clutter(spec: ScenarioSpec) -> TrialResult:
         raise ValueError("clutter run requires at least two targets")
     if spec.gamma is None:
         raise ValueError("clutter run requires gamma")
-    w_ref = mvdr_beamformer(spec.config, spec.scenario, spec.gamma)
-    w_steer = steering_vector(spec.config, spec.scenario.desired_angle_deg)
+    w_ref = mvdr_beamformer(spec.config, spec.target_angles_deg, spec.gamma,
+                            spec.desired_index)
+    w_steer = steering_vector(spec.config, spec.desired_angle_deg)
     return _quantized_trial(spec, w_ref, w_steer, at_targets=True)
 
 
@@ -270,16 +281,22 @@ def run_monte_carlo(base: ScenarioSpec, bits_sweep, norm_sweep,
     every (bits, norm_target) combination.  Trials run in contiguous
     blocks, sharded over up to ``workers`` processes (see `_trial_blocks`).
     Deterministic for a given ``base.seed`` regardless of ``workers``.
+    The counts, bits, L on every grid and norms are checked before the
+    first block.
     """
     norm_list = tuple(float(v) for v in norm_sweep)
-    if not _is_count(trials):
-        raise ValueError("trials must be an integer")
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
+    for name, count in (("trials", trials), ("workers", workers)):
+        if not _is_count(count):
+            raise ValueError(f"{name} must be an integer")
+        if count < 1:
+            raise ValueError(f"{name} must be >= 1")
     trials = int(trials)
-    bits_list = tuple(int(PhaseGrid(b).bits) for b in bits_sweep)
+    grids = [PhaseGrid(b) for b in bits_sweep]
+    bits_list = tuple(int(grid.bits) for grid in grids)
     if not bits_list or not norm_list:
         raise ValueError("bits_sweep and norm_sweep must be non-empty")
+    _check_candidates(base.candidates_l, grids)
+    _check_norm_target(norm_list)
     if base.gamma is None:
         base = replace(base, gamma=DEFAULT_GAMMA)
 

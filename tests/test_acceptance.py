@@ -13,7 +13,7 @@ from scipy.stats import spearmanr
 
 from dpspesa import cli
 from dpspesa.array_model import ArrayConfig, steering_vector
-from dpspesa.beamformers import TargetScenario, mvdr_beamformer
+from dpspesa.beamformers import mvdr_beamformer
 from dpspesa.dps_quantize import (
     PhaseGrid,
     decompose,
@@ -197,17 +197,15 @@ def test_criterion_7_mvdr_correctness():
         k = int(rng.integers(1, 5))
         cfg = ArrayConfig(n, 0.5)
         angles = draw_target_angles(rng, count=k)
-        scenario = TargetScenario(angles, int(rng.integers(k)))
+        desired = int(rng.integers(k))
         gamma = float(rng.choice([0.1, 1.0]))
-        w = mvdr_beamformer(cfg, scenario, gamma)
-        a_mat = np.column_stack(
-            [steering_vector(cfg, t) for t in scenario.target_angles_deg]
-        )
+        w = mvdr_beamformer(cfg, angles, gamma, desired)
+        a_mat = np.column_stack([steering_vector(cfg, t) for t in angles])
         lhs = gamma * np.eye(n) + a_mat @ a_mat.conj().T
-        resid = np.linalg.norm(lhs @ w - a_mat[:, scenario.desired_index])
+        resid = np.linalg.norm(lhs @ w - a_mat[:, desired])
         worst = max(worst, resid)
 
-    w1 = mvdr_beamformer(CFG, TargetScenario((17.0,)), gamma=0.1)
+    w1 = mvdr_beamformer(CFG, (17.0,), gamma=0.1)
     closed = steering_vector(CFG, 17.0) / 16.1
     gap = float(np.max(np.abs(w1 - closed)))
 

@@ -165,6 +165,15 @@ def _db(power, floor_db=-80.0):
     return _normalized_db(power, power.max(axis=-1, keepdims=True), floor_db)
 
 
+def test_non_finite_weights_are_refused():
+    cfg = ArrayConfig(4, 0.5)
+    w = np.array([1.0, 1.0, math.nan, 1.0], dtype=complex)
+    with pytest.raises(ValueError, match="^weights must be finite$"):
+        beampattern_trace(cfg, w, 1.0)
+    with pytest.raises(ValueError, match="^weights must be finite$"):
+        levels_db(cfg, w, [0.0], 1.0)
+
+
 def test_db_normalization_ratio_100_is_minus_20():
     assert_allclose(_db([256.0, 2.56]), [0.0, -20.0], atol=1e-12)
 

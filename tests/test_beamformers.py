@@ -12,33 +12,50 @@ from dpspesa.array_model import (
     levels_db,
     steering_vector,
 )
-from dpspesa.beamformers import TargetScenario, _mvdr, mvdr_beamformer
-from dpspesa.experiments import draw_target_angles, trial_rng
+from dpspesa.beamformers import _mvdr, mvdr_beamformer
+from dpspesa.experiments import ScenarioSpec, draw_target_angles, trial_rng
 
 FIG3_TARGETS = (-47.0, 30.0, 49.0)
 
 
-def _fig3_scenario():
-    return TargetScenario(FIG3_TARGETS, desired_index=2)
-
-
-def _residual(config, scenario, gamma, w):
-    a_mat = np.column_stack(
-        [steering_vector(config, t) for t in scenario.target_angles_deg]
-    )
+def _residual(config, angles, desired_index, gamma, w):
+    a_mat = np.column_stack([steering_vector(config, t) for t in angles])
     lhs = gamma * np.eye(config.n_antennas) + a_mat @ a_mat.conj().T
-    return np.linalg.norm(lhs @ w - a_mat[:, scenario.desired_index])
+    return np.linalg.norm(lhs @ w - a_mat[:, desired_index])
 
 
 def test_scenario_validation():
-    with pytest.raises(ValueError):
-        TargetScenario(())
-    with pytest.raises(ValueError):
-        TargetScenario((6.0, 6.0))
-    with pytest.raises(ValueError):
-        TargetScenario((6.0, 11.0), desired_index=2)
-    with pytest.raises(ValueError):
-        TargetScenario((95.0,))
+    # The solver and the experiments' spec check the targets alike.
+    cfg = ArrayConfig(8, 0.5)
+    for angles, desired_index, message in [
+        ((), 0, "^at least one target angle is required$"),
+        ((6.0, 6.0), 0, "^target angles must be pairwise distinct$"),
+        ((6.0, 11.0), 2, "^desired_index out of range$"),
+        ((95.0,), 0, r"^angles must be finite and lie in \[-90, 90\] "
+                     "degrees, got 95$"),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            mvdr_beamformer(cfg, angles, 0.1, desired_index)
+        if angles:  # a spec without targets serves the sweep
+            with pytest.raises(ValueError, match=message):
+                ScenarioSpec(cfg, angles, desired_index)
+
+
+@pytest.mark.parametrize("desired_index", [1.0, True, np.float64(0)])
+def test_a_non_integral_desired_index_is_refused(desired_index, monkeypatch):
+    # Refused before any solve, by the solver and the spec alike.
+    monkeypatch.setattr(beamformers, "_mvdr", None)
+    cfg = ArrayConfig(8, 0.5)
+    with pytest.raises(ValueError, match="^desired_index must be an integer$"):
+        mvdr_beamformer(cfg, FIG3_TARGETS, 0.1, desired_index)
+    with pytest.raises(ValueError, match="^desired_index must be an integer$"):
+        ScenarioSpec(cfg, FIG3_TARGETS, desired_index)
+
+
+def test_a_numpy_integer_desired_index_is_taken():
+    cfg = ArrayConfig(8, 0.5)
+    assert np.array_equal(mvdr_beamformer(cfg, FIG3_TARGETS, 0.1, np.int64(2)),
+                          mvdr_beamformer(cfg, FIG3_TARGETS, 0.1, 2))
 
 
 def test_steering_beamformer_matches_steering_vector():
@@ -57,25 +74,22 @@ def test_steering_beamformer_matches_steering_vector():
 def test_mvdr_single_target_closed_form():
     # For one target, (gamma*I + a a^H)^{-1} a = a / (gamma + N).
     cfg = ArrayConfig(16, 0.5)
-    scenario = TargetScenario((17.0,))
-    w = mvdr_beamformer(cfg, scenario, gamma=0.1)
+    w = mvdr_beamformer(cfg, (17.0,), gamma=0.1)
     assert_allclose(w, steering_vector(cfg, 17.0) / 16.1, atol=1e-10)
-    assert _residual(cfg, scenario, 0.1, w) < 1e-10 * 4.0
+    assert _residual(cfg, (17.0,), 0, 0.1, w) < 1e-10 * 4.0
 
 
 def test_mvdr_large_gamma_tends_to_steering():
     cfg = ArrayConfig(16, 0.5)
-    scenario = _fig3_scenario()
-    w = mvdr_beamformer(cfg, scenario, gamma=1e6)
+    w = mvdr_beamformer(cfg, FIG3_TARGETS, gamma=1e6, desired_index=2)
     tr = beampattern_trace(cfg, w, 0.1)
     assert tr.angles_deg[np.argmax(tr.power_linear)] == pytest.approx(49.0, abs=0.1)
 
 
 def test_mvdr_reference_scenario_nulls():
     cfg = ArrayConfig(16, 0.5)
-    scenario = _fig3_scenario()
-    w = mvdr_beamformer(cfg, scenario, gamma=0.1)
-    assert _residual(cfg, scenario, 0.1, w) < 1e-10 * 4.0
+    w = mvdr_beamformer(cfg, FIG3_TARGETS, gamma=0.1, desired_index=2)
+    assert _residual(cfg, FIG3_TARGETS, 2, 0.1, w) < 1e-10 * 4.0
     # Local minima at the undesired targets, against the levels one degree
     # (ten grid steps) to either side.
     for clutter in (-47.0, 30.0):
@@ -87,26 +101,24 @@ def test_mvdr_reference_scenario_nulls():
 
 def test_mvdr_rejects_nonpositive_gamma():
     cfg = ArrayConfig(8, 0.5)
-    scenario = TargetScenario((6.0, 29.0))
     for gamma in (0.0, -0.1):
         with pytest.raises(ValueError):
-            mvdr_beamformer(cfg, scenario, gamma)
+            mvdr_beamformer(cfg, (6.0, 29.0), gamma)
     with pytest.raises(ValueError, match="^gamma must be finite, got inf$"):
-        mvdr_beamformer(cfg, scenario, math.inf)
+        mvdr_beamformer(cfg, (6.0, 29.0), math.inf)
 
 
 def test_mvdr_requires_a_gamma():
-    scenario = TargetScenario((6.0, 29.0))
     with pytest.raises(ValueError, match="^MVDR needs a gamma, got None$"):
-        mvdr_beamformer(ArrayConfig(8, 0.5), scenario, None)
+        mvdr_beamformer(ArrayConfig(8, 0.5), (6.0, 29.0), None)
 
 
 def test_mvdr_bounds_n_squared_before_building_arrays(monkeypatch):
     # A lowered bound stands in for a huge N: 9 x 9 exceeds 64 entries, and
     # the check must run before any steering vector or matrix is built.
     monkeypatch.setattr(beamformers, "MAX_GRID_ENTRIES", 64)
-    scenario = TargetScenario((6.0, 29.0))
-    assert mvdr_beamformer(ArrayConfig(8, 0.5), scenario, 0.1).shape == (8,)
+    targets = (6.0, 29.0)
+    assert mvdr_beamformer(ArrayConfig(8, 0.5), targets, 0.1).shape == (8,)
 
     def forbidden(*args, **kwargs):
         raise AssertionError("built an array before the N x N bound check")
@@ -114,7 +126,7 @@ def test_mvdr_bounds_n_squared_before_building_arrays(monkeypatch):
     monkeypatch.setattr(beamformers, "steering_vector", forbidden)
     monkeypatch.setattr(np, "eye", forbidden)
     with pytest.raises(ValueError, match="9 x 9 MVDR matrix exceeds 64"):
-        mvdr_beamformer(ArrayConfig(9, 0.5), scenario, 0.1)
+        mvdr_beamformer(ArrayConfig(9, 0.5), targets, 0.1)
 
 
 @pytest.mark.parametrize("n_antennas, spacing, gamma", [
@@ -141,8 +153,7 @@ def test_batched_mvdr_equals_the_inline_solve_bit_for_bit(n_antennas, spacing,
         lhs = gamma * np.eye(n_antennas) + a_mat @ a_mat.conj().T
         want = cho_solve(cho_factor(lhs), a_mat[:, k])
         assert np.array_equal(got[t], want)
-        scenario = TargetScenario(angles[t], k)
-        assert np.array_equal(mvdr_beamformer(cfg, scenario, gamma), want)
+        assert np.array_equal(mvdr_beamformer(cfg, angles[t], gamma, k), want)
 
 
 def test_batched_mvdr_checks_like_the_one_scenario_solve(monkeypatch):
@@ -174,21 +185,20 @@ def test_an_illegal_lapack_argument_is_a_value_error(monkeypatch, routine):
     monkeypatch.setattr(beamformers, routine, illegal)
     with pytest.raises(ValueError, match="illegal value in 2-th argument") \
             as raised:
-        mvdr_beamformer(ArrayConfig(8, 0.5), _fig3_scenario(), 0.1)
+        mvdr_beamformer(ArrayConfig(8, 0.5), FIG3_TARGETS, 0.1, 2)
     assert not isinstance(raised.value, np.linalg.LinAlgError)
 
 
 def test_a_failing_minor_is_a_linalg_error():
     with pytest.raises(np.linalg.LinAlgError, match=(
             "^4-th leading minor of the array is not positive definite$")):
-        mvdr_beamformer(ArrayConfig(16, 0.5), _fig3_scenario(), 1e-30)
+        mvdr_beamformer(ArrayConfig(16, 0.5), FIG3_TARGETS, 1e-30, 2)
 
 
 def test_mvdr_warns_when_targets_exceed_antennas():
     cfg = ArrayConfig(4, 0.5)
-    scenario = TargetScenario((-46.0, -23.0, 0.0, 23.0, 46.0))
     with pytest.warns(UserWarning):
-        w = mvdr_beamformer(cfg, scenario, gamma=0.1)
+        w = mvdr_beamformer(cfg, (-46.0, -23.0, 0.0, 23.0, 46.0), gamma=0.1)
     assert w.shape == (4,)
 
 
@@ -199,10 +209,10 @@ def test_mvdr_residual_property_random_scenarios():
         k = int(rng.integers(1, 5))
         cfg = ArrayConfig(n, 0.5)
         angles = draw_target_angles(rng, count=k)
-        scenario = TargetScenario(angles, int(rng.integers(k)))
+        desired = int(rng.integers(k))
         gamma = float(rng.choice([0.1, 1.0]))
-        w = mvdr_beamformer(cfg, scenario, gamma)
-        assert _residual(cfg, scenario, gamma, w) < 1e-10 * math.sqrt(n)
+        w = mvdr_beamformer(cfg, angles, gamma, desired)
+        assert _residual(cfg, angles, desired, gamma, w) < 1e-10 * math.sqrt(n)
 
 
 def test_regularized_matrix_is_hermitian_positive_definite():
@@ -223,8 +233,7 @@ def test_mvdr_small_gamma_deep_nulls():
     # Well-separated targets, gamma -> 0: undesired targets at least 40 dB
     # below the desired level.
     cfg = ArrayConfig(16, 0.5)
-    scenario = TargetScenario((-40.0, 10.0, 49.0), 1)
-    w = mvdr_beamformer(cfg, scenario, gamma=1e-6)
+    w = mvdr_beamformer(cfg, (-40.0, 10.0, 49.0), gamma=1e-6, desired_index=1)
     desired_level, *clutter_levels = levels_db(cfg, w, [10.0, -40.0, 49.0], 0.1)
     for level in clutter_levels:
         assert level <= desired_level - 40.0
@@ -240,8 +249,7 @@ def test_mvdr_argmax_near_desired_target():
         angles = draw_target_angles(rng, count=3, span_deg=60.0,
                                     min_sep_deg=10.0)
         desired = int(rng.integers(3))
-        scenario = TargetScenario(angles, desired)
-        w = mvdr_beamformer(cfg, scenario, gamma=0.1)
+        w = mvdr_beamformer(cfg, angles, gamma=0.1, desired_index=desired)
         tr = beampattern_trace(cfg, w, 0.1)
         peak = tr.angles_deg[np.argmax(tr.power_linear)]
         assert abs(peak - angles[desired]) <= 1.0

@@ -3,6 +3,7 @@ import hashlib
 import math
 import os
 import re
+import shlex
 import subprocess
 import sys
 import warnings
@@ -784,6 +785,61 @@ def test_non_finite_floor_is_refused_before_any_write(command, floor, tmp_path,
     assert not out.exists()
 
 
+CLUTTER = ["clutter", "--targets=-47,30,49", "--desired=49"]
+SWEEP = ["sweep", "--trials=4"]
+
+
+def _refused(argv, error, out, capsys):
+    """``argv`` writing to ``out`` exits 2 with the one stderr line
+    ``usage error: <error>``, and writes nothing."""
+    assert run_cli([*argv, f"--out={out}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"usage error: {error}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, error", [
+    *(pytest.param([*argv, *flag.split()], error, id=f"{argv[0]} {flag}")
+      for argv, flag, error in (
+          (CLUTTER, "--bits=0", "bits must be in [1, 20]"),
+          (CLUTTER, "-L 0", "candidates must be a positive integer"),
+          (CLUTTER, "--norm=3", "target must lie in (0, 2]"),
+          (CLUTTER, "--floor-db=5", "floor_db must be negative"),
+          (SWEEP, "-L 0", "candidates must be a positive integer"),
+          (SWEEP, "--floor-db=5", "floor_db must be negative"),
+          (SWEEP, "--norms=3", "target must lie in (0, 2]"),
+          (SWEEP, "--workers=0", "workers must be >= 1"),
+          (SWEEP, "--workers=-1", "workers must be >= 1"))),
+])
+def test_scenario_values_are_checked_before_any_solve(argv, error, monkeypatch,
+                                                      tmp_path, capsys):
+    def solve(*args):
+        raise AssertionError("the MVDR system was solved")
+
+    monkeypatch.setattr(beamformers, "_mvdr", solve)
+    monkeypatch.setattr(experiments, "_mvdr", solve)
+    _refused(argv, error, tmp_path / "out", capsys)
+
+
+@pytest.mark.parametrize("argv, error", [
+    (["pattern", "--targets=a,b"],
+     "expected comma-separated numbers, got 'a,b'"),
+    (["pattern", "--config={cfg}"], "{cfg}:1: expected key=value"),
+    (["clutter", "--targets=-47,30,49"],
+     "--desired is required when several targets are given"),
+    (["clutter", "--targets=-47,30,49", "--desired=20"],
+     "--desired=20 is not one of the target angles"),
+], ids=["targets-not-numbers", "config-line-without-equals",
+        "desired-missing", "desired-not-a-target"])
+def test_bad_targets_and_config_lines_are_usage_errors(argv, error, tmp_path,
+                                                       capsys):
+    cfg = tmp_path / "scenario.cfg"
+    cfg.write_text("bits 4\n")
+    _refused([arg.format(cfg=cfg) for arg in argv], error.format(cfg=cfg),
+             tmp_path / "out", capsys)
+
+
 @pytest.mark.parametrize("command, flag", [
     # Flags no handler of the subcommand reads.
     *(("oracle-check", flag) for flag in (
@@ -955,6 +1011,20 @@ def test_readme_lists_the_flag_tables():
     assert list(table) == list(cli.COMMANDS)
     for command, entry in cli.COMMANDS.items():
         assert sorted(table[command]) == sorted(entry.keys.split())
+
+
+def test_readme_cli_examples_run(tmp_path, capsys):
+    # Every documented command runs as written, with its output moved
+    # under a temporary directory.
+    text = README.read_text(encoding="utf-8")
+    block = text.split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    commands = [shlex.split(line) for line in block.splitlines()
+                if line.startswith("dpspesa ")]
+    assert [argv[1] for argv in commands] == list(cli.COMMANDS)
+    for _, *argv in commands:
+        argv = [arg.replace("--out=", f"--out={tmp_path}/", 1) for arg in argv]
+        assert run_cli(argv) == 0, argv
+    capsys.readouterr()
 
 
 def test_config_file_rejects_unknown_key(tmp_path, capsys):

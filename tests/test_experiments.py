@@ -1,4 +1,5 @@
 import math
+import os
 import re
 from dataclasses import replace
 
@@ -12,7 +13,7 @@ from dpspesa.array_model import (
     beampattern_trace,
     steering_vector,
 )
-from dpspesa.beamformers import TargetScenario, mvdr_beamformer
+from dpspesa.beamformers import mvdr_beamformer
 from dpspesa.dps_quantize import PhaseGrid, approximate, quantize_pesa
 from dpspesa.experiments import (
     SWEEP_BLOCK_TRIALS,
@@ -36,6 +37,21 @@ def test_spec_validation():
         ScenarioSpec(config=CFG, target_angles_deg=(0.0, 10.0), gamma=0.0)
     with pytest.raises(ValueError, match="^gamma must be finite, got inf$"):
         ScenarioSpec(config=CFG, gamma=math.inf)
+    # Every quantizer and trace value fails at construction, with the
+    # message of the kernel that reads it.
+    for fields, message in [
+        ({"bits": 0}, r"^bits must be in \[1, 20\]$"),
+        ({"bits": 2.5}, r"^bits must be in \[1, 20\]$"),
+        ({"candidates_l": 0}, "^candidates must be a positive integer$"),
+        ({"candidates_l": True}, "^candidates must be a positive integer$"),
+        ({"bits": 12, "candidates_l": 4096}, "4096 candidates per phase"),
+        ({"norm_target": 3.0}, r"^target must lie in \(0, 2\]$"),
+        ({"norm_target": math.nan}, r"^target must lie in \(0, 2\]$"),
+        ({"floor_db": 5.0}, "^floor_db must be negative$"),
+        ({"floor_db": -math.inf}, "^floor_db must be finite$"),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            ScenarioSpec(config=CFG, **fields)
 
 
 @pytest.mark.parametrize("step, message", [
@@ -75,8 +91,8 @@ def test_spec_defaults_cover_reference_setup():
     assert spec.config.n_antennas == 16
     assert spec.config.spacing_wavelengths == 0.5
     assert (spec.bits, spec.candidates_l, spec.norm_target) == (4, 3, 2.0)
-    assert spec.scenario.desired_angle_deg == 49.0
-    assert len(spec.scenario.target_angles_deg) == 3
+    assert spec.desired_angle_deg == 49.0
+    assert len(spec.target_angles_deg) == 3
 
 
 def test_draw_target_angles():
@@ -253,9 +269,10 @@ def test_trial_samples_the_grid_once(run, spec, monkeypatch):
     assert calls == [(3, CFG.n_antennas)]
     # The stacked rows equal the per-vector traces bit for bit.
     grid = PhaseGrid(spec.bits)
-    w_steer = steering_vector(CFG, spec.scenario.desired_angle_deg)
+    w_steer = steering_vector(CFG, spec.desired_angle_deg)
     w_ref = (w_steer if spec.gamma is None
-             else mvdr_beamformer(CFG, spec.scenario, spec.gamma))
+             else mvdr_beamformer(CFG, spec.target_angles_deg, spec.gamma,
+                                  spec.desired_index))
     dps = approximate(w_ref, grid, spec.candidates_l, spec.norm_target)
     weights = (w_ref, dps.realized, quantize_pesa(w_steer, grid))
     monkeypatch.setattr(array_model, "_grid_powers", grid_powers)
@@ -338,9 +355,9 @@ def test_sweep_block_equals_trace_based_scoring(monkeypatch):
     for t, index in enumerate(trials):
         rng = trial_rng(spec.seed, index)
         angles = draw_target_angles(rng, count=3)
-        scenario = TargetScenario(angles, int(rng.integers(3)))
-        w_ref = mvdr_beamformer(spec.config, scenario, spec.gamma)
-        w_steer = steering_vector(spec.config, scenario.desired_angle_deg)
+        desired = int(rng.integers(3))
+        w_ref = mvdr_beamformer(spec.config, angles, spec.gamma, desired)
+        w_steer = steering_vector(spec.config, angles[desired])
         ref = beampattern_trace(spec.config, w_ref, 0.5, -70.0)
         at = np.argmin(np.abs(ref.angles_deg - angles[:, None]), axis=-1)
         for b, n_bits in enumerate(bits):
@@ -464,14 +481,37 @@ def test_monte_carlo_validation():
     ((2,), 2.5, "^trials must be an integer$"),
     ((2,), True, "^trials must be an integer$"),
     ((2, 25), 1, r"^bits must be in \[1, 20\]$"),
+    # Worker counts, given with 4 trials as `run_monte_carlo` keywords.
+    *(pytest.param((2,), {"trials": 4, "workers": workers}, error,
+                   id=f"workers={workers}")
+      for workers, error in ((2.5, "^workers must be an integer$"),
+                             (True, "^workers must be an integer$"),
+                             (0, "^workers must be >= 1$"),
+                             (-3, "^workers must be >= 1$"))),
 ])
 def test_monte_carlo_rejects_non_integral_counts(bits, trials, error,
                                                  monkeypatch):
-    # Every count is checked before any trial block runs.
+    # Every count is checked before any trial block runs, whatever the
+    # host's CPU count.
     monkeypatch.setattr(experiments, "_sweep_block", None)
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
     base = ScenarioSpec(config=ArrayConfig(4), grid_step_deg=1.0)
+    counts = trials if isinstance(trials, dict) else {"trials": trials}
     with pytest.raises(ValueError, match=error):
-        run_monte_carlo(base, bits, (2.0,), trials)
+        run_monte_carlo(base, bits, (2.0,), **counts)
+
+
+@pytest.mark.parametrize("fields, norms, error", [
+    ({"candidates_l": 5000}, (2.0,), "with 4096 candidates per phase"),
+    ({}, (1.0, 3.0), r"^target must lie in \(0, 2\]$"),
+    ({}, (math.nan,), r"^target must lie in \(0, 2\]$"),
+], ids=["pairs-over-the-bound-at-12-bits", "norm-above-2", "norm-nan"])
+def test_monte_carlo_checks_its_grids_and_norms_before_any_block(
+        fields, norms, error, monkeypatch):
+    monkeypatch.setattr(experiments, "_sweep_block", None)
+    base = ScenarioSpec(config=ArrayConfig(4), grid_step_deg=1.0, **fields)
+    with pytest.raises(ValueError, match=error):
+        run_monte_carlo(base, (2, 12), norms, 4)
 
 
 def test_monte_carlo_takes_numpy_integer_counts():

@@ -9,7 +9,6 @@ def test_public_names_are_the_quick_start_and_entry_points():
         "ArrayConfig",
         "PhaseGrid",
         "ScenarioSpec",
-        "TargetScenario",
         "approximate",
         "beampattern_trace",
         "mvdr_beamformer",
