@@ -26,6 +26,18 @@ MAX_GRID_ENTRIES = 1 << 22
 # Grid step, in points, of the first pass of `levels_db`'s peak search.
 PEAK_COARSE_ROWS = 16
 
+# glibc gives the free top of its heap back to the system once it exceeds
+# twice the mmap threshold, which starts at 128 KiB and rises to the size
+# of the largest mmap'd block freed so far.  A 64-weight full-grid search
+# at 4 bits frees about 0.5 MB there, so at the start-up threshold every
+# such `oracle-check` call returned those pages and faulted them back in
+# (about 120 minor faults and nearly twice the time per call).  Freeing
+# one 4 MiB block raises the threshold once, so temporaries up to that
+# size reuse the heap.  (scipy.linalg's import, which raised it to about
+# 400 KiB, waits for the first MVDR solve.)  On other allocators this is
+# one short-lived, untouched allocation.
+np.empty(4 << 20, np.uint8)
+
 
 def _is_count(n) -> bool:
     """Whether ``n`` is an integral, non-bool number (numpy integers pass):

@@ -3,6 +3,11 @@ angles and the index of the one to illuminate.
 
 The single-target reference is the steering vector itself
 (`array_model.steering_vector`).
+
+The MVDR systems are solved through scipy's LAPACK, which is imported on
+the first solve, not with this module: a command that solves none (a
+steering or PESA pattern, a single-target run, the oracle check) never
+loads ``scipy.linalg``.
 """
 
 from __future__ import annotations
@@ -12,7 +17,6 @@ import warnings
 
 import numpy as np
 from numpy.linalg import LinAlgError
-from scipy.linalg.lapack import zpotrf, zpotrs
 
 from .array_model import (
     MAX_GRID_ENTRIES,
@@ -113,21 +117,26 @@ def _mvdr(config: ArrayConfig, angles_deg, desired, gamma: float) -> np.ndarray:
         steering_vector(config, angles_deg).swapaxes(-1, -2))
     lhs = gamma * np.eye(n) + a_mat @ a_mat.conj().swapaxes(-1, -2)
     rhs = a_mat[np.arange(len(a_mat)), :, desired]
-    return np.stack([_cholesky_solve(m, b) for m, b in zip(lhs, rhs)])
+    from scipy.linalg import lapack  # about 0.3 s, so only once a solve needs it
+
+    return np.stack([_cholesky_solve(lapack, m, b) for m, b in zip(lhs, rhs)])
 
 
-def _cholesky_solve(m: np.ndarray, b: np.ndarray) -> np.ndarray:
+def _cholesky_solve(lapack, m: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Solve the Hermitian positive-definite system ``m x = b`` through
-    LAPACK ``zpotrf``/``zpotrs`` on the upper triangle: the calls, bits and
+    ``lapack.zpotrf``/``zpotrs`` on the upper triangle: the calls, bits and
     error types of scipy's ``cho_solve(cho_factor(m), b)`` without its
-    wrappers.  The MVDR matrices are finite by construction (finite gamma,
+    wrappers.  ``lapack`` is ``scipy.linalg.lapack``, which `_mvdr` imports
+    on the first solve: `clutter`, `sweep` and the `mvdr` and multi-target
+    or gamma `dps` patterns load it, the other commands never do.  The
+    MVDR matrices are finite by construction (finite gamma,
     unit-modulus steering entries), so there is no finiteness check."""
-    c, info = zpotrf(m, lower=0, clean=0)
+    c, info = lapack.zpotrf(m, lower=0, clean=0)
     if info > 0:
         raise LinAlgError(
             f"{info}-th leading minor of the array is not positive definite")
     if info == 0:
-        x, info = zpotrs(c, b, lower=0)
+        x, info = lapack.zpotrs(c, b, lower=0)
     if info < 0:
         raise ValueError(f"LAPACK reported an illegal value in {-info}-th "
                          "argument of a Cholesky routine")

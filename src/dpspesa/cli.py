@@ -280,8 +280,10 @@ def cmd_single(values: dict) -> int:
 
 def cmd_clutter(values: dict) -> int:
     targets = values["targets"] or ()
-    spec = _spec(values, target_angles_deg=targets,
-                 desired_index=_desired_index(targets, values["desired"]),
+    # Fewer than two targets leave no desired one to look up:
+    # `run_mvdr_clutter` refuses the run with its own message.
+    index = _desired_index(targets, values["desired"]) if len(targets) > 1 else 0
+    spec = _spec(values, target_angles_deg=targets, desired_index=index,
                  gamma=values["gamma"])
     result = run_mvdr_clutter(spec)
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from itertools import repeat
 from typing import NamedTuple
@@ -63,8 +62,9 @@ class ScenarioSpec:
     every value with the check of the kernel that reads it: the grid bound
     (`array_model._grid_points`), the targets and desired index (as
     `beamformers.mvdr_beamformer` does), gamma, bits, L and its pair bound,
-    the normalization target and the floor.  So a bad spec fails before any
-    draw, steering vector or MVDR solve."""
+    the normalization target, the floor and the seed (`trial_rng`'s
+    check).  So a bad spec fails before any draw, steering vector or MVDR
+    solve."""
 
     config: ArrayConfig
     target_angles_deg: tuple = ()
@@ -89,6 +89,7 @@ class ScenarioSpec:
         _check_candidates(self.candidates_l, [PhaseGrid(self.bits)])
         _check_norm_target(self.norm_target)
         _check_floor(self.floor_db)
+        _check_seed(self.seed)
 
     @property
     def desired_angle_deg(self) -> float:
@@ -127,8 +128,17 @@ class SweepResult:
     rows: tuple
 
 
+def _check_seed(seed) -> None:
+    """A seed must be a non-negative integer, as `numpy.random.SeedSequence`
+    takes it."""
+    if not _is_count(seed) or seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed}")
+
+
 def trial_rng(seed: int, trial_index: int) -> np.random.Generator:
-    """Independent, order-insensitive generator for one trial."""
+    """Independent, order-insensitive generator for one trial; ``seed``
+    must be a non-negative integer."""
+    _check_seed(seed)
     return np.random.default_rng(np.random.SeedSequence([seed, trial_index]))
 
 
@@ -304,6 +314,13 @@ def run_monte_carlo(base: ScenarioSpec, bits_sweep, norm_sweep,
     if workers == 1:
         results = [_sweep_block(base, bits_list, norm_list, b) for b in blocks]
     else:
+        from concurrent.futures import ProcessPoolExecutor
+
+        # Load the LAPACK that every block's MVDR solve uses before the
+        # pool forks, so the workers inherit it instead of each importing
+        # scipy on its own.
+        import scipy.linalg.lapack
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_sweep_block, repeat(base), repeat(bits_list),
                                     repeat(norm_list), blocks))

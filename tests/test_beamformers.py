@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg import cho_factor, cho_solve, lapack
 
 from dpspesa import beamformers
 from dpspesa.array_model import (
@@ -177,12 +177,13 @@ def test_batched_mvdr_checks_like_the_one_scenario_solve(monkeypatch):
 def test_an_illegal_lapack_argument_is_a_value_error(monkeypatch, routine):
     # LAPACK reports an illegal argument as a negative info, from the
     # factorization or the solve; neither is taken for a failing minor.
-    real = getattr(beamformers, routine)
+    # `_cholesky_solve` looks the routines up on scipy's lapack module.
+    real = getattr(lapack, routine)
 
     def illegal(*args, **kwargs):
         return real(*args, **kwargs)[0], -2
 
-    monkeypatch.setattr(beamformers, routine, illegal)
+    monkeypatch.setattr(lapack, routine, illegal)
     with pytest.raises(ValueError, match="illegal value in 2-th argument") \
             as raised:
         mvdr_beamformer(ArrayConfig(8, 0.5), FIG3_TARGETS, 0.1, 2)

@@ -1,10 +1,8 @@
 import argparse
 import hashlib
 import math
-import os
 import re
 import shlex
-import subprocess
 import sys
 import warnings
 from pathlib import Path
@@ -255,7 +253,12 @@ def test_clutter_usage_errors(tmp_path):
      "single-target run requires exactly one target"),
     (["clutter"], "clutter run requires at least two targets"),
     (["clutter", "--targets=10"], "clutter run requires at least two targets"),
-], ids=["single-two-targets", "clutter-no-targets", "clutter-one-target"])
+    # The count is refused before the desired angle is looked up.
+    (["clutter", "--desired=10"], "clutter run requires at least two targets"),
+    (["clutter", "--targets=10", "--desired=20"],
+     "clutter run requires at least two targets"),
+], ids=["single-two-targets", "clutter-no-targets", "clutter-one-target",
+        "clutter-no-targets-desired", "clutter-one-target-desired-elsewhere"])
 def test_target_counts_are_checked_by_the_experiments(argv, message, tmp_path,
                                                       capsys):
     assert run_cli([*argv, f"--out={tmp_path}"]) == 2
@@ -822,6 +825,28 @@ def test_scenario_values_are_checked_before_any_solve(argv, error, monkeypatch,
     _refused(argv, error, tmp_path / "out", capsys)
 
 
+@pytest.mark.parametrize("argv", [
+    ["single", "--seed=-1"],
+    ["sweep", "--trials=1", "--bits=2", "--seed=-1"],
+    ["oracle-check", "--seed=-1"],
+], ids=lambda argv: argv[0])
+def test_a_negative_seed_is_refused_by_name(argv, monkeypatch, tmp_path,
+                                            capsys):
+    def block(*args):
+        raise AssertionError("a sweep block ran")
+
+    monkeypatch.setattr(experiments, "_sweep_block", block)
+    out = tmp_path / "out"
+    if argv[0] != "oracle-check":
+        argv = [*argv, f"--out={out}"]
+    assert run_cli(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == \
+        "usage error: seed must be a non-negative integer, got -1\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("argv, error", [
     (["pattern", "--targets=a,b"],
      "expected comma-separated numbers, got 'a,b'"),
@@ -916,15 +941,9 @@ def test_a_bad_value_reads_the_same_from_every_source(key, source, tmp_path,
     assert not out.exists()
 
 
-def test_module_entry_point_runs_in_a_subprocess(tmp_path):
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = {key: value for key, value in os.environ.items() if key != "DPS_SEED"}
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
-
+def test_module_entry_point_runs_in_a_subprocess(fresh_python, tmp_path):
     def run(*argv):
-        return subprocess.run([sys.executable, "-m", "dpspesa.cli", *argv],
-                              capture_output=True, text=True, env=env,
-                              cwd=tmp_path, timeout=120)
+        return fresh_python("-m", "dpspesa.cli", *argv)
 
     passed = run("oracle-check", "--bits=2", "--trials=16")
     assert (passed.returncode, passed.stderr) == (0, "")
@@ -939,6 +958,30 @@ def test_module_entry_point_runs_in_a_subprocess(tmp_path):
     assert set(warned.stderr.splitlines(keepends=True)) == {
         "warning: nulling 3 targets with only 2 antennas exceeds the "
         "array's degrees of freedom\n"}
+
+
+# Runs `main` on the argv after it, then prints its exit code and whether
+# scipy's LAPACK and the process pool were imported.
+_IMPORTS_AFTER_MAIN = (
+    "import sys\n"
+    "from dpspesa import cli\n"
+    "code = cli.main(sys.argv[1:])\n"
+    "print(code, 'scipy.linalg' in sys.modules,"
+    " 'concurrent.futures.process' in sys.modules)\n")
+
+
+@pytest.mark.parametrize("argv, loads_lapack", [
+    (["oracle-check", "--bits=2", "--trials=16"], False),
+    (["single", "--out=single"], False),
+    (["pattern", "--beamformer=steering", "--out=pattern"], False),
+    # A positive control: the clutter reference is an MVDR solve.
+    (["clutter", "--targets=-47,30,49", "--desired=49", "--out=clutter"], True),
+], ids=["oracle-check", "single", "pattern-steering", "clutter"])
+def test_only_commands_that_solve_mvdr_import_lapack(argv, loads_lapack,
+                                                     fresh_python):
+    run = fresh_python("-c", _IMPORTS_AFTER_MAIN, *argv)
+    assert (run.returncode, run.stderr) == (0, "")
+    assert run.stdout.splitlines()[-1] == f"0 {loads_lapack} False"
 
 
 def _help_text(command, capsys):

@@ -49,6 +49,8 @@ def test_spec_validation():
         ({"norm_target": math.nan}, r"^target must lie in \(0, 2\]$"),
         ({"floor_db": 5.0}, "^floor_db must be negative$"),
         ({"floor_db": -math.inf}, "^floor_db must be finite$"),
+        ({"seed": -1}, "^seed must be a non-negative integer, got -1$"),
+        ({"seed": 1.5}, "^seed must be a non-negative integer, got 1.5$"),
     ]:
         with pytest.raises(ValueError, match=message):
             ScenarioSpec(config=CFG, **fields)
@@ -422,6 +424,25 @@ def test_monte_carlo_worker_count_invariance():
     serial = run_monte_carlo(base, (2, 4), (2.0,), trials=8, workers=1)
     parallel = run_monte_carlo(base, (2, 4), (2.0,), trials=8, workers=2)
     assert serial.rows == parallel.rows
+
+
+def test_a_pooled_sweep_loads_lapack_before_the_workers_fork(fresh_python):
+    # In a fresh interpreter, where nothing has imported scipy yet: the
+    # parent solves no MVDR system itself, so LAPACK is loaded only if the
+    # pool path imports it for the forked workers to inherit.
+    code = (
+        "import os, sys\n"
+        "from dpspesa.array_model import ArrayConfig\n"
+        "from dpspesa.experiments import ScenarioSpec, run_monte_carlo\n"
+        "os.cpu_count = lambda: 2  # two workers on any host\n"
+        "before = 'scipy.linalg' in sys.modules\n"
+        "spec = ScenarioSpec(ArrayConfig(4), grid_step_deg=1.0)\n"
+        "run_monte_carlo(spec, (2,), (2.0,), 2, workers=2)\n"
+        "print(before, 'concurrent.futures.process' in sys.modules,"
+        " 'scipy.linalg.lapack' in sys.modules)\n")
+    run = fresh_python("-c", code)
+    assert (run.returncode, run.stderr) == (0, "")
+    assert run.stdout == "False True True\n"
 
 
 def test_sweep_over_the_pair_bound_searches_in_chunks(monkeypatch):

@@ -1,5 +1,8 @@
 import ast
+import platform
 from pathlib import Path
+
+import pytest
 
 import dpspesa
 
@@ -46,3 +49,27 @@ def test_cli_imports_no_private_name_of_another_module():
         for alias in node.names if alias.name.startswith("_")
     ]
     assert private == []
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
+                    reason="the heap trim threshold is glibc's")
+def test_importing_the_package_keeps_mb_sized_temporaries_on_the_heap(
+        fresh_python):
+    # In a fresh interpreter: after the import, a 2 MiB temporary made and
+    # freed again and again is served from the heap, not mapped and
+    # faulted in anew each round as at glibc's start-up threshold (and at
+    # the 400 KiB or so that importing scipy.linalg had left).
+    code = (
+        "import resource\n"
+        "import numpy as np\n"
+        "import dpspesa\n"
+        "def faults():\n"
+        "    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+        "np.ones(2 << 20, np.uint8)\n"
+        "before = faults()\n"
+        "for _ in range(20):\n"
+        "    np.ones(2 << 20, np.uint8)\n"
+        "print(faults() - before)\n")
+    run = fresh_python("-c", code)
+    assert (run.returncode, run.stderr) == (0, "")
+    assert int(run.stdout) < 50
