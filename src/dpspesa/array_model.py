@@ -177,7 +177,10 @@ def beampattern_trace(config: ArrayConfig, w,
     floor_db : float
         Clamp for the peak-normalized dB pattern (must be negative).
     """
-    grid_deg, power, peak = _grid_powers(config, w, step_deg)
+    w = _as_weights(config, w)
+    grid_deg, response = _grid_response(config, float(step_deg))
+    power = np.abs(_field(response, w)) ** 2
+    peak = power.max(axis=-1, keepdims=True)
     return BeampatternTrace(grid_deg, power, _normalized_db(power, peak, floor_db),
                             float(floor_db))
 
@@ -226,8 +229,7 @@ def levels_db(config: ArrayConfig, w, angles_deg,
         blocks = w.reshape(1, math.prod(w.shape[:-1]), w.shape[-1])
     shape = w.shape[:-1] + idx.shape[-1:]
     if not _subset_rows_exact(config, step_deg):
-        _, power, peak = _grid_powers(config, w, step_deg)
-        levels = _normalized_db(power, peak, floor_db)
+        levels = beampattern_trace(config, w, step_deg, floor_db).power_db
         return np.take_along_axis(levels.reshape(blocks.shape[:-1] + (-1,)),
                                   idx[:, None], axis=-1).reshape(shape)
 
@@ -337,15 +339,6 @@ def _subset_rows_exact(config: ArrayConfig, step_deg: float) -> bool:
             and all(np.array_equal(_field(response[rows], block),
                                    block_full[..., rows])
                     for rows, block, block_full in zip(gathered, probes, full)))
-
-
-def _grid_powers(config: ArrayConfig, w, step_deg: float):
-    """Cached degree grid, the linear powers ``(..., G)`` of ``w`` on it and
-    their peak over the whole grid, ``(..., 1)``."""
-    w = _as_weights(config, w)
-    grid_deg, response = _grid_response(config, float(step_deg))
-    power = np.abs(_field(response, w)) ** 2
-    return grid_deg, power, power.max(axis=-1, keepdims=True)
 
 
 def _grid_points(step_deg: float, n_antennas: int = 1) -> int:

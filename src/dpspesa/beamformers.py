@@ -1,13 +1,15 @@
 """Reference multi-target beamformer: regularized MVDR, given the target
-angles and the index of the one to illuminate.
+angles and the index of the one to illuminate, for one scenario or a
+stack of them.
 
 The single-target reference is the steering vector itself
 (`array_model.steering_vector`).
 
 The MVDR systems are solved through scipy's LAPACK, which is imported on
-the first solve, not with this module: a command that solves none (a
-steering or PESA pattern, a single-target run, the oracle check) never
-loads ``scipy.linalg``.
+the first solve, not with this module: `clutter`, `sweep` and the `mvdr`
+and multi-target or gamma `dps` patterns load it; a command that solves
+none (a steering or PESA pattern, a single-target run, the oracle check)
+never loads ``scipy.linalg``.
 """
 
 from __future__ import annotations
@@ -27,21 +29,28 @@ from .array_model import (
 )
 
 
-def _check_targets(target_angles_deg, desired_index) -> tuple:
-    """The target directions as a tuple of floats: at least one, each in
-    [-90, 90] degrees, pairwise distinct, and ``desired_index`` one of
-    their indices."""
-    angles = tuple(float(t) for t in target_angles_deg)
-    if len(angles) < 1:
+def _check_targets(target_angles_deg, desired_index):
+    """The target directions as a float array ``(..., K)`` and the desired
+    indices as an integer array ``(...)``: per scenario at least one
+    target, each in [-90, 90] degrees, pairwise distinct, and its desired
+    index one of their indices."""
+    angles = np.asarray(target_angles_deg, dtype=float)
+    if angles.ndim == 0 or angles.shape[-1] < 1:
         raise ValueError("at least one target angle is required")
     _check_angles(angles)
-    if len(set(angles)) != len(angles):
+    ordered = np.sort(angles, axis=-1)
+    if (ordered[..., 1:] == ordered[..., :-1]).any():
         raise ValueError("target angles must be pairwise distinct")
-    if not _is_count(desired_index):
+    desired = np.asarray(desired_index)
+    # A Python int beyond int64 makes an object array; it is out of range.
+    if not (_is_count(desired_index) or desired.dtype.kind in "iu"):
         raise ValueError("desired_index must be an integer")
-    if not 0 <= desired_index < len(angles):
+    if desired.shape != angles.shape[:-1]:
+        raise ValueError(f"desired_index must have shape {angles.shape[:-1]}, "
+                         f"one index per scenario, got {desired.shape}")
+    if not np.all((0 <= desired) & (desired < angles.shape[-1])):
         raise ValueError("desired_index out of range")
-    return angles
+    return angles, desired
 
 
 def _check_gamma(gamma: float | None) -> None:
@@ -54,7 +63,7 @@ def _check_gamma(gamma: float | None) -> None:
 
 
 def mvdr_beamformer(config: ArrayConfig, target_angles_deg, gamma: float,
-                    desired_index: int = 0) -> np.ndarray:
+                    desired_index=0) -> np.ndarray:
     """Multi-target beamformer pointing at the desired target with nulls elsewhere.
 
     Solves ``(gamma*I + A A^H) w = a(theta_desired)`` where the columns of
@@ -65,36 +74,30 @@ def mvdr_beamformer(config: ArrayConfig, target_angles_deg, gamma: float,
     N x N must not exceed `array_model.MAX_GRID_ENTRIES`, checked before
     any array is built.
 
+    A stack of scenarios solves in one call: one batched product builds
+    every system matrix, then each system is factored and solved on its
+    own, so every row equals its one-scenario call bit for bit.
+
     Parameters
     ----------
     config : ArrayConfig
         Array geometry.
-    target_angles_deg : sequence of float
-        Target directions in degrees, at least one, each in [-90, 90] and
-        pairwise distinct.
+    target_angles_deg : array_like of float
+        Target directions in degrees, ``(K,)`` for one scenario or
+        ``(..., K)`` for a stack; per scenario at least one, each in
+        [-90, 90] and pairwise distinct.
     gamma : float
         Null-depth regularizer, finite and > 0.
-    desired_index : int
-        Index of the target to illuminate.
+    desired_index : int or array_like of int
+        Index of the target to illuminate, of shape ``(...)``: one per
+        scenario.
 
     Returns
     -------
     ndarray
-        Complex weights of length ``config.n_antennas``.
+        Complex weights, ``(..., config.n_antennas)``.
     """
-    [w] = _mvdr(config, [_check_targets(target_angles_deg, desired_index)],
-                [desired_index], gamma)
-    return w
-
-
-def _mvdr(config: ArrayConfig, angles_deg, desired, gamma: float) -> np.ndarray:
-    """`mvdr_beamformer` weights ``(T, N)`` of T scenarios: target angles
-    ``(T, K)`` and desired indices ``(T,)``.
-
-    One batched product builds every system matrix; each system is then
-    factored and solved on its own (`_cholesky_solve`), so every row equals
-    the one-scenario solve bit for bit.
-    """
+    angles_deg, desired = _check_targets(target_angles_deg, desired_index)
     if gamma is None:
         raise ValueError("MVDR needs a gamma, got None")
     _check_gamma(gamma)
@@ -104,40 +107,34 @@ def _mvdr(config: ArrayConfig, angles_deg, desired, gamma: float) -> np.ndarray:
             f"a {n} x {n} MVDR matrix exceeds {MAX_GRID_ENTRIES} entries; "
             "use fewer antennas"
         )
-    angles_deg = np.asarray(angles_deg, dtype=float)
-    if angles_deg.shape[-1] > n:
+    k = angles_deg.shape[-1]
+    if k > n:
         warnings.warn(
-            f"nulling {angles_deg.shape[-1]} targets with only {n} antennas "
+            f"nulling {k} targets with only {n} antennas "
             "exceeds the array's degrees of freedom",
-            stacklevel=3,
+            stacklevel=2,
         )
     # Each A is C-ordered with the steering vectors as columns, as
     # np.column_stack builds it, so each product takes the same BLAS call.
     a_mat = np.ascontiguousarray(
-        steering_vector(config, angles_deg).swapaxes(-1, -2))
+        steering_vector(config, angles_deg.reshape(-1, k)).swapaxes(-1, -2))
     lhs = gamma * np.eye(n) + a_mat @ a_mat.conj().swapaxes(-1, -2)
-    rhs = a_mat[np.arange(len(a_mat)), :, desired]
+    rhs = a_mat[np.arange(len(a_mat)), :, desired.ravel()]
     from scipy.linalg import lapack  # about 0.3 s, so only once a solve needs it
 
-    return np.stack([_cholesky_solve(lapack, m, b) for m, b in zip(lhs, rhs)])
-
-
-def _cholesky_solve(lapack, m: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve the Hermitian positive-definite system ``m x = b`` through
-    ``lapack.zpotrf``/``zpotrs`` on the upper triangle: the calls, bits and
-    error types of scipy's ``cho_solve(cho_factor(m), b)`` without its
-    wrappers.  ``lapack`` is ``scipy.linalg.lapack``, which `_mvdr` imports
-    on the first solve: `clutter`, `sweep` and the `mvdr` and multi-target
-    or gamma `dps` patterns load it, the other commands never do.  The
-    MVDR matrices are finite by construction (finite gamma,
-    unit-modulus steering entries), so there is no finiteness check."""
-    c, info = lapack.zpotrf(m, lower=0, clean=0)
-    if info > 0:
-        raise LinAlgError(
-            f"{info}-th leading minor of the array is not positive definite")
-    if info == 0:
-        x, info = lapack.zpotrs(c, b, lower=0)
-    if info < 0:
-        raise ValueError(f"LAPACK reported an illegal value in {-info}-th "
-                         "argument of a Cholesky routine")
-    return x
+    # zpotrf/zpotrs on the upper triangle: the calls, bits and error types
+    # of scipy's cho_solve(cho_factor(m), b) without its wrappers.  The
+    # matrices are finite by construction (finite gamma, unit-modulus
+    # steering entries), so there is no finiteness check.
+    w = np.empty_like(rhs)
+    for t, (m, b) in enumerate(zip(lhs, rhs)):
+        c, info = lapack.zpotrf(m, lower=0, clean=0)
+        if info > 0:
+            raise LinAlgError(
+                f"{info}-th leading minor of the array is not positive definite")
+        if info == 0:
+            w[t], info = lapack.zpotrs(c, b, lower=0)
+        if info < 0:
+            raise ValueError(f"LAPACK reported an illegal value in {-info}-th "
+                             "argument of a Cholesky routine")
+    return w.reshape(angles_deg.shape[:-1] + (n,))

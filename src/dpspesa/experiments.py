@@ -31,7 +31,7 @@ from .array_model import (
     levels_db,
     steering_vector,
 )
-from .beamformers import _check_gamma, _check_targets, _mvdr, mvdr_beamformer
+from .beamformers import _check_gamma, _check_targets, mvdr_beamformer
 from .dps_quantize import (
     PhaseGrid,
     _check_candidates,
@@ -261,7 +261,7 @@ def _sweep_block(spec: ScenarioSpec, bits_list, norm_list, trials: range):
         angles.append(drawn)
         desired.append(int(rng.integers(drawn.size)))
     angles = np.stack(angles)
-    w_ref = _mvdr(spec.config, angles, desired, spec.gamma)
+    w_ref = mvdr_beamformer(spec.config, angles, spec.gamma, desired)
     steers = steering_vector(spec.config, angles[np.arange(len(angles)), desired])
 
     # Every trial's reference at every norm, normalized once and searched

@@ -564,13 +564,13 @@ def test_levels_fall_back_to_the_whole_grid_when_the_probe_fails(monkeypatch):
     angles = [12.3, -40.0]
     want = levels_db(cfg, w, angles)
     calls = []
-    grid_powers = array_model._grid_powers
+    trace = array_model.beampattern_trace
 
-    def counted(config, w, step_deg):
+    def counted(config, w, step_deg, floor_db):
         calls.append(np.shape(w))
-        return grid_powers(config, w, step_deg)
+        return trace(config, w, step_deg, floor_db)
 
-    monkeypatch.setattr(array_model, "_grid_powers", counted)
+    monkeypatch.setattr(array_model, "beampattern_trace", counted)
     levels_db(cfg, w, angles)
     assert calls == []
     monkeypatch.setattr(array_model, "_subset_rows_exact", lambda *args: False)
@@ -582,7 +582,7 @@ def test_levels_fall_back_to_the_whole_grid_when_the_probe_fails(monkeypatch):
     block_angles = [angles, [-40.0, 12.3], [89.95, -90.0]]
     monkeypatch.undo()
     want = [levels_db(cfg, b, a) for b, a in zip(blocks, block_angles)]
-    monkeypatch.setattr(array_model, "_grid_powers", counted)
+    monkeypatch.setattr(array_model, "beampattern_trace", counted)
     monkeypatch.setattr(array_model, "_subset_rows_exact", lambda *args: False)
     calls.clear()
     assert np.array_equal(levels_db(cfg, blocks, block_angles), want)

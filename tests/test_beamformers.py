@@ -12,7 +12,7 @@ from dpspesa.array_model import (
     levels_db,
     steering_vector,
 )
-from dpspesa.beamformers import _mvdr, mvdr_beamformer
+from dpspesa.beamformers import mvdr_beamformer
 from dpspesa.experiments import ScenarioSpec, draw_target_angles, trial_rng
 
 FIG3_TARGETS = (-47.0, 30.0, 49.0)
@@ -44,7 +44,7 @@ def test_scenario_validation():
 @pytest.mark.parametrize("desired_index", [1.0, True, np.float64(0)])
 def test_a_non_integral_desired_index_is_refused(desired_index, monkeypatch):
     # Refused before any solve, by the solver and the spec alike.
-    monkeypatch.setattr(beamformers, "_mvdr", None)
+    monkeypatch.setattr(beamformers, "steering_vector", None)
     cfg = ArrayConfig(8, 0.5)
     with pytest.raises(ValueError, match="^desired_index must be an integer$"):
         mvdr_beamformer(cfg, FIG3_TARGETS, 0.1, desired_index)
@@ -144,7 +144,7 @@ def test_batched_mvdr_equals_the_inline_solve_bit_for_bit(n_antennas, spacing,
         angles.append(draw_target_angles(rng, count=3))
         desired.append(int(rng.integers(3)))
     angles = np.stack(angles)
-    got = _mvdr(cfg, angles, desired, gamma)
+    got = mvdr_beamformer(cfg, angles, gamma, desired)
     assert got.shape == (300, n_antennas)
     for t, k in enumerate(desired):
         a_mat = np.column_stack([
@@ -160,24 +160,60 @@ def test_batched_mvdr_checks_like_the_one_scenario_solve(monkeypatch):
     cfg = ArrayConfig(4, 0.5)
     angles = [[-46.0, -23.0, 0.0, 23.0, 46.0], [-40.0, -20.0, 0.0, 20.0, 40.0]]
     with pytest.warns(UserWarning, match="nulling 5 targets"):
-        assert _mvdr(cfg, angles, [0, 3], 0.1).shape == (2, 4)
+        assert mvdr_beamformer(cfg, angles, 0.1, [0, 3]).shape == (2, 4)
     for gamma, message in ((None, "needs a gamma"), (0.0, "strictly positive"),
                            (math.inf, "finite")):
         with pytest.raises(ValueError, match=message):
-            _mvdr(cfg, angles, [0, 3], gamma)
+            mvdr_beamformer(cfg, angles, gamma, [0, 3])
     with pytest.raises(np.linalg.LinAlgError):
-        _mvdr(ArrayConfig(16, 0.5), [[0.0, 30.0, 50.0]], [0], 1e-30)
+        mvdr_beamformer(ArrayConfig(16, 0.5), [[0.0, 30.0, 50.0]], 1e-30, [0])
     monkeypatch.setattr(beamformers, "MAX_GRID_ENTRIES", 8)
     monkeypatch.setattr(beamformers, "steering_vector", None)
     with pytest.raises(ValueError, match="3 x 3 MVDR matrix exceeds 8"):
-        _mvdr(ArrayConfig(3, 0.5), [[0.0, 30.0]], [0], 0.1)
+        mvdr_beamformer(ArrayConfig(3, 0.5), [[0.0, 30.0]], 0.1, [0])
+
+
+def test_a_stack_of_scenarios_gives_one_solve_per_row():
+    cfg = ArrayConfig(16, 0.5)
+    angles = np.array([[[-47.0, 30.0, 49.0], [-10.0, 5.0, 60.0],
+                        [0.0, 20.0, -35.0]],
+                       [[12.0, -70.0, 33.0], [1.0, 2.0, 3.0],
+                        [-85.0, 85.0, 0.5]]])
+    desired = np.array([[2, 0, 1], [1, 2, 0]])
+    got = mvdr_beamformer(cfg, angles, 0.1, desired)
+    assert got.shape == (2, 3, 16)
+    for i, j in np.ndindex(2, 3):
+        assert np.array_equal(
+            got[i, j], mvdr_beamformer(cfg, angles[i, j], 0.1, desired[i, j]))
+
+
+@pytest.mark.parametrize("angles, desired, message", [
+    ([[-47.0, 30.0, 49.0], [6.0, 6.0, 11.0]], [2, 0],
+     "^target angles must be pairwise distinct$"),
+    ([[-47.0, 30.0, 49.0], [6.0, 7.0, 11.0]], [2, 3],
+     "^desired_index out of range$"),
+    ([[-47.0, 30.0, 49.0], [6.0, 7.0, 11.0]], [2.0, 0.0],
+     "^desired_index must be an integer$"),
+    ([[-47.0, 30.0, 49.0], [6.0, 7.0, 11.0]], [True, False],
+     "^desired_index must be an integer$"),
+    ([[-47.0, 30.0, 49.0], [6.0, 7.0, 11.0]], [2, 0, 1],
+     r"^desired_index must have shape \(2,\)"),
+    ([[-47.0, 30.0, 49.0], [6.0, 7.0, 11.0]], 2,
+     r"^desired_index must have shape \(2,\)"),
+], ids=["duplicate-angles", "index-equal-to-k", "float-indices",
+        "bool-indices", "too-many-indices", "one-index-for-two-scenarios"])
+def test_one_bad_scenario_refuses_the_batch_before_any_array(
+        angles, desired, message, monkeypatch):
+    monkeypatch.setattr(beamformers, "steering_vector", None)
+    with pytest.raises(ValueError, match=message):
+        mvdr_beamformer(ArrayConfig(8, 0.5), angles, 0.1, desired)
 
 
 @pytest.mark.parametrize("routine", ["zpotrf", "zpotrs"])
 def test_an_illegal_lapack_argument_is_a_value_error(monkeypatch, routine):
     # LAPACK reports an illegal argument as a negative info, from the
     # factorization or the solve; neither is taken for a failing minor.
-    # `_cholesky_solve` looks the routines up on scipy's lapack module.
+    # `mvdr_beamformer` looks the routines up on scipy's lapack module.
     real = getattr(lapack, routine)
 
     def illegal(*args, **kwargs):

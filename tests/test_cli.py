@@ -820,8 +820,8 @@ def test_scenario_values_are_checked_before_any_solve(argv, error, monkeypatch,
     def solve(*args):
         raise AssertionError("the MVDR system was solved")
 
-    monkeypatch.setattr(beamformers, "_mvdr", solve)
-    monkeypatch.setattr(experiments, "_mvdr", solve)
+    monkeypatch.setattr(beamformers, "mvdr_beamformer", solve)
+    monkeypatch.setattr(experiments, "mvdr_beamformer", solve)
     _refused(argv, error, tmp_path / "out", capsys)
 
 

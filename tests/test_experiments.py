@@ -6,11 +6,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from dpspesa import array_model, beamformers, dps_quantize, experiments
+from dpspesa import beamformers, dps_quantize, experiments
 from dpspesa.array_model import (
     ArrayConfig,
     angle_grid_deg,
     beampattern_trace,
+    levels_db,
     steering_vector,
 )
 from dpspesa.beamformers import mvdr_beamformer
@@ -66,8 +67,8 @@ def test_spec_checks_the_grid_bound_before_any_solve(step, message,
     def solve(*args):
         raise AssertionError("the MVDR system was solved")
 
-    monkeypatch.setattr(beamformers, "_mvdr", solve)
-    monkeypatch.setattr(experiments, "_mvdr", solve)
+    monkeypatch.setattr(beamformers, "mvdr_beamformer", solve)
+    monkeypatch.setattr(experiments, "mvdr_beamformer", solve)
     fields = dict(config=CFG, target_angles_deg=(-47.0, 30.0, 49.0),
                   desired_index=2, gamma=0.1, grid_step_deg=step)
     with pytest.raises(ValueError, match=re.escape(message)):
@@ -253,6 +254,22 @@ def test_clutter_run_structure():
     assert result.rms_dps_db >= 0.0 and result.rms_pesa_db >= 0.0
 
 
+def test_fig3_pesa_clutter_levels_do_not_depend_on_gamma():
+    # Why criterion 1 cannot pass at any gamma: its PESA gates read the
+    # quantized steering vector toward the desired 49 degrees, which no
+    # gamma enters.
+    want = levels_db(CFG, quantize_pesa(steering_vector(CFG, 49.0),
+                                        PhaseGrid(4)), [-47.0, 30.0])
+    assert want.round(4).tolist() == [-40.5264, -26.8749]
+    for gamma in (0.1, 1.05, 9.6):
+        result = run_mvdr_clutter(ScenarioSpec(
+            config=CFG, target_angles_deg=(-47.0, 30.0, 49.0),
+            desired_index=2, gamma=gamma, bits=4, candidates_l=3,
+            norm_target=2.0))
+        levels = result.levels_at_targets_db
+        assert [levels[-47.0].pesa, levels[30.0].pesa] == want.tolist()
+
+
 @pytest.mark.parametrize("run, spec", [
     (run_single_target, ScenarioSpec(config=CFG, target_angles_deg=(37.0,))),
     (run_mvdr_clutter, ScenarioSpec(config=CFG, desired_index=2, gamma=0.1,
@@ -260,13 +277,13 @@ def test_clutter_run_structure():
 ], ids=["single", "clutter"])
 def test_trial_samples_the_grid_once(run, spec, monkeypatch):
     calls = []
-    grid_powers = array_model._grid_powers
+    sample = experiments.beampattern_trace
 
-    def counted(config, w, step_deg):
+    def counted(config, w, step_deg, floor_db):
         calls.append(np.shape(w))
-        return grid_powers(config, w, step_deg)
+        return sample(config, w, step_deg, floor_db)
 
-    monkeypatch.setattr(array_model, "_grid_powers", counted)
+    monkeypatch.setattr(experiments, "beampattern_trace", counted)
     result = run(spec)
     assert calls == [(3, CFG.n_antennas)]
     # The stacked rows equal the per-vector traces bit for bit.
@@ -277,7 +294,6 @@ def test_trial_samples_the_grid_once(run, spec, monkeypatch):
                                   spec.desired_index))
     dps = approximate(w_ref, grid, spec.candidates_l, spec.norm_target)
     weights = (w_ref, dps.realized, quantize_pesa(w_steer, grid))
-    monkeypatch.setattr(array_model, "_grid_powers", grid_powers)
     for row, w in enumerate(weights):
         trace = beampattern_trace(CFG, w)
         assert np.array_equal(result.traces.power_linear[row], trace.power_linear)
@@ -388,12 +404,11 @@ def test_sweep_block_solves_and_scores_in_one_pass(monkeypatch, trials):
             return fn(*args, **kwargs)
         monkeypatch.setattr(experiments, name, recorded)
 
-    for name in ("_mvdr", "mvdr_beamformer", "levels_db", "_rms_db",
-                 "steering_vector"):
+    for name in ("mvdr_beamformer", "levels_db", "_rms_db", "steering_vector"):
         spy(name, getattr(experiments, name))
     rms_dps, rms_pesa = _sweep_block(spec, (2, 5), (1.0, 2.0), range(trials))
     assert rms_dps.shape == (trials, 2, 2) and rms_pesa.shape == (trials, 2)
-    assert sorted(calls) == ["_mvdr", "_rms_db", "levels_db",
+    assert sorted(calls) == ["_rms_db", "levels_db", "mvdr_beamformer",
                              "steering_vector"]
 
 
