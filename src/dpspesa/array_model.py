@@ -217,6 +217,9 @@ def levels_db(config: ArrayConfig, w, angles_deg,
     step_deg = float(step_deg)
     grid_deg, response = _grid_response(config, step_deg)
     angles_deg = np.asarray(angles_deg, dtype=float)
+    if angles_deg.ndim > 2:
+        raise ValueError(f"angles must be (K,) or (T, K), got shape "
+                         f"{angles_deg.shape}")
     if angles_deg.ndim == 2:
         if w.ndim < 2 or w.shape[0] != len(angles_deg):
             raise ValueError(f"angles of {len(angles_deg)} blocks need weights "

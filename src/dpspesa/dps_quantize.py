@@ -10,8 +10,10 @@ search around that split; `exhaustive_oracle` brute-forces all pairs for
 small B, and `oracle_mismatches` compares the two for the tests and the
 CLI's ``oracle-check``.  `approximate`, `quantize_pesa` and
 `normalize_to_max` take arrays of any leading batch shape, weights
-``(..., N)``, and run as one array kernel; `exhaustive_oracle` takes
-weights of any shape and scores them in bounded batches.
+``(..., N)``, and run as one array kernel; `approximate` and
+`quantize_pesa` also take a sequence of grids and quantize the same
+weights on all of them together.  `exhaustive_oracle` takes weights of
+any shape and scores them in bounded batches.
 """
 
 from __future__ import annotations
@@ -140,10 +142,10 @@ def normalize_to_max(w, target=2.0) -> np.ndarray:
     target = _check_norm_target(target)
     if w.ndim == 0 or w.size == 0:
         raise ValueError("weights must be a non-empty (..., N) array")
-    if not np.all(np.isfinite(w)):
+    if not np.isfinite(w).all():
         raise ValueError("weights must be finite")
     peak = np.abs(w).max(axis=-1)
-    if np.any(peak == 0):
+    if (peak == 0).any():
         raise ValueError("all-zero weights cannot be normalized")
     return w * (target / peak)[..., None]
 
@@ -151,7 +153,7 @@ def normalize_to_max(w, target=2.0) -> np.ndarray:
 def _check_norm_target(target) -> np.ndarray:
     """``target`` as a float array; every entry must lie in (0, 2]."""
     target = np.asarray(target, dtype=float)
-    if not np.all((target > 0.0) & (target <= 2.0)):
+    if not ((target > 0.0) & (target <= 2.0)).all():
         raise ValueError("target must lie in (0, 2]")
     return target
 
@@ -241,8 +243,7 @@ def _rank(phi: np.ndarray, ks: np.ndarray, grid: PhaseGrid,
     return np.take_along_axis(ks, order[..., :count], axis=-1)
 
 
-def approximate(w, grid: PhaseGrid, candidates: int = 3,
-                norm_target=2.0) -> DpsBeamformer:
+def approximate(w, grid, candidates: int = 3, norm_target=2.0):
     """Realize beamformers on a quantized double-phase-shifter array.
 
     Normalizes ``w`` to maximum modulus ``norm_target`` along its last
@@ -256,41 +257,33 @@ def approximate(w, grid: PhaseGrid, candidates: int = 3,
     ----------
     w : array_like
         Complex weights of shape ``(..., N)``; no length-N vector all zero.
-    grid : PhaseGrid
-        Realizable phases of the shifters.
+    grid : PhaseGrid or sequence of PhaseGrid
+        Realizable phases of the shifters.  For a sequence, the weights are
+        normalized once and split at most once (only if some grid ranks
+        candidates; a full-grid search scores every pair without it).
     candidates : int
-        Top-L list length per phasor (clamped to the grid size).  L**2
+        Top-L list length per phasor (clamped to each grid's size).  L**2
         must not exceed `array_model.MAX_GRID_ENTRIES`, checked before any
-        pair is built; the elements are searched in chunks whose pairs and
-        placed candidates stay within that many entries (see `_search`).
+        pair is built.  Weights are searched independently, in chunks
+        whose count x count pairs per weight on each grid, and whose
+        ``(G, 2, chunk, L)`` candidates of one `_nearest` pass over the G
+        ranked grids, stay within that many entries (a chunk holds at
+        least one weight).
     norm_target : float or array_like
         Maximum modulus after normalization, in (0, 2]; an array broadcasts
         against ``w.shape[:-1]`` (see `normalize_to_max`).
 
     Returns
     -------
-    DpsBeamformer
+    DpsBeamformer or list of DpsBeamformer
         Selected index pairs and the weights they realize, with the
-        normalized weights' shape.
+        normalized weights' shape; for a sequence of grids, one per grid.
     """
-    [dps] = _search(normalize_to_max(w, norm_target), [grid], candidates)
-    return dps
-
-
-def _search(wn: np.ndarray, grids, candidates: int) -> list[DpsBeamformer]:
-    """The candidate search of `approximate` on normalized weights ``wn``,
-    one `DpsBeamformer` per grid of ``grids``.  The split does not depend
-    on the grid, so it is computed once, and only if some grid ranks
-    candidates: a full-grid search scores every pair without it.
-
-    Weights are searched independently, so they run in chunks with the
-    same result.  A chunk keeps each grid's count x count pairs per weight
-    and the ``(G, 2, chunk, L)`` candidates of its one `_nearest` pass over
-    the G ranked grids within `MAX_GRID_ENTRIES` entries (a chunk holds at
-    least one weight)."""
+    grids = _as_grids(grid)
+    wn = normalize_to_max(w, norm_target)
     counts = _check_candidates(candidates, grids)
     # A grid ranks only when candidates < its size.
-    ranked = [grid for grid in grids if candidates < grid.size]
+    ranked = [g for g in grids if candidates < g.size]
     chunk = max(1, MAX_GRID_ENTRIES // max(max(counts)**2,
                                            2 * len(ranked) * candidates))
     flat = wn.reshape(-1)
@@ -299,16 +292,24 @@ def _search(wn: np.ndarray, grids, candidates: int) -> list[DpsBeamformer]:
     for i in range(0, flat.size, chunk):
         cands = iter(_nearest(split[:, i:i + chunk], ranked, candidates)
                      if ranked else ())
-        for grid, part in zip(grids, parts):
-            c = next(cands) if candidates < grid.size else None
-            part.append(_best_pairs(flat[i:i + chunk], c, grid))
+        for g, part in zip(grids, parts):
+            c = next(cands) if candidates < g.size else None
+            part.append(_best_pairs(flat[i:i + chunk], c, g))
     found = []
-    for grid, part in zip(grids, parts):
+    for g, part in zip(grids, parts):
         pairs, realized = (np.concatenate(x) for x in zip(*part))
-        found.append(DpsBeamformer(grid=grid,
+        found.append(DpsBeamformer(grid=g,
                                    pairs=pairs.reshape(wn.shape + (2,)),
                                    realized=realized.reshape(wn.shape)))
-    return found
+    return found[0] if isinstance(grid, PhaseGrid) else found
+
+
+def _as_grids(grid) -> list[PhaseGrid]:
+    """``grid``, one `PhaseGrid` or a sequence of them, as a non-empty list."""
+    grids = [grid] if isinstance(grid, PhaseGrid) else list(grid)
+    if not grids:
+        raise ValueError("at least one grid is required")
+    return grids
 
 
 def _check_candidates(candidates: int, grids) -> list[int]:
@@ -445,7 +446,7 @@ def oracle_mismatches(w, grid: PhaseGrid) -> list[OracleMismatch]:
     equal too.
     """
     wn = normalize_to_max(w, 2.0)
-    [dps] = _search(wn, [grid], grid.size)
+    dps = approximate(w, grid, grid.size)
     oracle = exhaustive_oracle(wn, grid).reshape(-1, 2)
     search = dps.pairs.reshape(-1, 2)
     flagged = np.flatnonzero((oracle != search).any(axis=-1)).tolist()
@@ -464,25 +465,23 @@ def oracle_mismatches(w, grid: PhaseGrid) -> list[OracleMismatch]:
     return mismatches
 
 
-def quantize_pesa(w, grid: PhaseGrid) -> np.ndarray:
+def quantize_pesa(w, grid):
     """Phase-only quantization: snap each weight's phase to the grid.
 
     Returns unit-modulus weights of the input's shape; the modulus of the
     input is discarded, which is all a single-shifter array can realize.
-    A non-finite or zero weight raises `ValueError`.
+    A non-finite or zero weight raises `ValueError`.  ``grid`` is a
+    `PhaseGrid`, or a sequence of them for a list with one result per
+    grid; the phases of ``w`` do not depend on the grid, so they are
+    computed once.
     """
-    [quantized] = _quantize_pesa(w, [grid])
-    return quantized
-
-
-def _quantize_pesa(w, grids) -> list[np.ndarray]:
-    """`quantize_pesa` of ``w`` on each grid of ``grids``; the phases of
-    ``w`` do not depend on the grid, so they are computed once."""
+    grids = _as_grids(grid)
     w = np.asarray(w, dtype=complex)
     if not np.all(np.isfinite(w)):
         raise ValueError("weights must be finite")
     if np.any(w == 0):
         raise ValueError("zero weights have no phase to quantize")
     phase = _map(math.atan2, w.imag, w.real)
-    return [grid.phasors[ks[..., 0]]
-            for grid, ks in zip(grids, _nearest(phase, grids, 1))]
+    found = [g.phasors[ks[..., 0]]
+             for g, ks in zip(grids, _nearest(phase, grids, 1))]
+    return found[0] if isinstance(grid, PhaseGrid) else found

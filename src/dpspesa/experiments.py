@@ -36,10 +36,7 @@ from .dps_quantize import (
     PhaseGrid,
     _check_candidates,
     _check_norm_target,
-    _quantize_pesa,
-    _search,
     approximate,
-    normalize_to_max,
     quantize_pesa,
 )
 
@@ -155,7 +152,7 @@ def draw_target_angles(rng: np.random.Generator, count: int = 3,
     random order.  Raises `ValueError` when ``count`` is below 1 or when
     ``count`` such angles cannot fit in the span.
     """
-    if count < 1:
+    if not _is_count(count) or count < 1:
         raise ValueError(f"count must be a positive integer, got {count}")
     lo, hi = -int(span_deg), int(span_deg)
     sep = math.ceil(min_sep_deg) if count > 1 and min_sep_deg > 0 else 0
@@ -264,13 +261,12 @@ def _sweep_block(spec: ScenarioSpec, bits_list, norm_list, trials: range):
     w_ref = mvdr_beamformer(spec.config, angles, spec.gamma, desired)
     steers = steering_vector(spec.config, angles[np.arange(len(angles)), desired])
 
-    # Every trial's reference at every norm, normalized once and searched
-    # on every grid by one `_search`, which splits it at most once.
+    # Every trial's reference at every norm, searched on every grid by one
+    # `approximate`, which normalizes it once and splits it at most once.
     grids = tuple(PhaseGrid(bits) for bits in bits_list)
-    refs = normalize_to_max(w_ref[:, None, :], norm_list)
-    dps = np.stack([d.realized for d in
-                    _search(refs, grids, spec.candidates_l)], axis=1)
-    pesa = np.stack(_quantize_pesa(steers, grids), axis=1)
+    dps = np.stack([d.realized for d in approximate(
+        w_ref[:, None, :], grids, spec.candidates_l, norm_list)], axis=1)
+    pesa = np.stack(quantize_pesa(steers, grids), axis=1)
 
     # Per trial: the reference, then pesa per bits, then dps per (bits, norm).
     n_bits, n_norms = len(bits_list), len(norm_list)

@@ -430,6 +430,10 @@ def test_levels_contract_errors():
     for w in (np.ones(4), np.ones((3, 4)), np.ones((3, 2, 4))):
         with pytest.raises(ValueError, match="angles of 2 blocks"):
             levels_db(cfg, w, [[0.0], [10.0]])
+    # Angles of more than two dimensions used to be flattened silently.
+    with pytest.raises(ValueError, match=r"\(K,\) or \(T, K\), got shape "
+                       r"\(2, 1, 3\)"):
+        levels_db(ArrayConfig(8), np.ones((2, 8)), np.zeros((2, 1, 3)))
 
 
 def test_levels_reject_angles_outside_the_grid_span():

@@ -116,7 +116,8 @@ def test_draw_target_angles_refuses_a_count_that_cannot_fit():
         def integers(self, *args, **kwargs):
             raise AssertionError("drew before checking the count")
 
-    for count in (0, -1):
+    # Non-integral counts used to reach numpy and raise its TypeError.
+    for count in (0, -1, 2.5, True):
         with pytest.raises(ValueError, match=rf"^count must be a positive "
                            rf"integer, got {count}$"):
             draw_target_angles(NoDraws(), count=count)
@@ -129,6 +130,8 @@ def test_draw_target_angles_refuses_a_count_that_cannot_fit():
         draw_target_angles(NoDraws(), count=3, span_deg=2.0, min_sep_deg=2.5)
     # Feasible counts keep the stream they drew before the check existed.
     assert draw_target_angles(trial_rng(5, 1), count=3).tolist() == [
+        -5.0, 65.0, 33.0]
+    assert draw_target_angles(trial_rng(5, 1), count=np.int64(3)).tolist() == [
         -5.0, 65.0, 33.0]
     assert draw_target_angles(trial_rng(5, 2), count=12).tolist() == [
         41.0, -6.0, 8.0, 6.0, -18.0, 83.0, 80.0, -3.0, -55.0, -66.0, 12.0, 74.0]

@@ -57,11 +57,12 @@ def test_cli_imports_no_private_name_of_another_module():
 
 
 def test_experiments_solve_mvdr_through_the_public_beamformer():
-    # The experiments share the beamformers' checks but solve through
-    # `mvdr_beamformer`, the one MVDR kernel, which tracing and profiling
-    # see under that name.
+    # The experiments share the beamformers' and quantizers' checks but
+    # solve through `mvdr_beamformer` and quantize through `approximate`
+    # and `quantize_pesa`, the kernels, which tracing and profiling see
+    # under those names.
     private = [(module, name) for module, name in _private_imports("experiments")
-               if module.split(".")[-1] == "beamformers"
+               if module.split(".")[-1] in ("beamformers", "dps_quantize")
                and not name.startswith("_check_")]
     assert private == []
 

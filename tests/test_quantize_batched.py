@@ -436,13 +436,13 @@ def test_a_lowered_bound_chunks_the_weights_of_every_grid(monkeypatch):
     # every grid's candidates in one pass and searches each grid once.  The
     # pairs and realized weights stay those of one unsplit search.
     rng = np.random.default_rng(22)
-    wn = normalize_to_max(_disk(rng, (2, 20)), 2.0)
+    w = _disk(rng, (2, 20))
     grids = [PhaseGrid(b) for b in range(2, 13)]
-    want = dps_quantize._search(wn, grids, 3)
+    want = approximate(w, grids, 3)
     for bound, sizes in ((1000, [15, 15, 10]), (100, [1] * 40)):
         with monkeypatch.context() as m:
             passes, calls = _record_search(m, bound)
-            got = dps_quantize._search(wn, grids, 3)
+            got = approximate(w, grids, 3)
         assert passes == [(size, 11) for size in sizes]
         assert calls == [(size, b) for size in sizes for b in range(2, 13)]
         for a, b in zip(got, want):
@@ -461,13 +461,35 @@ def test_a_search_mixing_a_full_and_a_ranked_grid(monkeypatch):
     grids = [PhaseGrid(1), PhaseGrid(3)]
     want = [approximate(w, grid, 2) for grid in grids]
     passes, calls = _record_search(monkeypatch, 20)
-    got = dps_quantize._search(normalize_to_max(w, 2.0), grids, 2)
+    got = approximate(w, grids, 2)
     sizes = [5, 5, 5, 5, 4]
     assert passes == [(size, 1) for size in sizes]
     assert calls == [(size, b) for size in sizes for b in (1, 3)]
     for a, b in zip(got, want):
         assert np.array_equal(a.pairs, b.pairs)
         assert np.array_equal(a.realized, b.realized)
+
+
+def test_quantize_pesa_on_several_grids_equals_one_call_per_grid():
+    # One phase per weight for every grid; each grid's result is that of
+    # its own call, bit for bit, including phases on a grid midpoint.
+    rng = np.random.default_rng(28)
+    w = _disk(rng, (3, 16))
+    w[0, :4] = np.exp(1j * TWO_PI * np.array([1, 3, 5, 7]) / 16)
+    grids = (PhaseGrid(1), PhaseGrid(3), PhaseGrid(4), PhaseGrid(9))
+    got = quantize_pesa(w, grids)
+    assert isinstance(got, list) and len(got) == len(grids)
+    for grid, q in zip(grids, got):
+        assert np.array_equal(q, quantize_pesa(w, grid))
+
+
+@pytest.mark.parametrize("grids", [[], ()])
+def test_quantizers_refuse_an_empty_grid_list(grids):
+    w = np.array([1.0, 0.5j])
+    with pytest.raises(ValueError, match="^at least one grid is required$"):
+        approximate(w, grids)
+    with pytest.raises(ValueError, match="^at least one grid is required$"):
+        quantize_pesa(w, grids)
 
 
 def _row(dps, index):
