@@ -76,17 +76,19 @@ class DpsBeamformer:
     """Grid-phase pairs and the complex weights they realize.
 
     For weights of shape ``(..., N)``, ``pairs`` is an ``(..., N, 2)``
-    integer array of canonical (lower, upper) grid indices and
-    ``realized`` holds the ``(..., N)`` phasor sums, modulus <= 2.
+    integer array of canonical (lower, upper) grid indices, ``realized``
+    holds the ``(..., N)`` phasor sums, modulus <= 2, and ``normalized``
+    the ``(..., N)`` weights from `normalize_to_max` that they approximate.
     """
 
     grid: PhaseGrid
     pairs: np.ndarray
     realized: np.ndarray
+    normalized: np.ndarray
 
     def __post_init__(self):
-        self.pairs.setflags(write=False)
-        self.realized.setflags(write=False)
+        for array in (self.pairs, self.realized, self.normalized):
+            array.setflags(write=False)
 
 
 def _map(fn, *arrays) -> np.ndarray:
@@ -276,8 +278,9 @@ def approximate(w, grid, candidates: int = 3, norm_target=2.0):
     Returns
     -------
     DpsBeamformer or list of DpsBeamformer
-        Selected index pairs and the weights they realize, with the
-        normalized weights' shape; for a sequence of grids, one per grid.
+        Selected index pairs, the weights they realize and the normalized
+        weights they approximate; for a sequence of grids, one per grid,
+        all sharing one normalized array.
     """
     grids = _as_grids(grid)
     wn = normalize_to_max(w, norm_target)
@@ -300,7 +303,8 @@ def approximate(w, grid, candidates: int = 3, norm_target=2.0):
         pairs, realized = (np.concatenate(x) for x in zip(*part))
         found.append(DpsBeamformer(grid=g,
                                    pairs=pairs.reshape(wn.shape + (2,)),
-                                   realized=realized.reshape(wn.shape)))
+                                   realized=realized.reshape(wn.shape),
+                                   normalized=wn))
     return found[0] if isinstance(grid, PhaseGrid) else found
 
 
@@ -445,23 +449,19 @@ def oracle_mismatches(w, grid: PhaseGrid) -> list[OracleMismatch]:
     test: equal pairs realize the same phasor sum, so their errors are
     equal too.
     """
-    wn = normalize_to_max(w, 2.0)
     dps = approximate(w, grid, grid.size)
+    wn = dps.normalized.reshape(-1)
     oracle = exhaustive_oracle(wn, grid).reshape(-1, 2)
     search = dps.pairs.reshape(-1, 2)
-    flagged = np.flatnonzero((oracle != search).any(axis=-1)).tolist()
-    phasors = grid.phasors
-    wn, realized = wn.reshape(-1), dps.realized.reshape(-1)
+    p = grid.phasors
     mismatches = []
     # Python scalars throughout, so a mismatch prints without numpy reprs.
-    for k in flagged:
+    for k in np.flatnonzero((oracle != search).any(axis=-1)).tolist():
         c = wn[k].item()
-        oracle_pair = tuple(oracle[k].tolist())
-        oracle_error = abs(complex(phasors[oracle_pair[0]]
-                                   + phasors[oracle_pair[1]]) - c)
-        mismatches.append(OracleMismatch(
-            c, tuple(search[k].tolist()), abs(realized[k].item() - c),
-            oracle_pair, oracle_error))
+        found = []
+        for i, j in (search[k].tolist(), oracle[k].tolist()):
+            found += [(i, j), abs(complex(p[i] + p[j]) - c)]
+        mismatches.append(OracleMismatch(c, *found))
     return mismatches
 
 

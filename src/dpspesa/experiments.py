@@ -139,33 +139,30 @@ def trial_rng(seed: int, trial_index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([seed, trial_index]))
 
 
-def draw_target_angles(rng: np.random.Generator, count: int = 3,
-                       span_deg: float = TARGET_DRAW_RANGE_DEG,
-                       min_sep_deg: float = TARGET_MIN_SEPARATION_DEG) -> np.ndarray:
+def draw_target_angles(rng: np.random.Generator, count: int = 3) -> np.ndarray:
     """Random integer-degree target directions with pairwise separation.
 
-    Uniform over [-span_deg, span_deg]; re-drawn until every pair is at
-    least ``min_sep_deg`` apart, which keeps the multi-target solve away
-    from near-coincident steering vectors.  A count so dense that
-    `TARGET_DRAW_ATTEMPTS` whole draws all fail is placed directly: a
-    uniform choice of the gaps left after the minimum separations, in
-    random order.  Raises `ValueError` when ``count`` is below 1 or when
-    ``count`` such angles cannot fit in the span.
+    Uniform over +/- `TARGET_DRAW_RANGE_DEG` degrees; re-drawn until every
+    pair is at least `TARGET_MIN_SEPARATION_DEG` apart, which keeps the
+    multi-target solve away from near-coincident steering vectors.  A
+    count so dense that `TARGET_DRAW_ATTEMPTS` whole draws all fail is
+    placed directly: a uniform choice of the gaps left after the minimum
+    separations, in random order.  Raises `ValueError` when ``count`` is
+    below 1 or when ``count`` such angles cannot fit in the range.
     """
     if not _is_count(count) or count < 1:
         raise ValueError(f"count must be a positive integer, got {count}")
-    lo, hi = -int(span_deg), int(span_deg)
-    sep = math.ceil(min_sep_deg) if count > 1 and min_sep_deg > 0 else 0
-    if sep:
-        capacity = (hi - lo) // sep + 1
-        if count > capacity:
-            raise ValueError(
-                f"{count} integer angles {min_sep_deg:g} degrees apart do not "
-                f"fit in [{lo}, {hi}] (at most {capacity})"
-            )
+    lo, hi = -TARGET_DRAW_RANGE_DEG, TARGET_DRAW_RANGE_DEG
+    sep = math.ceil(TARGET_MIN_SEPARATION_DEG)
+    capacity = (hi - lo) // sep + 1
+    if count > capacity:
+        raise ValueError(
+            f"{count} integer angles {TARGET_MIN_SEPARATION_DEG:g} degrees "
+            f"apart do not fit in [{lo}, {hi}] (at most {capacity})"
+        )
     for _ in range(TARGET_DRAW_ATTEMPTS):
         angles = rng.integers(lo, hi + 1, size=count).astype(float)
-        if count == 1 or np.diff(np.sort(angles)).min() >= min_sep_deg:
+        if count == 1 or np.diff(np.sort(angles)).min() >= sep:
             return angles
     # Sorted angles x_i = lo + y_i + i*(sep - 1) are sep apart exactly when
     # the y_i are distinct points of a range shortened by (count-1)*(sep-1).
@@ -287,9 +284,12 @@ def run_monte_carlo(base: ScenarioSpec, bits_sweep, norm_sweep,
     every (bits, norm_target) combination.  Trials run in contiguous
     blocks, sharded over up to ``workers`` processes (see `_trial_blocks`).
     Deterministic for a given ``base.seed`` regardless of ``workers``.
-    The counts, bits, L on every grid and norms are checked before the
-    first block.
+    The sweeps (iterables, not a string or a scalar), counts, bits, L on
+    every grid and norms are checked before the first block.
     """
+    for name, sweep in (("bits_sweep", bits_sweep), ("norm_sweep", norm_sweep)):
+        if isinstance(sweep, (str, bytes)) or not np.iterable(sweep):
+            raise ValueError(f"{name} must be a sequence, got {sweep!r}")
     norm_list = tuple(float(v) for v in norm_sweep)
     for name, count in (("trials", trials), ("workers", workers)):
         if not _is_count(count):

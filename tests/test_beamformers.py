@@ -276,6 +276,14 @@ def test_mvdr_small_gamma_deep_nulls():
         assert level <= desired_level - 40.0
 
 
+def _off_endfire_targets(rng):
+    """Three integer angles in [-60, 60] degrees, at least 10 apart."""
+    while True:
+        angles = rng.integers(-60, 61, size=3).astype(float)
+        if np.diff(np.sort(angles)).min() >= 10.0:
+            return angles
+
+
 def test_mvdr_argmax_near_desired_target():
     # Keeps targets away from endfire: past ~65 degrees the steered main
     # lobe spills over the visible-region edge and wraps to the far side,
@@ -283,8 +291,7 @@ def test_mvdr_argmax_near_desired_target():
     cfg = ArrayConfig(16, 0.5)
     rng = np.random.default_rng(4)
     for _ in range(20):
-        angles = draw_target_angles(rng, count=3, span_deg=60.0,
-                                    min_sep_deg=10.0)
+        angles = _off_endfire_targets(rng)
         desired = int(rng.integers(3))
         w = mvdr_beamformer(cfg, angles, gamma=0.1, desired_index=desired)
         tr = beampattern_trace(cfg, w, 0.1)

@@ -398,13 +398,19 @@ def test_full_grid_comparison_rejects_non_finite_weights():
             oracle_mismatches(w, PhaseGrid(2))
 
 
-def test_oracle_matches_candidate_search():
+def test_oracle_matches_candidate_search(monkeypatch):
+    calls = []
+    normalize = dps_quantize.normalize_to_max
+    monkeypatch.setattr(dps_quantize, "normalize_to_max",
+                        lambda *args: calls.append(args) or normalize(*args))
     rng = np.random.default_rng(10)
     for bits in (2, 3):
         grid = PhaseGrid(bits)
         assert oracle_mismatches(_random_disk(rng, size=200), grid) == []
     # Each row of a stack is normalized on its own.
     assert oracle_mismatches(_random_disk(rng, size=(4, 16)), PhaseGrid(3)) == []
+    # Once per comparison: the oracle reads the weights the search normalized.
+    assert len(calls) == 3
 
 
 def test_oracle_mismatches_reports_wrong_oracle(monkeypatch):

@@ -126,8 +126,6 @@ def test_draw_target_angles_refuses_a_count_that_cannot_fit():
         draw_target_angles(NoDraws(), count=87)
     with pytest.raises(ValueError, match="do not fit"):
         draw_target_angles(NoDraws(), count=100)
-    with pytest.raises(ValueError, match="do not fit"):
-        draw_target_angles(NoDraws(), count=3, span_deg=2.0, min_sep_deg=2.5)
     # Feasible counts keep the stream they drew before the check existed.
     assert draw_target_angles(trial_rng(5, 1), count=3).tolist() == [
         -5.0, 65.0, 33.0]
@@ -137,11 +135,11 @@ def test_draw_target_angles_refuses_a_count_that_cannot_fit():
         41.0, -6.0, 8.0, 6.0, -18.0, 83.0, 80.0, -3.0, -55.0, -66.0, 12.0, 74.0]
 
 
-def _assert_separated(angles, count, span=85.0, sep=2.0):
+def _assert_separated(angles, count):
     assert angles.shape == (count,)
-    assert np.all(np.abs(angles) <= span)
+    assert np.all(np.abs(angles) <= 85.0)
     assert np.all(angles == np.round(angles))
-    assert np.diff(np.sort(angles)).min() >= sep
+    assert np.diff(np.sort(angles)).min() >= 2.0
 
 
 def test_dense_target_counts_are_placed():
@@ -151,8 +149,6 @@ def test_dense_target_counts_are_placed():
     assert np.array_equal(angles, draw_target_angles(trial_rng(5, 2), count=40))
     full = draw_target_angles(trial_rng(1, 0), count=86)
     assert np.sort(full).tolist() == list(range(-85, 86, 2))
-    _assert_separated(draw_target_angles(trial_rng(2, 0), count=57,
-                                         min_sep_deg=2.5), 57, sep=2.5)
 
 
 def test_trial_blocks_clamp_workers_and_cover_the_trials():
@@ -271,6 +267,39 @@ def test_fig3_pesa_clutter_levels_do_not_depend_on_gamma():
             norm_target=2.0))
         levels = result.levels_at_targets_db
         assert [levels[-47.0].pesa, levels[30.0].pesa] == want.tolist()
+
+
+# Criterion 2's windows on DPS minus reference at each clutter angle, as
+# (expected, tolerance) in dB; criterion 1 wants DPS at most -32 dB there.
+FIG3_DELTA_WINDOWS = {-47.0: (17.1, 3.0), 30.0: (11.4, 3.0)}
+# Every 0.1 from 0.1 to 12, and two decades on each side.
+FIG3_GAMMAS = (0.001, 0.01, *(k / 10 for k in range(1, 121)), 100.0, 1000.0)
+
+
+def test_fig3_no_gamma_meets_criterion_2_and_the_dps_gate_together():
+    # Why criterion 2 cannot pass while criterion 1's DPS gates hold.  The
+    # deltas fall in criterion 2's windows only at gamma 2.0-3.6, where the
+    # reference's nulls are shallow enough but the DPS pairs have changed
+    # and DPS reads -31.24 dB at -47 degrees.  DPS stays at most -32 dB at
+    # both clutter angles only up to gamma 0.7, where the reference's nulls
+    # are so deep that the deltas overshoot the windows.
+    in_windows, under_gate, dps_in_windows = [], [], set()
+    for gamma in FIG3_GAMMAS:
+        levels = run_mvdr_clutter(ScenarioSpec(
+            config=CFG, target_angles_deg=(-47.0, 30.0, 49.0),
+            desired_index=2, gamma=gamma, bits=4, candidates_l=3,
+            norm_target=2.0)).levels_at_targets_db
+        dps = tuple(levels[angle].dps for angle in FIG3_DELTA_WINDOWS)
+        if all(abs(levels[angle].dps - levels[angle].reference - want) <= tol
+               for angle, (want, tol) in FIG3_DELTA_WINDOWS.items()):
+            in_windows.append(gamma)
+            dps_in_windows.add(tuple(round(level, 2) for level in dps))
+        if max(dps) <= -32.0:
+            under_gate.append(gamma)
+    assert in_windows == [k / 10 for k in range(20, 37)]
+    assert dps_in_windows == {(-31.24, -39.57)}
+    assert under_gate == [0.001, 0.01, *(k / 10 for k in range(1, 8))]
+    assert not set(in_windows) & set(under_gate)
 
 
 @pytest.mark.parametrize("run, spec", [
@@ -520,6 +549,8 @@ def test_monte_carlo_validation():
     ((2,), 2.5, "^trials must be an integer$"),
     ((2,), True, "^trials must be an integer$"),
     ((2, 25), 1, r"^bits must be in \[1, 20\]$"),
+    # A scalar is not a sweep.
+    (4, 1, "^bits_sweep must be a sequence, got 4$"),
     # Worker counts, given with 4 trials as `run_monte_carlo` keywords.
     *(pytest.param((2,), {"trials": 4, "workers": workers}, error,
                    id=f"workers={workers}")
@@ -544,7 +575,13 @@ def test_monte_carlo_rejects_non_integral_counts(bits, trials, error,
     ({"candidates_l": 5000}, (2.0,), "with 4096 candidates per phase"),
     ({}, (1.0, 3.0), r"^target must lie in \(0, 2\]$"),
     ({}, (math.nan,), r"^target must lie in \(0, 2\]$"),
-], ids=["pairs-over-the-bound-at-12-bits", "norm-above-2", "norm-nan"])
+    # Neither a string (not a sweep of its characters) nor a scalar is a
+    # sweep.
+    ({}, "12", "^norm_sweep must be a sequence, got '12'$"),
+    ({}, 2.0, r"^norm_sweep must be a sequence, got 2\.0$"),
+    ({}, np.float64(2.0), "^norm_sweep must be a sequence, got "),
+], ids=["pairs-over-the-bound-at-12-bits", "norm-above-2", "norm-nan",
+        "norm-a-string", "norm-a-float", "norm-a-numpy-scalar"])
 def test_monte_carlo_checks_its_grids_and_norms_before_any_block(
         fields, norms, error, monkeypatch):
     monkeypatch.setattr(experiments, "_sweep_block", None)

@@ -448,6 +448,9 @@ def test_a_lowered_bound_chunks_the_weights_of_every_grid(monkeypatch):
         for a, b in zip(got, want):
             assert np.array_equal(a.pairs, b.pairs)
             assert np.array_equal(a.realized, b.realized)
+    # Every grid's result holds the one normalized array the search built.
+    assert all(d.normalized is want[0].normalized for d in want)
+    assert np.array_equal(want[0].normalized, normalize_to_max(w, 2.0))
 
 
 def test_a_search_mixing_a_full_and_a_ranked_grid(monkeypatch):
@@ -493,7 +496,8 @@ def test_quantizers_refuse_an_empty_grid_list(grids):
 
 
 def _row(dps, index):
-    return type(dps)(dps.grid, dps.pairs[index].copy(), dps.realized[index].copy())
+    return type(dps)(dps.grid, dps.pairs[index].copy(),
+                     dps.realized[index].copy(), dps.normalized[index].copy())
 
 
 @pytest.mark.parametrize("bits", range(1, 9))
@@ -538,6 +542,10 @@ def test_leading_shapes_match_row_by_row_reference(bits, count):
     stack = _disk(rng, (4, 3, 16))
     dps = approximate(stack, grid, count, 1.5)
     assert dps.pairs.shape == (4, 3, 16, 2) and dps.realized.shape == (4, 3, 16)
+    # The result carries the weights it searched, read-only like the rest.
+    assert np.array_equal(dps.normalized, normalize_to_max(stack, 1.5))
+    for array in (dps.pairs, dps.realized, dps.normalized):
+        assert not array.flags.writeable
     for t, k in np.ndindex(4, 3):
         _assert_matches_reference(stack[t, k], grid, count, 1.5,
                                   _row(dps, (t, k)))
@@ -548,6 +556,7 @@ def test_leading_shapes_match_row_by_row_reference(bits, count):
     trials = _disk(rng, (4, 1, 16))
     dps = approximate(trials, grid, count, norms)
     assert dps.realized.shape == (4, 3, 16)
+    assert np.array_equal(dps.normalized, normalize_to_max(trials, norms))
     for t, k in np.ndindex(4, 3):
         _assert_matches_reference(trials[t, 0], grid, count, norms[k],
                                   _row(dps, (t, k)))
