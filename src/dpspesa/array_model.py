@@ -45,6 +45,15 @@ def _is_count(n) -> bool:
     return isinstance(n, (int, np.integer)) and not isinstance(n, bool)
 
 
+def _check_real(name: str, x):
+    """``x``, if it is a real number or an array of them (numpy's pass):
+    the one type check of spacings, grid steps, floors, gammas and norms.
+    A str, which ``float`` and numpy would parse, or a bool raises."""
+    if np.asarray(x).dtype.kind not in "iuf":
+        raise ValueError(f"{name} must be a real number, got {x!r}")
+    return x
+
+
 @dataclass(frozen=True)
 class ArrayConfig:
     """Uniform linear array: element count and spacing in carrier wavelengths."""
@@ -55,6 +64,7 @@ class ArrayConfig:
     def __post_init__(self):
         if not _is_count(self.n_antennas) or self.n_antennas < 1:
             raise ValueError("n_antennas must be a positive integer")
+        _check_real("spacing_wavelengths", self.spacing_wavelengths)
         if not self.spacing_wavelengths > 0:
             raise ValueError("spacing_wavelengths must be positive")
         if not np.isfinite(self.spacing_wavelengths):
@@ -128,8 +138,8 @@ def steering_matrix(config: ArrayConfig, angles_deg) -> np.ndarray:
 
 
 def _check_floor(floor_db: float) -> None:
-    """A dB floor must be negative and finite."""
-    if not floor_db < 0:
+    """A dB floor must be a negative, finite number."""
+    if not _check_real("floor_db", floor_db) < 0:
         raise ValueError("floor_db must be negative")
     if not math.isfinite(floor_db):
         raise ValueError("floor_db must be finite")
@@ -178,7 +188,8 @@ def beampattern_trace(config: ArrayConfig, w,
         Clamp for the peak-normalized dB pattern (must be negative).
     """
     w = _as_weights(config, w)
-    grid_deg, response = _grid_response(config, float(step_deg))
+    grid_deg, response = _grid_response(
+        config, float(_check_real("step_deg", step_deg)))
     power = np.abs(_field(response, w)) ** 2
     peak = power.max(axis=-1, keepdims=True)
     return BeampatternTrace(grid_deg, power, _normalized_db(power, peak, floor_db),
@@ -214,7 +225,7 @@ def levels_db(config: ArrayConfig, w, angles_deg,
     (`_subset_rows_exact`); where it fails, the whole grid is computed.
     """
     w = _as_weights(config, w)
-    step_deg = float(step_deg)
+    step_deg = float(_check_real("step_deg", step_deg))
     grid_deg, response = _grid_response(config, step_deg)
     angles_deg = np.asarray(angles_deg, dtype=float)
     if angles_deg.ndim > 2:
@@ -348,7 +359,7 @@ def _grid_points(step_deg: float, n_antennas: int = 1) -> int:
     """Point count of ``angle_grid_deg(step_deg)``, checked before any array
     exists: ``step_deg`` must divide 180 evenly, and the grid's steering
     matrix, points x ``n_antennas``, must not exceed `MAX_GRID_ENTRIES`."""
-    if not step_deg > 0:
+    if not _check_real("step_deg", step_deg) > 0:
         raise ValueError("step_deg must be positive")
     # Clamped so that a tiny step cannot overflow `round`.
     n_intervals = round(min(180.0 / step_deg, MAX_GRID_ENTRIES))

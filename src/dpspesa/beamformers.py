@@ -24,6 +24,7 @@ from .array_model import (
     MAX_GRID_ENTRIES,
     ArrayConfig,
     _check_angles,
+    _check_real,
     _is_count,
     steering_vector,
 )
@@ -54,9 +55,9 @@ def _check_targets(target_angles_deg, desired_index):
 
 
 def _check_gamma(gamma: float | None) -> None:
-    """A given gamma must be finite and strictly positive."""
+    """A given gamma must be a finite, strictly positive number."""
     if gamma is not None:
-        if not gamma > 0:
+        if not _check_real("gamma", gamma) > 0:
             raise ValueError("gamma must be strictly positive when present")
         if not math.isfinite(gamma):
             raise ValueError(f"gamma must be finite, got {gamma:g}")

@@ -25,7 +25,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .array_model import MAX_GRID_ENTRIES, TWO_PI, _is_count
+from .array_model import MAX_GRID_ENTRIES, TWO_PI, _check_real, _is_count
 
 MAX_ORACLE_BITS = 12
 MAX_GRID_BITS = 20
@@ -154,27 +154,28 @@ def normalize_to_max(w, target=2.0) -> np.ndarray:
 
 def _check_norm_target(target) -> np.ndarray:
     """``target`` as a float array; every entry must lie in (0, 2]."""
-    target = np.asarray(target, dtype=float)
+    target = np.asarray(_check_real("target", target), dtype=float)
     if not ((target > 0.0) & (target <= 2.0)).all():
         raise ValueError("target must lie in (0, 2]")
     return target
 
 
 def _nearest(phi: np.ndarray, grids, count: int) -> np.ndarray:
-    """Indices ``(G, ..., count)`` of the phases of each of the G ``grids``
-    closest to each ``phi``, placed for every grid in one pass.
+    """Indices ``(G, ..., count)`` of the ``count`` phases of each of the G
+    ``grids`` closest to each ``phi``, placed for every grid in one pass.
 
-    ``count`` must not exceed any grid's size.  Sorted by distance
-    ascending, ties broken by the smaller index, where the distance is the
-    float ``|(phase - phi + pi) % 2pi - pi|``.  With ``phi`` at u = base + f
-    grid steps (f in [0, 1)), the candidates are placed without ranking:
-    base + 0, +1, -1, +2, -2, ... when f < 1/2, and base + 1, 0, +2, -1,
-    +3, ... when f > 1/2.  A phase whose f lies within a rounding margin of
-    0, 1/2 or 1 (of 1/2 alone for one candidate), where the float distances
-    may tie or swap, or with |phi| above 4*pi, falls back to ranking
-    (`_rank`) the window base - count .. base + count + 1, or the whole grid
-    when it has at most 2*count + 2 phases; only the grids and phases that
-    need it are ranked.
+    ``count`` must not exceed any grid's size.  The candidates are a set, in
+    no promised order: the ``count`` least by the float distance
+    ``|(phase - phi + pi) % 2pi - pi|``, ties broken by the smaller index.
+    With ``phi`` at u = base + f grid steps (f in [0, 1)), they are placed
+    without ranking as the run s, s + 1, ..., s + count - 1 (mod n) with
+    s = floor(u + 1 - count/2).  Only the run's two ends can tie with the
+    phases outside it: for an odd count when f is within a rounding margin
+    of 1/2, for an even count when it is within the margin of 0 or 1.  Such
+    a phase, or one with |phi| above 4*pi, falls back to ranking (`_rank`)
+    the window base - count .. base + count + 1, or the whole grid when it
+    has at most 2*count + 2 phases; only the grids and phases that need it
+    are ranked.
 
     The result is a view of a candidate-major ``(count, G, ...)`` array, so
     each candidate's indices on each grid are contiguous.
@@ -193,39 +194,29 @@ def _nearest(phi: np.ndarray, grids, count: int) -> np.ndarray:
     base = u.astype(np.int64)
     f = u - base
     # Exactly, with s = step = T/n for the float T = 2*pi (exact, as n is a
-    # power of two), phase k sits k*s on the circle of length T.  With e = f
-    # or f - 1, so that phi is e steps from the nearer point p, offset d
-    # from p is |d - e| steps from phi while |d - e| <= n/2, which holds for
-    # every offset placed, up to the antipode n/2 on a grid of at most
-    # 2*count + 2 phases.  Offsets ordered by that distance differ by 2|e|
-    # or 1 - 2|e| steps, so the placement below is the exact order of the
-    # whole grid whenever f is off 0, 1/2 and 1.  The reference rounds five
-    # times on values below 32 when |phi| <= 4*pi: k*s (below 8, at most
-    # 2^-51), minus phi and plus pi (below 32, 2^-49 each), % T (the fmod
-    # is exact, adding T back rounds below 8, 2^-51) and minus pi (below 4,
-    # 2^-52).  So each float distance is within E = 21 * 2^-52 rad of the
-    # exact one, which is at most pi - |e| s.  Off the margin below, |e| s
-    # exceeds E, so no rounding carries a distance across the wrap, not
-    # even the antipode's; for one candidate, which takes no margin at 0,
-    # a distance near pi comes out the same on either side of the wrap, as
-    # the reference takes its absolute value.  In steps E is below
-    # n * 2^-50, and f itself is off by less than n * 2^-52 (u rounds once,
-    # the reduction once).  The order, and the side of 1/2, are therefore
-    # exact when f is more than n * 2^-49 from 0, 1/2 and 1; the margin
-    # keeps 8x of that.  A single candidate is only compared with the
-    # runner-up, 1 - 2|e| steps away, so it needs no margin at 0 and 1.
+    # power of two), phase k sits k*s on the circle of length T.  The count
+    # integers nearest u on the line form the run, distinct mod n; every
+    # index outside has all its copies outside, so it is at least as far on
+    # the circle as the nearest integer outside the run, 2|f - 1/2| (odd
+    # count) or 2 min(f, 1 - f) (even count) steps beyond the run's farthest.
+    # The reference rounds five times on values below 32 when |phi| <= 4*pi:
+    # k*s (below 8, at most 2^-51), minus phi and plus pi (below 32, 2^-49
+    # each), % T (the fmod is exact, adding T back rounds below 8, 2^-51) and
+    # minus pi (below 4, 2^-52).  The circular distance moves no more than
+    # its argument, and either side of the wrap at pi has the same absolute
+    # value, so each float distance is within E = 21 * 2^-52 rad of the exact
+    # one.  In steps E is below n * 2^-50, and f itself is off by less than
+    # n * 2^-52 (u rounds once, the reduction once).  So the run is the float
+    # set, and f's side of 1/2 (odd) or the floor base (even) is exact, when
+    # f is more than n * 2^-49 from 1/2 (odd) or from 0 and 1 (even); the
+    # margin keeps 8x of that.  An odd run hangs on the nearest point alone,
+    # which a rounding of f across 0 or 1 does not move.
     margin = n * 2.0**-46
     g = np.abs(f - 0.5)
-    tie = (g < margin) | (np.abs(phi) > 2 * TWO_PI)
-    if count > 1:
-        tie |= g > 0.5 - margin
-    # Offsets 0, +1, -1, +2, -2, ... from the nearer of base and base + 1,
-    # mirrored when that is base + 1.
-    offsets = [(k + 1) // 2 * (-1) ** (k + 1) for k in range(count)]
-    up = f > 0.5
-    ks = np.multiply.outer(offsets, np.where(up, -1, 1))
-    ks += base + up
-    ks &= n - 1
+    tie = (g < margin) if count % 2 else (g > 0.5 - margin)
+    tie |= np.abs(phi) > 2 * TWO_PI
+    start = base - count // 2 + ((f > 0.5) if count % 2 else 1)
+    ks = np.add.outer(np.arange(count), start) & (n - 1)
     ks = ks.transpose(*range(1, ks.ndim), 0)
     for i in np.flatnonzero(tie.reshape(len(grids), -1).any(axis=1)):
         grid, t = grids[i], tie[i]

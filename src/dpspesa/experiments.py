@@ -23,6 +23,7 @@ from .array_model import (
     ArrayConfig,
     BeampatternTrace,
     _check_floor,
+    _check_real,
     _grid_index,
     _grid_points,
     _is_count,
@@ -290,7 +291,7 @@ def run_monte_carlo(base: ScenarioSpec, bits_sweep, norm_sweep,
     for name, sweep in (("bits_sweep", bits_sweep), ("norm_sweep", norm_sweep)):
         if isinstance(sweep, (str, bytes)) or not np.iterable(sweep):
             raise ValueError(f"{name} must be a sequence, got {sweep!r}")
-    norm_list = tuple(float(v) for v in norm_sweep)
+    norm_list = tuple(float(_check_real("each norm", v)) for v in norm_sweep)
     for name, count in (("trials", trials), ("workers", workers)):
         if not _is_count(count):
             raise ValueError(f"{name} must be an integer")
@@ -306,7 +307,11 @@ def run_monte_carlo(base: ScenarioSpec, bits_sweep, norm_sweep,
     if base.gamma is None:
         base = replace(base, gamma=DEFAULT_GAMMA)
 
-    workers, blocks = _trial_blocks(trials, workers, os.cpu_count())
+    # The CPUs this process may run on, fewer than the host's under an
+    # affinity mask (``taskset``, a container's cpuset).
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count())
+    workers, blocks = _trial_blocks(trials, workers, cpus)
     if workers == 1:
         results = [_sweep_block(base, bits_list, norm_list, b) for b in blocks]
     else:

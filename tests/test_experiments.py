@@ -473,6 +473,23 @@ def test_monte_carlo_worker_count_invariance():
     assert serial.rows == parallel.rows
 
 
+def test_a_sweep_clamps_its_workers_to_the_usable_cpus(monkeypatch):
+    # Pinned to one CPU of eight, a two-worker sweep runs in this process.
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {3},
+                        raising=False)
+    trial_blocks, cpus_seen = experiments._trial_blocks, []
+
+    def recording_blocks(trials, workers, cpus):
+        cpus_seen.append(cpus)
+        return trial_blocks(trials, workers, cpus)
+
+    monkeypatch.setattr(experiments, "_trial_blocks", recording_blocks)
+    base = ScenarioSpec(config=ArrayConfig(4), grid_step_deg=1.0)
+    run_monte_carlo(base, (2,), (2.0,), trials=4, workers=2)
+    assert cpus_seen == [1]
+
+
 def test_a_pooled_sweep_loads_lapack_before_the_workers_fork(fresh_python):
     # In a fresh interpreter, where nothing has imported scipy yet: the
     # parent solves no MVDR system itself, so LAPACK is loaded only if the
@@ -482,6 +499,7 @@ def test_a_pooled_sweep_loads_lapack_before_the_workers_fork(fresh_python):
         "from dpspesa.array_model import ArrayConfig\n"
         "from dpspesa.experiments import ScenarioSpec, run_monte_carlo\n"
         "os.cpu_count = lambda: 2  # two workers on any host\n"
+        "os.sched_getaffinity = lambda pid: {0, 1}\n"
         "before = 'scipy.linalg' in sys.modules\n"
         "spec = ScenarioSpec(ArrayConfig(4), grid_step_deg=1.0)\n"
         "run_monte_carlo(spec, (2,), (2.0,), 2, workers=2)\n"
@@ -565,6 +583,8 @@ def test_monte_carlo_rejects_non_integral_counts(bits, trials, error,
     # host's CPU count.
     monkeypatch.setattr(experiments, "_sweep_block", None)
     monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)),
+                        raising=False)
     base = ScenarioSpec(config=ArrayConfig(4), grid_step_deg=1.0)
     counts = trials if isinstance(trials, dict) else {"trials": trials}
     with pytest.raises(ValueError, match=error):

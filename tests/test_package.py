@@ -37,6 +37,35 @@ def test_readme_quick_start_runs(capsys):
     assert len(printed) == 2 and all(float(v) < 0 for v in printed), printed
 
 
+_CFG = dpspesa.ArrayConfig(4)
+_SPEC = dpspesa.ScenarioSpec(_CFG, grid_step_deg=1.0)
+_W = [1.0, 1j, -1.0, 0.5]
+
+
+@pytest.mark.parametrize("name, call", [
+    ("each norm", lambda: dpspesa.run_monte_carlo(_SPEC, (4,), ("1", "2"), 2)),
+    ("target", lambda: dpspesa.ScenarioSpec(_CFG, grid_step_deg=1.0,
+                                            norm_target="2")),
+    ("target", lambda: dpspesa.approximate(_W, dpspesa.PhaseGrid(4), 3, "2")),
+    ("step_deg", lambda: dpspesa.beampattern_trace(_CFG, _W, "1.0")),
+    ("floor_db", lambda: dpspesa.beampattern_trace(_CFG, _W, floor_db="-60")),
+    ("gamma", lambda: dpspesa.ScenarioSpec(_CFG, grid_step_deg=1.0,
+                                           gamma="0.5")),
+    ("floor_db", lambda: dpspesa.ScenarioSpec(_CFG, grid_step_deg=1.0,
+                                              floor_db="-60")),
+    ("step_deg", lambda: dpspesa.ScenarioSpec(_CFG, grid_step_deg="1.0")),
+    ("spacing_wavelengths", lambda: dpspesa.ArrayConfig(4, "0.5")),
+    ("gamma", lambda: dpspesa.mvdr_beamformer(_CFG, (0.0, 30.0), "0.1")),
+], ids=["sweep-norm", "spec-norm", "approximate-norm", "trace-step",
+        "trace-floor", "spec-gamma", "spec-floor", "spec-step", "spacing",
+        "mvdr-gamma"])
+def test_library_calls_refuse_a_string_where_a_number_is_wanted(name, call):
+    # numpy and float() would parse each string; the library names the
+    # parameter instead of computing with it or failing on a comparison.
+    with pytest.raises(ValueError, match=f"^{name} must be a real number, got '"):
+        call()
+
+
 def _private_imports(module: str) -> list:
     """(module, name) of each private name that the package module
     ``module`` imports from another package module."""

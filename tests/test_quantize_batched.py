@@ -215,6 +215,18 @@ def test_full_grid_search_takes_every_phase_without_ranking(monkeypatch,
         assert oracle_mismatches(w, grid) == []
 
 
+def _as_set(ks):
+    """The indices of a `_nearest` row, which are a set in no promised
+    order, sorted."""
+    return sorted(np.asarray(ks).tolist())
+
+
+def _is_run(row, n):
+    """Whether ``row`` holds len(row) consecutive indices mod ``n``."""
+    return any(_as_set((s + np.arange(len(row))) % n) == _as_set(row)
+               for s in row.tolist())
+
+
 @pytest.mark.parametrize("bits", range(7, 13))
 def test_nearest_window_matches_reference(bits):
     # Grid points, midpoints between neighbours, phases just below 2*pi and
@@ -230,11 +242,12 @@ def test_nearest_window_matches_reference(bits):
     for count in range(1, 6):
         got = _nearest(phis, [grid], count)[0]
         for phi, row in zip(phis.tolist(), got):
-            assert row.tolist() == ref.nearest_phases(phi, grid, count).tolist()
+            assert _as_set(row) == _as_set(ref.nearest_phases(phi, grid, count))
 
 
 # `_nearest` places candidates directly unless a phase is within this many
-# radians (n * 2^-46 grid steps) of a grid point or a midpoint.
+# radians (n * 2^-46 grid steps) of a midpoint (odd counts) or of a grid
+# point (even counts).
 PLACEMENT_MARGIN = TWO_PI * 2.0**-46
 SPECIAL_PHASES = [0.0, -0.0, TWO_PI, np.nextafter(TWO_PI, 0.0), -1e-300,
                   2 * TWO_PI, np.nextafter(2 * TWO_PI, np.inf), -2 * TWO_PI,
@@ -269,7 +282,7 @@ def test_nearest_placement_matches_reference_in_order(bits):
     for count in range(1, 9):
         got = _nearest(phis, [grid], count)[0]
         for phi, row in zip(phis.tolist(), got):
-            assert row.tolist() == ref.nearest_phases(phi, grid, count).tolist()
+            assert _as_set(row) == _as_set(ref.nearest_phases(phi, grid, count))
 
 
 @pytest.mark.parametrize("bits", range(1, 5))
@@ -300,12 +313,14 @@ def test_nearest_on_small_grids_matches_whole_grid_ranking(monkeypatch, bits):
     for count in range(1, grid.size):
         want = rank(phis, np.broadcast_to(k, phis.shape + (grid.size,)), grid,
                     count)
-        assert np.array_equal(_nearest(phis, [grid], count)[0], want)
+        got = _nearest(phis, [grid], count)[0]
+        assert np.array_equal(np.sort(got), np.sort(want))
         # Phases off the near-ties are placed, not ranked.
         ranked.clear()
         want = rank(generic, np.broadcast_to(k, generic.shape + (grid.size,)),
                     grid, count)
-        assert np.array_equal(_nearest(generic, [grid], count)[0], want)
+        got = _nearest(generic, [grid], count)[0]
+        assert np.array_equal(np.sort(got), np.sort(want))
         assert ranked == []
 
 
@@ -320,7 +335,7 @@ def test_nearest_property_matches_reference_around_ties(bits, count, data):
     phis = np.array([anchor + offset + shift, -(anchor + offset)])
     got = _nearest(phis, [grid], count)[0]
     for phi, row in zip(phis.tolist(), got):
-        assert row.tolist() == ref.nearest_phases(phi, grid, count).tolist()
+        assert _as_set(row) == _as_set(ref.nearest_phases(phi, grid, count))
 
 
 def test_nearest_ranks_the_window_only_near_ties(monkeypatch):
@@ -337,16 +352,17 @@ def test_nearest_ranks_the_window_only_near_ties(monkeypatch):
     generic = np.concatenate([(k + f) * grid.step for f in (0.1, 0.3, 0.7, 0.9)])
     points, midpoints = k * grid.step, (k + 0.5) * grid.step
     huge = [5 * math.pi, -1e18]
-    for count in (1, 3):
-        _nearest(generic, [grid], count)
-    assert ranked == []
     phis = np.concatenate([generic, points, midpoints, huge])
-    _nearest(phis, [grid], 3)
-    assert ranked == [np.concatenate([points, midpoints, huge]).tolist()]
-    # A single candidate ties only at midpoints.
-    ranked.clear()
-    _nearest(phis, [grid], 1)
-    assert ranked == [np.concatenate([midpoints, huge]).tolist()]
+    # An odd count ties only at midpoints, an even one only at grid points;
+    # every other phase is placed as a run of consecutive indices.
+    for count, ties, placed in ((1, midpoints, points), (2, points, midpoints),
+                                (3, midpoints, points)):
+        ranked.clear()
+        rows = _nearest(np.concatenate([generic, placed]), [grid], count)[0]
+        assert ranked == []
+        assert all(_is_run(row, grid.size) for row in rows)
+        _nearest(phis, [grid], count)
+        assert ranked == [np.concatenate([ties, huge]).tolist()]
 
 
 def _several_grid_phases(grids, data):
@@ -378,7 +394,7 @@ def test_nearest_on_several_grids_matches_the_one_grid_reference(count, data):
     assert got.shape == (len(grids), phis.size, count)
     for grid, rows in zip(grids, got):
         for phi, row in zip(phis.tolist(), rows):
-            assert row.tolist() == ref.nearest_phases(phi, grid, count).tolist()
+            assert _as_set(row) == _as_set(ref.nearest_phases(phi, grid, count))
 
 
 def test_nearest_ranks_only_the_grids_and_phases_at_a_tie(monkeypatch):
@@ -604,8 +620,8 @@ def test_nearest_phases_takes_arrays_of_phases():
     got = _nearest(phi, [grid], 3)[0]
     assert got.shape == (2, 3, 3)
     for index in np.ndindex(phi.shape):
-        assert np.array_equal(got[index],
-                              ref.nearest_phases(phi[index], grid, 3))
+        assert _as_set(got[index]) == _as_set(
+            ref.nearest_phases(phi[index], grid, 3))
 
 
 _weights = st.tuples(
