@@ -20,8 +20,9 @@ DEFAULT_FLOOR_DB = -80.0
 DEFAULT_GRID_STEP_DEG = 0.1
 # Bound on the entries of one complex128 matrix (64 MiB): grid points x N
 # of a sampled steering matrix, about 97 times N=24 on the 0.1-degree grid
-# (43,224), N x N of the MVDR system matrix (N <= 2048), and the candidate
-# pairs of one chunk of the DPS search (L x L per weight).
+# (43,224), N x N of each MVDR system, which is built and solved one
+# scenario at a time (N <= 2048), and the candidate pairs of one chunk of
+# the DPS search (L x L per weight).
 MAX_GRID_ENTRIES = 1 << 22
 # Grid step, in points, of the first pass of `levels_db`'s peak search.
 PEAK_COARSE_ROWS = 16

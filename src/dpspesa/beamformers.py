@@ -63,6 +63,16 @@ def _check_gamma(gamma: float | None) -> None:
             raise ValueError(f"gamma must be finite, got {gamma:g}")
 
 
+def _check_mvdr_size(n: int) -> None:
+    """An N x N MVDR system must not exceed `array_model.MAX_GRID_ENTRIES`
+    entries."""
+    if n * n > MAX_GRID_ENTRIES:
+        raise ValueError(
+            f"a {n} x {n} MVDR matrix exceeds {MAX_GRID_ENTRIES} entries; "
+            "use fewer antennas"
+        )
+
+
 def mvdr_beamformer(config: ArrayConfig, target_angles_deg, gamma: float,
                     desired_index=0) -> np.ndarray:
     """Multi-target beamformer pointing at the desired target with nulls elsewhere.
@@ -75,9 +85,10 @@ def mvdr_beamformer(config: ArrayConfig, target_angles_deg, gamma: float,
     N x N must not exceed `array_model.MAX_GRID_ENTRIES`, checked before
     any array is built.
 
-    A stack of scenarios solves in one call: one batched product builds
-    every system matrix, then each system is factored and solved on its
-    own, so every row equals its one-scenario call bit for bit.
+    A stack of scenarios solves in one call, one system at a time: each
+    scenario's system matrix is built, factored and solved on its own, so
+    memory holds one N x N matrix and every row equals its one-scenario
+    call bit for bit.
 
     Parameters
     ----------
@@ -103,11 +114,7 @@ def mvdr_beamformer(config: ArrayConfig, target_angles_deg, gamma: float,
         raise ValueError("MVDR needs a gamma, got None")
     _check_gamma(gamma)
     n = config.n_antennas
-    if n * n > MAX_GRID_ENTRIES:
-        raise ValueError(
-            f"a {n} x {n} MVDR matrix exceeds {MAX_GRID_ENTRIES} entries; "
-            "use fewer antennas"
-        )
+    _check_mvdr_size(n)
     k = angles_deg.shape[-1]
     if k > n:
         warnings.warn(
@@ -119,22 +126,19 @@ def mvdr_beamformer(config: ArrayConfig, target_angles_deg, gamma: float,
     # np.column_stack builds it, so each product takes the same BLAS call.
     a_mat = np.ascontiguousarray(
         steering_vector(config, angles_deg.reshape(-1, k)).swapaxes(-1, -2))
-    lhs = gamma * np.eye(n) + a_mat @ a_mat.conj().swapaxes(-1, -2)
-    rhs = a_mat[np.arange(len(a_mat)), :, desired.ravel()]
     from scipy.linalg import lapack  # about 0.3 s, so only once a solve needs it
 
-    # zpotrf/zpotrs on the upper triangle: the calls, bits and error types
-    # of scipy's cho_solve(cho_factor(m), b) without its wrappers.  The
-    # matrices are finite by construction (finite gamma, unit-modulus
-    # steering entries), so there is no finiteness check.
-    w = np.empty_like(rhs)
-    for t, (m, b) in enumerate(zip(lhs, rhs)):
-        c, info = lapack.zpotrf(m, lower=0, clean=0)
+    # zposv on the upper triangle runs zpotrf then zpotrs: the calls, bits
+    # and error types of scipy's cho_solve(cho_factor(m), b) without its
+    # wrappers.  The matrices are finite by construction (finite gamma,
+    # unit-modulus steering entries), so there is no finiteness check.
+    reg = gamma * np.eye(n)
+    w = np.empty((len(a_mat), n), complex)
+    for t, (a, d) in enumerate(zip(a_mat, desired.ravel())):
+        _, w[t], info = lapack.zposv(reg + a @ a.conj().T, a[:, d], lower=0)
         if info > 0:
             raise LinAlgError(
                 f"{info}-th leading minor of the array is not positive definite")
-        if info == 0:
-            w[t], info = lapack.zpotrs(c, b, lower=0)
         if info < 0:
             raise ValueError(f"LAPACK reported an illegal value in {-info}-th "
                              "argument of a Cholesky routine")

@@ -32,7 +32,12 @@ from .array_model import (
     levels_db,
     steering_vector,
 )
-from .beamformers import _check_gamma, _check_targets, mvdr_beamformer
+from .beamformers import (
+    _check_gamma,
+    _check_mvdr_size,
+    _check_targets,
+    mvdr_beamformer,
+)
 from .dps_quantize import (
     PhaseGrid,
     _check_candidates,
@@ -59,7 +64,8 @@ class ScenarioSpec:
     ``desired_index`` indexes ``target_angles_deg``.  Construction checks
     every value with the check of the kernel that reads it: the grid bound
     (`array_model._grid_points`), the targets and desired index (as
-    `beamformers.mvdr_beamformer` does), gamma, bits, L and its pair bound,
+    `beamformers.mvdr_beamformer` does), gamma and, when a gamma is
+    given, the N x N bound of its MVDR system, bits, L and its pair bound,
     the normalization target, the floor and the seed (`trial_rng`'s
     check).  So a bad spec fails before any draw, steering vector or MVDR
     solve."""
@@ -84,6 +90,8 @@ class ScenarioSpec:
         if self.target_angles_deg:
             _check_targets(self.target_angles_deg, self.desired_index)
         _check_gamma(self.gamma)
+        if self.gamma is not None:
+            _check_mvdr_size(self.config.n_antennas)
         _check_candidates(self.candidates_l, [PhaseGrid(self.bits)])
         _check_norm_target(self.norm_target)
         _check_floor(self.floor_db)

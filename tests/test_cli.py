@@ -1,14 +1,20 @@
 import argparse
+import contextlib
 import hashlib
+import io
+import itertools
 import math
 import re
 import shlex
 import sys
 import warnings
+from datetime import timedelta
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from dpspesa import array_model, beamformers, cli, dps_quantize, experiments
 from dpspesa.array_model import ArrayConfig, beampattern_trace, steering_vector
@@ -644,6 +650,20 @@ def test_mvdr_bound_exits_2_before_writing(monkeypatch, tmp_path, capsys):
         assert not any(tmp_path.iterdir())
 
 
+def test_an_oversized_mvdr_sweep_exits_2_before_any_draw(monkeypatch,
+                                                         tmp_path, capsys):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("drew targets before the MVDR bound was checked")
+
+    monkeypatch.setattr(experiments, "draw_target_angles", forbidden)
+    assert run_cli(["sweep", "--antennas=2100", "--grid-step=1",
+                    f"--out={tmp_path}"]) == 2
+    assert capsys.readouterr().err == (
+        "usage error: a 2100 x 2100 MVDR matrix exceeds 4194304 entries; "
+        "use fewer antennas\n")
+    assert not any(tmp_path.iterdir())
+
+
 def test_oracle_check_rejects_non_positive_trials(capsys):
     for trials in ("0", "-3"):
         assert run_cli(["oracle-check", "--bits=2", f"--trials={trials}"]) == 2
@@ -1119,3 +1139,125 @@ def test_csv_values_are_numeric(tmp_path):
         for field in row:
             assert math.isfinite(float(field))
             assert "," not in field
+
+
+# The CLI contract test gives each key three times in four, as a valid
+# value (boundaries included) or, one time in six, as malformed or
+# out-of-range text.  Runs stay small: at most 32 antennas, at most 16
+# trials (always given to `sweep` and `oracle-check`) and one sweep worker.
+_ANGLE = st.integers(-90, 90).map(str) | st.sampled_from(
+    ["-90", "90", "10.5", "-0"])
+_BAD_ANGLE = st.sampled_from(["95", "-91", "nan", "inf", "x", ""])
+_CONTRACT_VALUES = {  # key: (valid, invalid)
+    "antennas": (st.integers(1, 32).map(str),
+                 st.sampled_from(["0", "-1", "1.5", "x", ""])),
+    "spacing": (st.sampled_from(["0.5", "0.25", "1", "3"]),
+                st.sampled_from(["0", "-0.5", "inf", "nan", "x"])),
+    "targets": (st.lists(_ANGLE, min_size=1, max_size=4, unique=True).map(
+        ",".join), st.lists(_ANGLE | _BAD_ANGLE, max_size=4).map(",".join)),
+    "desired": (_ANGLE, _BAD_ANGLE),
+    "gamma": (st.sampled_from(["0.1", "1e-6", "1e-30", "1e6"]),
+              st.sampled_from(["0", "-1", "inf", "nan", "x"])),
+    "bits": (st.integers(1, 8).map(str),
+             st.sampled_from(["0", "-1", "2.5", "x"])),
+    "candidates": (st.integers(1, 5).map(str),
+                   st.sampled_from(["0", "-1", "x"])),
+    "norm": (st.sampled_from(["2", "1", "0.5"]),
+             st.sampled_from(["0", "2.5", "nan", "x"])),
+    "norms": (st.sampled_from(["1,1.5,2", "2", "0.5,2"]),
+              st.sampled_from(["0", "2.5", "nan", "1,x", ""])),
+    "grid_step": (st.sampled_from(["0.1", "0.5", "1", "2", "90", "180"]),
+                  st.sampled_from(["0.7", "0", "-1", "nan", "1e-9", "x"])),
+    "floor_db": (st.sampled_from(["-80", "-20", "-0.5"]),
+                 st.sampled_from(["0", "5", "-inf", "nan", "x"])),
+    "seed": (st.integers(0, 50).map(str) | st.just("99999999999999999999"),
+             st.sampled_from(["-1", "1.5", "x"])),
+    "trials": (st.integers(1, 16).map(str),
+               st.sampled_from(["0", "-1", "1.5", "x"])),
+    "beamformer": (st.sampled_from(["steering", "mvdr", "dps",
+                                    "pesa-quantized"]),
+                   st.just("x")),
+}
+_SWEEP_BITS = (
+    st.tuples(st.integers(1, 8), st.integers(0, 7)).map(
+        lambda lo_up: f"{lo_up[0]}:{lo_up[0] + lo_up[1]}")
+    | st.lists(st.integers(1, 8).map(str), min_size=1, max_size=3).map(
+        ",".join),
+    st.sampled_from(["0:2", "4:2", "2:", "0", "x", ""]))
+_CONTRACT_RUNS = itertools.count()
+
+
+def _check_written(out: Path, floor_db: float) -> None:
+    """Every CSV value under ``out`` is finite, every ``power_db`` is at
+    least the floor as printed, and each summary RMS is finite and >= 0."""
+    floor = float(format(floor_db, ".9g"))  # `%.9g` rounds monotonically
+    for path in out.glob("*.csv"):
+        header, rows = read_csv(path)
+        for row in rows:
+            values = dict(zip(header, map(float, row)))
+            assert all(map(math.isfinite, values.values())), (path, row)
+            assert values.get("power_db", floor) >= floor, (path, row)
+            assert values.get("mean_rms_dps_db", 0.0) >= 0.0, (path, row)
+            assert values.get("mean_rms_pesa_db", 0.0) >= 0.0, (path, row)
+    if (out / "summary.txt").exists():
+        summary = read_summary(out / "summary.txt")
+        for key in ("rms_dps_db", "rms_pesa_db"):
+            value = float(summary[key])
+            assert math.isfinite(value) and value >= 0.0, summary
+
+
+@settings(max_examples=150, deadline=timedelta(seconds=30),
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_cli_contract_over_the_flag_tables(data, tmp_path, monkeypatch):
+    monkeypatch.delenv("DPS_SEED", raising=False)
+    command = data.draw(st.sampled_from(sorted(cli.COMMANDS)), label="command")
+    keys = cli.COMMANDS[command].keys.split()
+    values = {}
+    for key in keys:
+        if key in ("out", "workers"):
+            continue
+        if not (key == "trials" and command in ("sweep", "oracle-check")
+                or data.draw(st.integers(0, 3), label=f"give {key}") != 1):
+            continue
+        valid, invalid = (_SWEEP_BITS if (command, key) == ("sweep", "bits")
+                          else _CONTRACT_VALUES[key])
+        if key == "desired" and values.get("targets"):
+            valid, invalid = (st.sampled_from(values["targets"].split(",")),
+                              valid | invalid)
+        bad = data.draw(st.integers(0, 5), label=f"bad {key}") == 1
+        values[key] = data.draw(invalid if bad else valid, label=key)
+    out = tmp_path / f"out{next(_CONTRACT_RUNS)}"
+    argv = [command, *(f"--{key.replace('_', '-')}={value}"
+                       for key, value in values.items())]
+    if "out" in keys:
+        argv.append(f"--out={out}")
+    if command == "sweep":
+        argv.append("--workers=1")
+    # One time in ten, a flag without its value, which argparse refuses.
+    if data.draw(st.integers(0, 9), label="bare flag") == 5:
+        key = data.draw(st.sampled_from(keys), label="bare key")
+        argv.append(f"--{key.replace('_', '-')}")
+
+    stderr = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(stderr):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:  # argparse's usage errors, nothing else
+            assert exc.code == 2, argv
+            code = None
+    err = stderr.getvalue()
+    if code is None:
+        assert err.startswith("usage: dpspesa "), (argv, err)
+    else:
+        assert code in (0, 1, 2, 3), (argv, code)
+    if code in (None, 2):
+        if code == 2:
+            assert err.count("\n") == 1, (argv, err)
+            assert err.startswith(("usage error: ", "ill-conditioned solve (")), \
+                (argv, err)
+        assert not out.exists() or not any(out.iterdir()), argv
+    if code == 0:
+        floor_db = float(values.get("floor_db", cli.FLAGS["floor_db"].default))
+        _check_written(out, floor_db)

@@ -77,6 +77,24 @@ def test_spec_checks_the_grid_bound_before_any_solve(step, message,
         run_mvdr_clutter(ScenarioSpec(**fields))
 
 
+def test_spec_with_a_gamma_checks_the_mvdr_bound_before_any_draw(monkeypatch):
+    big = ArrayConfig(2100)
+    message = re.escape("a 2100 x 2100 MVDR matrix exceeds 4194304 entries; "
+                        "use fewer antennas")
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        ScenarioSpec(big, grid_step_deg=1.0, gamma=0.1)
+    # The sweep's default gamma re-runs the check, so no target is drawn.
+    draws = []
+    monkeypatch.setattr(experiments, "draw_target_angles",
+                        lambda *args, **kwargs: draws.append(args))
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        run_monte_carlo(ScenarioSpec(big, grid_step_deg=1.0), (4,), (2.0,), 3)
+    assert draws == []
+    # Without a gamma nothing is solved: a single-target run still builds.
+    spec = ScenarioSpec(big, target_angles_deg=(10.0,), grid_step_deg=1.0)
+    assert run_single_target(spec).traces.power_db.shape == (3, 181)
+
+
 def test_spec_without_targets_serves_only_the_sweep():
     spec = ScenarioSpec(config=CFG, desired_index=3, gamma=0.1)
     assert spec.target_angles_deg == ()

@@ -1,4 +1,5 @@
 import ast
+import importlib
 import platform
 from pathlib import Path
 
@@ -94,6 +95,35 @@ def test_experiments_solve_mvdr_through_the_public_beamformer():
                if module.split(".")[-1] in ("beamformers", "dps_quantize")
                and not name.startswith("_check_")]
     assert private == []
+
+
+# The functions that the benchmark's traced run wraps and finds.  A name
+# it cannot resolve is skipped without a word and its metrics read 0, so
+# deleting one of these is a change to the benchmark as well.
+TRACED_FUNCTIONS = (
+    "array_model.steering_vector", "array_model.steering_matrix",
+    "array_model.beampattern_trace", "array_model.angle_grid_deg",
+    "beamformers.mvdr_beamformer", "dps_quantize.approximate",
+    "dps_quantize.quantize_pesa", "dps_quantize.exhaustive_oracle",
+    "dps_quantize.normalize_to_max", "experiments.run_monte_carlo",
+    "experiments.run_mvdr_clutter", "experiments.run_single_target",
+    "experiments.draw_target_angles", "cli.main",
+)
+
+
+def test_the_traced_benchmark_run_still_finds_its_functions():
+    source = (Path(__file__).parents[1] / "perfbench" / "spans.py").read_text()
+    functions, = (ast.literal_eval(node.value)
+                  for node in ast.parse(source).body
+                  if isinstance(node, ast.Assign)
+                  and [getattr(t, "id", None) for t in node.targets]
+                  == ["FUNCTIONS"])
+    for name in TRACED_FUNCTIONS:
+        assert name in functions, name
+        module, function = name.split(".")
+        found = getattr(importlib.import_module(f"dpspesa.{module}"),
+                        function, None)
+        assert callable(found), name
 
 
 @pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
