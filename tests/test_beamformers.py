@@ -227,15 +227,19 @@ def test_one_bad_scenario_refuses_the_batch_before_any_array(
         mvdr_beamformer(ArrayConfig(8, 0.5), angles, 0.1, desired)
 
 
-def test_an_illegal_lapack_argument_is_a_value_error(monkeypatch):
-    # LAPACK reports an illegal argument as a negative info; it is not
-    # taken for a failing minor.  `mvdr_beamformer` looks `zposv` up on
-    # scipy's lapack module.
+@pytest.mark.parametrize("routine", ["zpotrf", "zpotrs"])
+def test_an_illegal_lapack_argument_is_a_value_error(monkeypatch, routine):
+    # LAPACK reports an illegal argument as a negative info, from the
+    # factorization (zpotrf) or the solve (zpotrs) that zposv runs; neither
+    # is taken for a failing minor.  A stage that rejects an argument
+    # returns before it writes, so zposv hands back the matrix (zpotrf) or
+    # its factor (zpotrs) with the right-hand side unsolved.
+    # `mvdr_beamformer` looks `zposv` up on scipy's lapack module.
     real = lapack.zposv
 
-    def illegal(*args, **kwargs):
-        c, x, _ = real(*args, **kwargs)
-        return c, x, -2
+    def illegal(a, b, lower=0):
+        c = a if routine == "zpotrf" else real(a, b, lower=lower)[0]
+        return c, b, -2
 
     monkeypatch.setattr(lapack, "zposv", illegal)
     with pytest.raises(ValueError, match="illegal value in 2-th argument") \
