@@ -34,9 +34,9 @@ PEAK_COARSE_ROWS = 16
 # such `oracle-check` call returned those pages and faulted them back in
 # (about 120 minor faults and nearly twice the time per call).  Freeing
 # one 4 MiB block raises the threshold once, so temporaries up to that
-# size reuse the heap.  (scipy.linalg's import, which raised it to about
-# 400 KiB, waits for the first MVDR solve.)  On other allocators this is
-# one short-lived, untouched allocation.
+# size reuse the heap, in every command: none imports scipy.linalg, whose
+# import had raised it to about 400 KiB.  On other allocators this is one
+# short-lived, untouched allocation.
 np.empty(4 << 20, np.uint8)
 
 

@@ -5,16 +5,22 @@ stack of them.
 The single-target reference is the steering vector itself
 (`array_model.steering_vector`).
 
-The MVDR systems are solved through scipy's LAPACK, which is imported on
-the first solve, not with this module: `clutter`, `sweep` and the `mvdr`
-and multi-target or gamma `dps` patterns load it; a command that solves
-none (a steering or PESA pattern, a single-target run, the oracle check)
-never loads ``scipy.linalg``.
+The MVDR systems are solved through scipy's compiled LAPACK extension,
+``scipy/linalg/_flapack``, loaded on its own at the first solve (`_lapack`)
+and not through the ``scipy.linalg`` package, whose import costs about
+0.15 s and 25 MB for the one routine used.  `clutter`, `sweep` and the
+`mvdr` and multi-target or gamma `dps` patterns load the extension; a
+command that solves none (a steering or PESA pattern, a single-target run,
+the oracle check) never does, and no command imports ``scipy.linalg``.
 """
 
 from __future__ import annotations
 
+import functools
+import importlib.machinery
+import importlib.util
 import math
+import os
 import warnings
 
 import numpy as np
@@ -73,6 +79,29 @@ def _check_mvdr_size(n: int) -> None:
         )
 
 
+@functools.cache
+def _lapack():
+    """scipy's compiled LAPACK extension, ``scipy/linalg/_flapack``: the
+    module that ``scipy.linalg.lapack`` re-exports, so the same routines
+    and bits, loaded without the ``scipy.linalg`` package.
+
+    The module is not filed under ``scipy.linalg._flapack``, so a later
+    ``import scipy.linalg`` loads scipy's own copy as usual (CPython files
+    it under the bare name ``_flapack``).  Every scipy the package
+    supports ships the extension, so there is no fallback.
+    """
+    import scipy  # the top-level package only, a few ms
+
+    spec = importlib.machinery.PathFinder.find_spec(
+        "_flapack", [os.path.join(os.path.dirname(scipy.__file__), "linalg")])
+    if spec is None:
+        raise ImportError("scipy/linalg/_flapack, scipy's compiled LAPACK "
+                          "extension, was not found")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 def mvdr_beamformer(config: ArrayConfig, target_angles_deg, gamma: float,
                     desired_index=0) -> np.ndarray:
     """Multi-target beamformer pointing at the desired target with nulls elsewhere.
@@ -126,7 +155,7 @@ def mvdr_beamformer(config: ArrayConfig, target_angles_deg, gamma: float,
     # np.column_stack builds it, so each product takes the same BLAS call.
     a_mat = np.ascontiguousarray(
         steering_vector(config, angles_deg.reshape(-1, k)).swapaxes(-1, -2))
-    from scipy.linalg import lapack  # about 0.3 s, so only once a solve needs it
+    lapack = _lapack()
 
     # zposv on the upper triangle runs zpotrf then zpotrs: the calls, bits
     # and error types of scipy's cho_solve(cho_factor(m), b) without its

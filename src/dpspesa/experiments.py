@@ -325,11 +325,6 @@ def run_monte_carlo(base: ScenarioSpec, bits_sweep, norm_sweep,
     else:
         from concurrent.futures import ProcessPoolExecutor
 
-        # Load the LAPACK that every block's MVDR solve uses before the
-        # pool forks, so the workers inherit it instead of each importing
-        # scipy on its own.
-        import scipy.linalg.lapack
-
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_sweep_block, repeat(base), repeat(bits_list),
                                     repeat(norm_list), blocks))

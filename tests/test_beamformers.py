@@ -1,10 +1,11 @@
+import importlib.machinery
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
-from scipy.linalg import cho_factor, cho_solve, lapack
+from scipy.linalg import cho_factor, cho_solve
 
 from dpspesa import beamformers
 from dpspesa.array_model import (
@@ -234,7 +235,8 @@ def test_an_illegal_lapack_argument_is_a_value_error(monkeypatch, routine):
     # is taken for a failing minor.  A stage that rejects an argument
     # returns before it writes, so zposv hands back the matrix (zpotrf) or
     # its factor (zpotrs) with the right-hand side unsolved.
-    # `mvdr_beamformer` looks `zposv` up on scipy's lapack module.
+    # `mvdr_beamformer` looks `zposv` up on the extension `_lapack` loads.
+    lapack = beamformers._lapack()
     real = lapack.zposv
 
     def illegal(a, b, lower=0):
@@ -246,6 +248,50 @@ def test_an_illegal_lapack_argument_is_a_value_error(monkeypatch, routine):
             as raised:
         mvdr_beamformer(ArrayConfig(8, 0.5), FIG3_TARGETS, 0.1, 2)
     assert not isinstance(raised.value, np.linalg.LinAlgError)
+
+
+# In a fresh interpreter, loads the extension before or after
+# ``scipy.linalg`` (argv[1]) and prints how many of 60 Hermitian positive
+# definite systems, N = 1-39, it solves to the bits of scipy's `zposv` and
+# of `cho_solve(cho_factor(m), b)`, and whether the docstrings are equal.
+_LAPACK_AGAINST_SCIPY = (
+    "import sys\n"
+    "import numpy as np\n"
+    "from dpspesa.beamformers import _lapack\n"
+    "if sys.argv[1] == 'extension-first':\n"
+    "    ext = _lapack()\n"
+    "import scipy.linalg\n"
+    "from scipy.linalg import cho_factor, cho_solve, lapack\n"
+    "ext = _lapack()\n"
+    "rng = np.random.default_rng(31)\n"
+    "same = 0\n"
+    "for t in range(60):\n"
+    "    n = 1 + t % 39\n"
+    "    x = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))\n"
+    "    m = x @ x.conj().T + 0.1 * np.eye(n)\n"
+    "    b = rng.normal(size=n) + 1j * rng.normal(size=n)\n"
+    "    c, w, info = ext.zposv(m, b, lower=0)\n"
+    "    want_c, want_w, want_info = lapack.zposv(m, b, lower=0)\n"
+    "    same += (info == want_info == 0 and np.array_equal(c, want_c)\n"
+    "             and np.array_equal(w, want_w)\n"
+    "             and np.array_equal(w, cho_solve(cho_factor(m), b)))\n"
+    "print(same, ext.zposv.__doc__ == lapack.zposv.__doc__)\n")
+
+
+@pytest.mark.parametrize("order", ["extension-first", "scipy-linalg-first"])
+def test_the_lapack_extension_solves_to_scipy_linalg_bits(order, fresh_python):
+    run = fresh_python("-c", _LAPACK_AGAINST_SCIPY, order)
+    assert (run.returncode, run.stderr) == (0, "")
+    assert run.stdout == "60 True\n"
+
+
+def test_a_missing_lapack_extension_is_an_import_error(monkeypatch):
+    monkeypatch.setattr(importlib.machinery.PathFinder, "find_spec",
+                        classmethod(lambda cls, name, path=None, target=None:
+                                    None))
+    beamformers._lapack.cache_clear()
+    with pytest.raises(ImportError, match="scipy/linalg/_flapack"):
+        beamformers._lapack()
 
 
 def test_a_failing_minor_is_a_linalg_error():

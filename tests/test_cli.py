@@ -980,13 +980,15 @@ def test_module_entry_point_runs_in_a_subprocess(fresh_python, tmp_path):
         "array's degrees of freedom\n"}
 
 
-# Runs `main` on the argv after it, then prints its exit code and whether
-# scipy's LAPACK and the process pool were imported.
+# Runs `main` on the argv after it, then prints its exit code, whether
+# scipy's LAPACK extension was loaded, and whether ``scipy.linalg`` and the
+# process pool were imported.
 _IMPORTS_AFTER_MAIN = (
     "import sys\n"
-    "from dpspesa import cli\n"
+    "from dpspesa import beamformers, cli\n"
     "code = cli.main(sys.argv[1:])\n"
-    "print(code, 'scipy.linalg' in sys.modules,"
+    "print(code, beamformers._lapack.cache_info().currsize == 1,"
+    " 'scipy.linalg' in sys.modules,"
     " 'concurrent.futures.process' in sys.modules)\n")
 
 
@@ -994,14 +996,19 @@ _IMPORTS_AFTER_MAIN = (
     (["oracle-check", "--bits=2", "--trials=16"], False),
     (["single", "--out=single"], False),
     (["pattern", "--beamformer=steering", "--out=pattern"], False),
-    # A positive control: the clutter reference is an MVDR solve.
+    # Positive controls: the clutter reference is an MVDR solve, and so
+    # are the mvdr pattern and each sweep trial.
     (["clutter", "--targets=-47,30,49", "--desired=49", "--out=clutter"], True),
-], ids=["oracle-check", "single", "pattern-steering", "clutter"])
+    (["pattern", "--beamformer=mvdr", "--out=pattern"], True),
+    (["sweep", "--bits=2", "--trials=2", "--out=sweep"], True),
+], ids=["oracle-check", "single", "pattern-steering", "clutter",
+        "pattern-mvdr", "sweep"])
 def test_only_commands_that_solve_mvdr_import_lapack(argv, loads_lapack,
                                                      fresh_python):
+    # None of them imports scipy.linalg: the solve loads only the extension.
     run = fresh_python("-c", _IMPORTS_AFTER_MAIN, *argv)
     assert (run.returncode, run.stderr) == (0, "")
-    assert run.stdout.splitlines()[-1] == f"0 {loads_lapack} False"
+    assert run.stdout.splitlines()[-1] == f"0 {loads_lapack} False False"
 
 
 def _help_text(command, capsys):

@@ -369,6 +369,20 @@ def test_approximate_error_non_increasing_in_candidates():
             prev = err
 
 
+
+@pytest.mark.parametrize("candidates", [1, 2, 3])
+def test_approximate_error_bound_above_the_oracle_bits(candidates):
+    # No oracle runs above 12 bits, so this bounds the search there.  Each
+    # phasor's nearest grid phase is at most half a step, pi/M, away, so
+    # the L = 1 pair errs by at most about 2 pi/M and a longer list only
+    # finds a pair as close or closer; 3 pi/M leaves room for rounding.
+    w = _random_disk(np.random.default_rng(1320), size=1024)
+    grids = [PhaseGrid(bits) for bits in range(13, 21)]
+    for dps in approximate(w, grids, candidates):
+        err = np.abs(dps.realized - dps.normalized)
+        assert err.max() <= 3.0 * math.pi / dps.grid.size, dps.grid.bits
+
+
 # ------------------------------------------------------ exhaustive_oracle
 
 def test_oracle_examples():

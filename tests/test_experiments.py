@@ -508,24 +508,28 @@ def test_a_sweep_clamps_its_workers_to_the_usable_cpus(monkeypatch):
     assert cpus_seen == [1]
 
 
-def test_a_pooled_sweep_loads_lapack_before_the_workers_fork(fresh_python):
-    # In a fresh interpreter, where nothing has imported scipy yet: the
-    # parent solves no MVDR system itself, so LAPACK is loaded only if the
-    # pool path imports it for the forked workers to inherit.
+def test_a_pooled_sweep_never_imports_scipy_linalg(fresh_python):
+    # In a fresh interpreter, with the import of every module logged by
+    # the parent and by the forked workers alike: a two-worker sweep
+    # imports the process pool, and no process imports scipy.linalg, since
+    # each worker's first MVDR solve loads only scipy's LAPACK extension.
+    # It returns the rows of the one-worker sweep.
     code = (
-        "import os, sys\n"
+        "import os\n"
         "from dpspesa.array_model import ArrayConfig\n"
         "from dpspesa.experiments import ScenarioSpec, run_monte_carlo\n"
         "os.cpu_count = lambda: 2  # two workers on any host\n"
         "os.sched_getaffinity = lambda pid: {0, 1}\n"
-        "before = 'scipy.linalg' in sys.modules\n"
         "spec = ScenarioSpec(ArrayConfig(4), grid_step_deg=1.0)\n"
-        "run_monte_carlo(spec, (2,), (2.0,), 2, workers=2)\n"
-        "print(before, 'concurrent.futures.process' in sys.modules,"
-        " 'scipy.linalg.lapack' in sys.modules)\n")
-    run = fresh_python("-c", code)
-    assert (run.returncode, run.stderr) == (0, "")
-    assert run.stdout == "False True True\n"
+        "pooled = run_monte_carlo(spec, (2,), (2.0,), 2, workers=2)\n"
+        "print(pooled == run_monte_carlo(spec, (2,), (2.0,), 2, workers=1))\n")
+    run = fresh_python("-X", "importtime", "-c", code)
+    assert (run.returncode, run.stdout) == (0, "True\n")
+    log = run.stderr.splitlines()
+    assert all(line.startswith("import time:") for line in log), run.stderr
+    imported = {line.rsplit("|", 1)[-1].strip() for line in log}
+    assert "concurrent.futures.process" in imported
+    assert "scipy.linalg" not in imported
 
 
 def test_sweep_over_the_pair_bound_searches_in_chunks(monkeypatch):

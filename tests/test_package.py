@@ -97,6 +97,40 @@ def test_experiments_solve_mvdr_through_the_public_beamformer():
     assert private == []
 
 
+def _scipy_linalg_imports(source: str) -> list:
+    """The ``scipy.linalg`` imports of a module's source, in any of the
+    forms ``import scipy.linalg...``, ``from scipy.linalg... import`` and
+    ``from scipy import linalg``."""
+    def named(module):
+        return module == "scipy.linalg" or module.startswith("scipy.linalg.")
+
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found += [alias.name for alias in node.names if named(alias.name)]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            if named(node.module or ""):
+                found.append(node.module)
+            elif node.module == "scipy":
+                found += ["scipy.linalg" for alias in node.names
+                          if alias.name == "linalg"]
+    return found
+
+
+def test_the_package_never_imports_scipy_linalg():
+    # The MVDR solve loads scipy's LAPACK extension on its own
+    # (`beamformers._lapack`); importing the scipy.linalg package would
+    # add about 0.15 s and 25 MB to every command that solves one.
+    for form in ("import scipy.linalg", "import scipy.linalg.lapack as l",
+                 "from scipy.linalg import lapack",
+                 "from scipy.linalg.lapack import zposv",
+                 "from scipy import linalg", "from scipy import stats, linalg"):
+        assert _scipy_linalg_imports(form), form
+    assert _scipy_linalg_imports("import scipy\nfrom scipy import stats") == []
+    for path in sorted(Path(dpspesa.__file__).parent.glob("*.py")):
+        assert _scipy_linalg_imports(path.read_text()) == [], path.name
+
+
 # The functions that the benchmark's traced run wraps and finds.  A name
 # it cannot resolve is skipped without a word and its metrics read 0, so
 # deleting one of these is a change to the benchmark as well.
