@@ -13,6 +13,10 @@ table order, and hands its handler the plain values: each is parsed,
 whatever its source, before any is checked.  Exit codes: 0 success,
 1 I/O failure, 2 usage, 3 validation failure.
 
+Every output file (trace CSVs, ``sweep.csv``, ``summary.txt``) is ASCII,
+written as bytes by `_write`, each line ended by a line feed on every
+platform; floats are printed as ``%.9g``.
+
 `build_parser` returns one parser shared by every call in the process;
 callers must not mutate it.
 """
@@ -164,20 +168,25 @@ def _fmt(x) -> str:
     return format(float(x), ".9g")
 
 
-def _write_lines(path: str, lines) -> None:
-    """Write ``lines``, each ended by a newline, with one ``write``."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("".join(f"{line}\n" for line in lines))
+def _write(path: str, data) -> None:
+    """Write ``data``, bytes or ASCII text, to ``path`` with one ``write``
+    and no newline translation: every output file is ASCII, each line ended
+    by a line feed on every platform."""
+    if isinstance(data, str):
+        data = data.encode("ascii")
+    with open(path, "wb") as fh:
+        fh.write(data)
 
 
 # Keyed by the grid's float64 bytes; eight grids at most, as
 # `array_model._grid_response` caches.
 @functools.lru_cache(maxsize=8)
-def _trace_template(angles: bytes) -> str:
-    """Trace CSV text for the float64 grid ``angles``, without the final
-    newline: each row holds its formatted angle and two ``%.9g`` slots."""
-    rows = ("%.9g,%%.9g,%%.9g" % a for a in np.frombuffer(angles).tolist())
-    return "\n".join(["angle_deg,power_linear,power_db", *rows])
+def _trace_template(angles: bytes) -> bytes:
+    """Trace CSV bytes for the float64 grid ``angles``: the header, then
+    each row's formatted angle and two ``%.9g`` slots, each row ended by a
+    newline."""
+    rows = (b"%.9g,%%.9g,%%.9g\n" % a for a in np.frombuffer(angles).tolist())
+    return b"".join([b"angle_deg,power_linear,power_db\n", *rows])
 
 
 def _write_traces(out: str, trace: BeampatternTrace, names) -> None:
@@ -187,17 +196,17 @@ def _write_traces(out: str, trace: BeampatternTrace, names) -> None:
     linear = np.atleast_2d(trace.power_linear)
     db = np.atleast_2d(trace.power_db)
     # One `%` per file over the row pairs (linear, db) of Python floats:
-    # "%.9g" prints a Python float as `_fmt` does, and the angle column was
-    # printed the same way once per grid.
+    # bytes "%.9g" prints a Python float with the digits of `_fmt`, and the
+    # angle column was printed the same way once per grid.
     rows = np.stack((linear, db), axis=-1).reshape(len(linear), -1).tolist()
     for name, row in zip(names, rows, strict=True):
-        _write_lines(os.path.join(out, name), [template % tuple(row)])
+        _write(os.path.join(out, name), template % tuple(row))
 
 
 def _write_summary(path: str, items) -> None:
-    lines = [f"{key}={value}" for key, value in items]
-    _write_lines(path, lines)
-    print("\n".join(lines))
+    text = "".join(f"{key}={value}\n" for key, value in items)
+    _write(path, text)
+    print(text, end="")
 
 
 def _out_dir(values: dict) -> str:
@@ -316,13 +325,13 @@ def cmd_sweep(values: dict) -> int:
 
     out = _out_dir(values)
     path = os.path.join(out, "sweep.csv")
-    lines = ["bits,norm_target,mean_rms_dps_db,mean_rms_pesa_db,trials"]
-    lines.extend(
+    rows = "".join(
         f"{row.bits},{_fmt(row.norm_target)},{_fmt(row.mean_rms_dps_db)},"
-        f"{_fmt(row.mean_rms_pesa_db)},{row.trials}"
+        f"{_fmt(row.mean_rms_pesa_db)},{row.trials}\n"
         for row in result.rows
     )
-    _write_lines(path, lines)
+    _write(path, "bits,norm_target,mean_rms_dps_db,mean_rms_pesa_db,trials\n"
+           + rows)
     print(f"wrote {path} ({len(result.rows)} rows, {values['trials']} trials)")
     return 0
 

@@ -153,10 +153,13 @@ def normalize_to_max(w, target=2.0) -> np.ndarray:
 
 
 def _check_norm_target(target) -> np.ndarray:
-    """``target`` as a float array; every entry must lie in (0, 2]."""
+    """``target`` as a float array; every entry must lie in (0, 2], and the
+    error names the first that does not."""
     target = np.asarray(_check_real("target", target), dtype=float)
-    if not ((target > 0.0) & (target <= 2.0)).all():
-        raise ValueError("target must lie in (0, 2]")
+    ok = (target > 0.0) & (target <= 2.0)
+    if not ok.all():
+        raise ValueError("norm target must lie in (0, 2], "
+                         f"got {target[~ok].flat[0]:.17g}")
     return target
 
 

@@ -446,6 +446,8 @@ def test_sweep_matches_golden_csv(tmp_path, workers):
 
 
 def test_trace_csv_rows_match_per_value_formatting(tmp_path):
+    # The written bytes, not decoded text: universal newlines would hide a
+    # "\r\n".
     cfg = ArrayConfig(16, 0.5)
     traces = [
         beampattern_trace(cfg, steering_vector(cfg, 0.3), 0.1, -20.0),
@@ -456,23 +458,29 @@ def test_trace_csv_rows_match_per_value_formatting(tmp_path):
                                 0.5, -80.0)
 
     def want(angles, linear, db):
-        return "angle_deg,power_linear,power_db\n" + "".join(
+        return ("angle_deg,power_linear,power_db\n" + "".join(
             f"{format(float(a), '.9g')},{format(float(p), '.9g')},"
             f"{format(float(d), '.9g')}\n"
             for a, p, d in zip(angles, linear, db)
-        )
+        )).encode("ascii")
 
+    written = []
     for trace in traces:
         assert (trace.power_db == trace.floor_db).any()
         cli._write_traces(str(tmp_path), trace, ["t.csv"])
-        assert (tmp_path / "t.csv").read_text() == want(
-            trace.angles_deg, trace.power_linear, trace.power_db)
+        written.append((tmp_path / "t.csv").read_bytes())
+        assert written[-1] == want(trace.angles_deg, trace.power_linear,
+                                   trace.power_db)
+    # Some power is printed in exponent notation.
+    assert any(b"e" in field for data in written
+               for row in data.splitlines()[1:]
+               for field in row.split(b",")[1:])
     # Row i of a stack goes to the i-th file.
     cli._write_traces(str(tmp_path), stacked, ["a.csv", "b.csv"])
     for name, linear, db in zip(("a.csv", "b.csv"), stacked.power_linear,
                                 stacked.power_db):
-        assert (tmp_path / name).read_text() == want(stacked.angles_deg,
-                                                     linear, db)
+        assert (tmp_path / name).read_bytes() == want(stacked.angles_deg,
+                                                      linear, db)
     with pytest.raises(ValueError):
         cli._write_traces(str(tmp_path), stacked, ["a.csv"])
 
@@ -827,21 +835,26 @@ def _refused(argv, error, out, capsys):
       for argv, flag, error in (
           (CLUTTER, "--bits=0", "bits must be in [1, 20]"),
           (CLUTTER, "-L 0", "candidates must be a positive integer"),
-          (CLUTTER, "--norm=3", "target must lie in (0, 2]"),
+          (CLUTTER, "--norm=3", "norm target must lie in (0, 2], got 3"),
+          # Printed to 17 digits, so a value just above 2 is not rounded
+          # back into range.
+          (CLUTTER, "--norm=2.0000001",
+           "norm target must lie in (0, 2], got 2.0000000999999998"),
           (CLUTTER, "--floor-db=5", "floor_db must be negative"),
           (SWEEP, "-L 0", "candidates must be a positive integer"),
           (SWEEP, "--floor-db=5", "floor_db must be negative"),
-          (SWEEP, "--norms=3", "target must lie in (0, 2]"),
+          (SWEEP, "--norms=3", "norm target must lie in (0, 2], got 3"),
           (SWEEP, "--workers=0", "workers must be >= 1"),
           (SWEEP, "--workers=-1", "workers must be >= 1"))),
 ])
 def test_scenario_values_are_checked_before_any_solve(argv, error, monkeypatch,
                                                       tmp_path, capsys):
-    def solve(*args):
-        raise AssertionError("the MVDR system was solved")
+    def solve(*args, **kwargs):
+        raise AssertionError("the MVDR system was solved or a target drawn")
 
     monkeypatch.setattr(beamformers, "mvdr_beamformer", solve)
     monkeypatch.setattr(experiments, "mvdr_beamformer", solve)
+    monkeypatch.setattr(experiments, "draw_target_angles", solve)
     _refused(argv, error, tmp_path / "out", capsys)
 
 
@@ -1195,12 +1208,22 @@ _CONTRACT_RUNS = itertools.count()
 
 
 def _check_written(out: Path, floor_db: float) -> None:
-    """Every CSV value under ``out`` is finite, every ``power_db`` is at
-    least the floor as printed, and each summary RMS is finite and >= 0."""
+    """Every file under ``out`` is ASCII without a carriage return and ends
+    in exactly one newline.  Every CSV value is finite, and each float
+    field reads back as itself under ``%.9g`` (the sweep's integer ``bits``
+    and ``trials`` are exempt); every ``power_db`` is at least the floor as
+    printed, and each summary RMS is finite and >= 0."""
+    for path in out.glob("*"):
+        data = path.read_bytes()
+        assert data.isascii() and b"\r" not in data, path
+        assert data.endswith(b"\n") and not data.endswith(b"\n\n"), path
     floor = float(format(floor_db, ".9g"))  # `%.9g` rounds monotonically
     for path in out.glob("*.csv"):
         header, rows = read_csv(path)
         for row in rows:
+            for key, field in zip(header, row):
+                if key not in ("bits", "trials"):
+                    assert format(float(field), ".9g") == field, (path, row)
             values = dict(zip(header, map(float, row)))
             assert all(map(math.isfinite, values.values())), (path, row)
             assert values.get("power_db", floor) >= floor, (path, row)

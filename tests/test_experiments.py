@@ -46,8 +46,10 @@ def test_spec_validation():
         ({"candidates_l": 0}, "^candidates must be a positive integer$"),
         ({"candidates_l": True}, "^candidates must be a positive integer$"),
         ({"bits": 12, "candidates_l": 4096}, "4096 candidates per phase"),
-        ({"norm_target": 3.0}, r"^target must lie in \(0, 2\]$"),
-        ({"norm_target": math.nan}, r"^target must lie in \(0, 2\]$"),
+        ({"norm_target": 3.0},
+         r"^norm target must lie in \(0, 2\], got 3$"),
+        ({"norm_target": math.nan},
+         r"^norm target must lie in \(0, 2\], got nan$"),
         ({"floor_db": 5.0}, "^floor_db must be negative$"),
         ({"floor_db": -math.inf}, "^floor_db must be finite$"),
         ({"seed": -1}, "^seed must be a non-negative integer, got -1$"),
@@ -615,8 +617,8 @@ def test_monte_carlo_rejects_non_integral_counts(bits, trials, error,
 
 @pytest.mark.parametrize("fields, norms, error", [
     ({"candidates_l": 5000}, (2.0,), "with 4096 candidates per phase"),
-    ({}, (1.0, 3.0), r"^target must lie in \(0, 2\]$"),
-    ({}, (math.nan,), r"^target must lie in \(0, 2\]$"),
+    ({}, (1.0, 3.0, -1.0), r"^norm target must lie in \(0, 2\], got 3$"),
+    ({}, (math.nan,), r"^norm target must lie in \(0, 2\], got nan$"),
     # Neither a string (not a sweep of its characters) nor a scalar is a
     # sweep.
     ({}, "12", "^norm_sweep must be a sequence, got '12'$"),
