@@ -55,6 +55,13 @@ def _check_real(name: str, x):
     return x
 
 
+def _exact(x) -> str:
+    """``x`` as the shortest text that reads back as the same float, without
+    a trailing ``.0``: an error message names the value it rejects, not a
+    rounding of it back into range."""
+    return repr(float(x)).removesuffix(".0")
+
+
 @dataclass(frozen=True)
 class ArrayConfig:
     """Uniform linear array: element count and spacing in carrier wavelengths."""
@@ -99,7 +106,7 @@ def _check_angles(angles_deg) -> np.ndarray:
     bad = ~(np.abs(angles_deg) <= 90.0)
     if bad.any():
         raise ValueError("angles must be finite and lie in [-90, 90] degrees, "
-                         f"got {angles_deg[bad].flat[0]:g}")
+                         f"got {_exact(angles_deg[bad].flat[0])}")
     return angles_deg
 
 
@@ -366,9 +373,9 @@ def _grid_points(step_deg: float, n_antennas: int = 1) -> int:
     n_intervals = round(min(180.0 / step_deg, MAX_GRID_ENTRIES))
     if (n_intervals + 1) * n_antennas > MAX_GRID_ENTRIES:
         raise ValueError(
-            f"a {step_deg:g}-degree grid for {n_antennas} antennas exceeds "
-            f"{MAX_GRID_ENTRIES} steering-matrix entries (grid points x "
-            "antennas); use a coarser grid step"
+            f"a {_exact(step_deg)}-degree grid for {n_antennas} antennas "
+            f"exceeds {MAX_GRID_ENTRIES} steering-matrix entries "
+            "(grid points x antennas); use a coarser grid step"
         )
     if n_intervals < 1 or abs(n_intervals * step_deg - 180.0) > 1e-9:
         raise ValueError("step_deg must divide 180 degrees evenly")

@@ -31,6 +31,7 @@ from .array_model import (
     ArrayConfig,
     _check_angles,
     _check_real,
+    _exact,
     _is_count,
     steering_vector,
 )
@@ -66,7 +67,7 @@ def _check_gamma(gamma: float | None) -> None:
         if not _check_real("gamma", gamma) > 0:
             raise ValueError("gamma must be strictly positive when present")
         if not math.isfinite(gamma):
-            raise ValueError(f"gamma must be finite, got {gamma:g}")
+            raise ValueError(f"gamma must be finite, got {_exact(gamma)}")
 
 
 def _check_mvdr_size(n: int) -> None:

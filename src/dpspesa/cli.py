@@ -168,6 +168,12 @@ def _fmt(x) -> str:
     return format(float(x), ".9g")
 
 
+def _exact(x) -> str:
+    """``x`` as the shortest text that reads back as the same float, without
+    a trailing ``.0``, so that distinct angles never print alike."""
+    return repr(float(x)).removesuffix(".0")
+
+
 def _write(path: str, data) -> None:
     """Write ``data``, bytes or ASCII text, to ``path`` with one ``write``
     and no newline translation: every output file is ASCII, each line ended
@@ -232,7 +238,8 @@ def _desired_index(targets: tuple, desired) -> int:
             return 0
         raise UsageError("--desired is required when several targets are given")
     if desired not in targets:
-        raise UsageError(f"--desired={desired:g} is not one of the target angles")
+        raise UsageError(f"--desired={_exact(desired)} is not one of the "
+                         "target angles")
     return targets.index(desired)
 
 
@@ -307,7 +314,7 @@ def cmd_clutter(values: dict) -> int:
         ("rms_pesa_db", _fmt(result.rms_pesa_db)),
     ]
     for angle, levels in result.levels_at_targets_db.items():
-        tag = f"{angle:g}"
+        tag = _exact(angle)
         items.append((f"reference_db_at_{tag}", _fmt(levels.reference)))
         items.append((f"dps_db_at_{tag}", _fmt(levels.dps)))
         items.append((f"pesa_db_at_{tag}", _fmt(levels.pesa)))

@@ -365,13 +365,14 @@ def exhaustive_oracle(w, grid: PhaseGrid) -> np.ndarray:
     array of shape ``np.shape(w) + (2,)`` holding each weight's pair.  All
     (2**B + 1) * 2**B / 2 unordered pairs (i, j >= i) are scored, and each
     weight gets the first in lexicographic order that minimizes the
-    phasor-sum error, i.e. the same tie-break as `approximate`.  The pair
-    table is built in chunks of whole rows i, each against the columns j
-    from the chunk's first row on, and each chunk is scored against as
-    many weights at once as keep one pass within `ORACLE_CHUNK_ENTRIES`
-    entries (one row against one weight if a row is longer).  So its
-    temporaries stay within a few MB whatever the bits or the number of
-    weights.  Time still grows as 4**B per weight, hence the bits cap.
+    phasor-sum error, i.e. the same tie-break as `approximate`.  Pair
+    (i, j) is the code i * n + j of the n x n square, n = 2**B, which
+    orders pairs lexicographically.  The codes are scored in runs of
+    consecutive codes, each run against as many weights at once as keep
+    one pass within `ORACLE_CHUNK_ENTRIES` entries (one row of n codes
+    against one weight if a row is longer).  So its temporaries stay
+    within a few MB whatever the bits or the number of weights.  Time
+    still grows as 4**B per weight, hence the bits cap.
     """
     if grid.bits > MAX_ORACLE_BITS:
         raise ValueError(
@@ -387,37 +388,24 @@ def exhaustive_oracle(w, grid: PhaseGrid) -> np.ndarray:
     # A weight whose every error overflows to inf keeps (0, 0), the first.
     best_err = np.full(c.size, np.inf)
     best = np.zeros(c.size, dtype=np.int64)
-    # A chunk has at most sqrt(ORACLE_CHUNK_ENTRIES) rows (or one), and its
-    # entries j < i are the strict lower triangle of its first columns.
-    ks = np.arange(min(n, max(1, math.isqrt(ORACLE_CHUNK_ENTRIES))))
-    lower = ks < ks[:, None]
-    i0 = 0
-    while i0 < n:
-        cols = n - i0
-        rows = min(cols, max(1, ORACLE_CHUNK_ENTRIES // cols))
-        sums = np.add(phasors[i0:i0 + rows, None], phasors[i0:])
-        # Entries j < i, in the chunk's first ``rows`` columns, are not
-        # canonical.  Each mirrors an earlier entry (j, i) of equal error, so
-        # the pick avoids them anyway as long as np.abs rounds alike at every
-        # position; an infinite sum, whose error is inf for every finite
-        # weight, keeps the pair canonical regardless.
-        np.copyto(sums[:, :rows], np.inf, where=lower[:rows, :rows])
-        sums = sums.reshape(1, -1)
-        group = max(1, ORACLE_CHUNK_ENTRIES // sums.size)
+    span = min(n * n, max(n, ORACLE_CHUNK_ENTRIES))
+    group = max(1, ORACLE_CHUNK_ENTRIES // span)
+    for start in range(0, n * n, span):
+        code = np.arange(start, min(start + span, n * n))
+        i, j = np.divmod(code, n)
+        # A code j < i is not canonical; its infinite sum has error inf for
+        # every finite weight, so it never wins.
+        sums = np.where(j >= i, np.add(phasors[i], phasors[j]), np.inf)
         for g0 in range(0, c.size, group):
             part = slice(g0, g0 + group)
             e = np.abs(np.subtract(sums, c[part, None]))
-            # The first in row-major, i.e. lexicographic, order per weight;
-            # a later chunk wins only strictly.  Entry k is the pair
-            # (i0 + k // cols, i0 + k % cols).
+            # The least code of least error per weight; a later run wins
+            # only strictly.
             k = e.argmin(axis=1)
             e = e[np.arange(k.size), k]
             win = e < best_err[part]
-            if win.any():
-                k = k[win]
-                best_err[part][win] = e[win]
-                best[part][win] = i0 * (n + 1) + k + k // cols * i0
-        i0 += rows
+            best_err[part][win] = e[win]
+            best[part][win] = code[k[win]]
     pairs = np.empty((c.size, 2), dtype=np.int64)
     np.divmod(best, n, out=(pairs[:, 0], pairs[:, 1]))
     return pairs.reshape(np.shape(w) + (2,))

@@ -24,6 +24,7 @@ from .array_model import (
     BeampatternTrace,
     _check_floor,
     _check_real,
+    _exact,
     _grid_index,
     _grid_points,
     _is_count,
@@ -166,8 +167,8 @@ def draw_target_angles(rng: np.random.Generator, count: int = 3) -> np.ndarray:
     capacity = (hi - lo) // sep + 1
     if count > capacity:
         raise ValueError(
-            f"{count} integer angles {TARGET_MIN_SEPARATION_DEG:g} degrees "
-            f"apart do not fit in [{lo}, {hi}] (at most {capacity})"
+            f"{count} integer angles {_exact(TARGET_MIN_SEPARATION_DEG)} "
+            f"degrees apart do not fit in [{lo}, {hi}] (at most {capacity})"
         )
     for _ in range(TARGET_DRAW_ATTEMPTS):
         angles = rng.integers(lo, hi + 1, size=count).astype(float)

@@ -194,6 +194,21 @@ def test_trial_outputs_match_pinned_bytes(argv, tmp_path):
             == digest
 
 
+def test_clutter_summary_keys_name_each_target_exactly(tmp_path):
+    # 30 and 30.0000001 print alike with six significant digits; each
+    # target keeps its own three keys, whose tag reads back as the target.
+    assert run_cli(["clutter", "--targets=-47,30,30.0000001", "--desired=-47",
+                    f"--out={tmp_path}"]) == 0
+    keys = [line.split("=", 1)[0]
+            for line in (tmp_path / "summary.txt").read_text().splitlines()]
+    assert len(keys) == len(set(keys))
+    tags = [key.removeprefix("reference_db_at_") for key in keys
+            if key.startswith("reference_db_at_")]
+    assert [float(tag) for tag in tags] == [-47.0, 30.0, 30.0000001]
+    for tag in tags:
+        assert {f"dps_db_at_{tag}", f"pesa_db_at_{tag}"} <= set(keys)
+
+
 # pattern.csv SHA-256 digests, recorded before the trace writer formatted
 # each file in one operation.  The last case samples a second grid in the
 # same process.
@@ -275,6 +290,9 @@ def test_target_counts_are_checked_by_the_experiments(argv, message, tmp_path,
 @pytest.mark.parametrize("argv, shown", [
     (["single", "--targets=95"], "95"),
     (["clutter", "--targets=-47,30,95", "--desired=30"], "95"),
+    # Six significant digits would round this one back into range.
+    (["clutter", "--targets=-47,30,90.0000001", "--desired=30"],
+     "90.0000001"),
     (["pattern", "--desired=-100"], "-100"),
     (["pattern", "--beamformer=mvdr", "--targets=10,90.5", "--desired=10"],
      "90.5"),
@@ -284,7 +302,8 @@ def test_target_counts_are_checked_by_the_experiments(argv, message, tmp_path,
      "95"),
     (["pattern", "--beamformer=pesa-quantized", "--targets=95,10",
       "--desired=10"], "95"),
-], ids=["single", "clutter", "pattern", "pattern-mvdr", "single-nan",
+], ids=["single", "clutter", "clutter-just-out", "pattern", "pattern-mvdr",
+        "single-nan",
         "pattern-steering-other-target", "pattern-pesa-quantized-other-target"])
 def test_out_of_range_angles_are_reported_in_degrees(argv, shown, tmp_path,
                                                      capsys):
@@ -888,8 +907,10 @@ def test_a_negative_seed_is_refused_by_name(argv, monkeypatch, tmp_path,
      "--desired is required when several targets are given"),
     (["clutter", "--targets=-47,30,49", "--desired=20"],
      "--desired=20 is not one of the target angles"),
+    (["clutter", "--targets=-47,30,49", "--desired=30.0000001"],
+     "--desired=30.0000001 is not one of the target angles"),
 ], ids=["targets-not-numbers", "config-line-without-equals",
-        "desired-missing", "desired-not-a-target"])
+        "desired-missing", "desired-not-a-target", "desired-near-a-target"])
 def test_bad_targets_and_config_lines_are_usage_errors(argv, error, tmp_path,
                                                        capsys):
     cfg = tmp_path / "scenario.cfg"

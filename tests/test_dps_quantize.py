@@ -396,6 +396,14 @@ def test_oracle_examples():
     assert tuple(exhaustive_oracle(1.0, grid).tolist()) == (0, 0)
 
 
+@pytest.mark.parametrize("bits", [2, 4, 12])
+def test_oracle_keeps_the_first_pair_when_every_error_overflows(bits):
+    # Every phasor sum is 1.7e308 * sqrt(2) away, which overflows to inf, so
+    # no pair wins and the weight keeps (0, 0).
+    pair = exhaustive_oracle(1.7e308 * (1 + 1j), PhaseGrid(bits))
+    assert tuple(pair.tolist()) == (0, 0)
+
+
 def test_oracle_refuses_large_grids():
     with pytest.raises(ValueError):
         exhaustive_oracle(1.0, PhaseGrid(13))

@@ -1,6 +1,7 @@
 import ast
 import importlib
 import platform
+import re
 from pathlib import Path
 
 import pytest
@@ -129,6 +130,38 @@ def test_the_package_never_imports_scipy_linalg():
     assert _scipy_linalg_imports("import scipy\nfrom scipy import stats") == []
     for path in sorted(Path(dpspesa.__file__).parent.glob("*.py")):
         assert _scipy_linalg_imports(path.read_text()) == [], path.name
+
+
+def _short_g_fields(source: str) -> list:
+    """The spec of each f-string field in a ``raise`` statement that formats
+    with a ``g`` spec of precision below 17 (6 when none is given)."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Raise):
+            continue
+        for field in ast.walk(node):
+            if isinstance(field, ast.FormattedValue) and field.format_spec:
+                spec = "".join(part.value for part in field.format_spec.values
+                               if isinstance(part, ast.Constant))
+                g = re.search(r"(?:\.(\d+))?[gG]$", spec)
+                if g and int(g[1] or 6) < 17:
+                    found.append(spec)
+    return found
+
+
+def test_error_messages_print_rejected_values_in_full():
+    # Six significant digits would print 90.0000001 as 90, a rejected value
+    # rounded back into range; a message prints a value so that it reads
+    # back as the same float.
+    for spec in ("g", ".6g", "8.3G", ".16g"):
+        assert _short_g_fields(f'raise ValueError(f"got {{x:{spec}}}")') \
+            == [spec]
+    for ok in ('raise ValueError(f"got {x:.17g}")',
+               'raise ValueError(f"got {x!r} {x:.3f}")',
+               'print(f"{x:g}")'):
+        assert _short_g_fields(ok) == [], ok
+    for path in sorted(Path(dpspesa.__file__).parent.glob("*.py")):
+        assert _short_g_fields(path.read_text()) == [], path.name
 
 
 # The functions that the benchmark's traced run wraps and finds.  A name

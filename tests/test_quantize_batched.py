@@ -131,11 +131,11 @@ def test_oracle_takes_any_batch_shape(bits):
 @pytest.mark.parametrize("chunk", [1, 20, 200])
 def test_oracle_gives_the_same_pair_in_any_number_of_chunks(monkeypatch,
                                                            chunk):
-    # With 20 entries a chunk, bits 3 splits into rows [0, 2), [2, 5) and
-    # [5, 8), and bits 4 into 1, 2 and 3 rows; with 1, every row is a chunk.
-    # With 200, bits 1-3 score several weights per pass and bits 4 splits
-    # into rows [0, 12) one weight at a time, then rows [12, 16) twelve
-    # weights at a time, so one oracle call splits across rows and weights.
+    # With 20 entries a pass, bits 3's 64 codes run [0, 20), [20, 40),
+    # [40, 60) and [60, 64), which splits rows 2 and 7 mid-row; with 1,
+    # every row is one run.  With 200, bits 1-3 score their whole square
+    # against several weights per pass, and bits 4's 256 codes run [0, 200)
+    # and [200, 256) one weight at a time, which splits row 12 mid-row.
     monkeypatch.setattr(dps_quantize, "ORACLE_CHUNK_ENTRIES", chunk)
     for bits in range(1, 7):
         grid = PhaseGrid(bits)
