@@ -283,7 +283,7 @@ def cmd_single(values: dict) -> int:
     out = _out_dir(values)
     _write_traces(out, result.traces, TRIAL_TRACE_FILES)
     _write_summary(os.path.join(out, "summary.txt"), [
-        ("target_deg", _fmt(spec.target_angles_deg[0])),
+        ("target_deg", _exact(spec.target_angles_deg[0])),
         ("bits", spec.bits),
         ("candidates", spec.candidates_l),
         ("norm_target", _fmt(spec.norm_target)),
@@ -304,8 +304,8 @@ def cmd_clutter(values: dict) -> int:
     result = run_mvdr_clutter(spec)
 
     items = [
-        ("targets_deg", ",".join(_fmt(t) for t in spec.target_angles_deg)),
-        ("desired_deg", _fmt(spec.desired_angle_deg)),
+        ("targets_deg", ",".join(map(_exact, spec.target_angles_deg))),
+        ("desired_deg", _exact(spec.desired_angle_deg)),
         ("gamma", _fmt(spec.gamma)),
         ("bits", spec.bits),
         ("candidates", spec.candidates_l),

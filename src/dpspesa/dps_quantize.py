@@ -25,7 +25,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .array_model import MAX_GRID_ENTRIES, TWO_PI, _check_real, _is_count
+from .array_model import (MAX_GRID_ENTRIES, TWO_PI, _check_real, _exact,
+                          _is_count)
 
 MAX_ORACLE_BITS = 12
 MAX_GRID_BITS = 20
@@ -159,7 +160,7 @@ def _check_norm_target(target) -> np.ndarray:
     ok = (target > 0.0) & (target <= 2.0)
     if not ok.all():
         raise ValueError("norm target must lie in (0, 2], "
-                         f"got {target[~ok].flat[0]:.17g}")
+                         f"got {_exact(target[~ok].flat[0])}")
     return target
 
 
@@ -362,17 +363,16 @@ def exhaustive_oracle(w, grid: PhaseGrid) -> np.ndarray:
     """Best canonical phase pairs of finite weights, by brute force.
 
     ``w`` is a scalar or an array of any shape; the result is an int64
-    array of shape ``np.shape(w) + (2,)`` holding each weight's pair.  All
-    (2**B + 1) * 2**B / 2 unordered pairs (i, j >= i) are scored, and each
-    weight gets the first in lexicographic order that minimizes the
-    phasor-sum error, i.e. the same tie-break as `approximate`.  Pair
-    (i, j) is the code i * n + j of the n x n square, n = 2**B, which
-    orders pairs lexicographically.  The codes are scored in runs of
-    consecutive codes, each run against as many weights at once as keep
-    one pass within `ORACLE_CHUNK_ENTRIES` entries (one row of n codes
-    against one weight if a row is longer).  So its temporaries stay
-    within a few MB whatever the bits or the number of weights.  Time
-    still grows as 4**B per weight, hence the bits cap.
+    array of shape ``np.shape(w) + (2,)`` holding each weight's pair, the
+    first canonical pair (i, j >= i) in lexicographic order that minimizes
+    the phasor-sum error, i.e. the same tie-break as `approximate`.  All
+    n x n ordered sums p[i] + p[j], n = 2**B, are scored; pair (i, j) is
+    the code i * n + j, and a code with j < i ties its smaller twin (j, i),
+    so it is never picked.  The square is scored in runs of whole rows,
+    each against as many weights as keep one pass within
+    `ORACLE_CHUNK_ENTRIES` entries (one row against one weight if a row is
+    longer), so temporaries stay within a few MB.  Time still grows as
+    4**B per weight, hence the bits cap.
     """
     if grid.bits > MAX_ORACLE_BITS:
         raise ValueError(
@@ -388,24 +388,22 @@ def exhaustive_oracle(w, grid: PhaseGrid) -> np.ndarray:
     # A weight whose every error overflows to inf keeps (0, 0), the first.
     best_err = np.full(c.size, np.inf)
     best = np.zeros(c.size, dtype=np.int64)
-    span = min(n * n, max(n, ORACLE_CHUNK_ENTRIES))
-    group = max(1, ORACLE_CHUNK_ENTRIES // span)
-    for start in range(0, n * n, span):
-        code = np.arange(start, min(start + span, n * n))
-        i, j = np.divmod(code, n)
-        # A code j < i is not canonical; its infinite sum has error inf for
-        # every finite weight, so it never wins.
-        sums = np.where(j >= i, np.add(phasors[i], phasors[j]), np.inf)
+    rows = min(n, max(1, ORACLE_CHUNK_ENTRIES // n))
+    group = max(1, ORACLE_CHUNK_ENTRIES // (rows * n))
+    for i0 in range(0, n, rows):
+        # Sums commute, so a pair (i, j >= i) and its twin (j, i) tie, and
+        # the twin lies in the same run or a later one: argmin keeps a run's
+        # first minimum and a later run wins only strictly, so (i, j) stays.
+        sums = np.add(phasors[i0:i0 + rows, None], phasors).reshape(-1)
         for g0 in range(0, c.size, group):
             part = slice(g0, g0 + group)
             e = np.abs(np.subtract(sums, c[part, None]))
-            # The least code of least error per weight; a later run wins
-            # only strictly.
+            # The least code of least error per weight.
             k = e.argmin(axis=1)
             e = e[np.arange(k.size), k]
             win = e < best_err[part]
             best_err[part][win] = e[win]
-            best[part][win] = code[k[win]]
+            best[part][win] = i0 * n + k[win]
     pairs = np.empty((c.size, 2), dtype=np.int64)
     np.divmod(best, n, out=(pairs[:, 0], pairs[:, 1]))
     return pairs.reshape(np.shape(w) + (2,))

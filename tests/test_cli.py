@@ -209,6 +209,23 @@ def test_clutter_summary_keys_name_each_target_exactly(tmp_path):
         assert {f"dps_db_at_{tag}", f"pesa_db_at_{tag}"} <= set(keys)
 
 
+@pytest.mark.parametrize("argv, angles", [
+    pytest.param(["clutter", "--targets=-47,30,30.00000001",
+                  "--desired=30.00000001"],
+                 {"targets_deg": "-47,30,30.00000001",
+                  "desired_deg": "30.00000001"}, id="clutter"),
+    pytest.param(["single", "--targets=30.0000000001"],
+                 {"target_deg": "30.0000000001"}, id="single"),
+])
+def test_summary_angles_print_as_their_keys_do(argv, angles, tmp_path):
+    # Nine significant digits would print 30.00000001 as 30, beside the key
+    # ..._at_30.00000001; every angle prints in the shortest form that reads
+    # back as it.
+    assert run_cli([*argv, f"--out={tmp_path}"]) == 0
+    summary = read_summary(tmp_path / "summary.txt")
+    assert {key: summary[key] for key in angles} == angles
+
+
 # pattern.csv SHA-256 digests, recorded before the trace writer formatted
 # each file in one operation.  The last case samples a second grid in the
 # same process.
@@ -855,10 +872,10 @@ def _refused(argv, error, out, capsys):
           (CLUTTER, "--bits=0", "bits must be in [1, 20]"),
           (CLUTTER, "-L 0", "candidates must be a positive integer"),
           (CLUTTER, "--norm=3", "norm target must lie in (0, 2], got 3"),
-          # Printed to 17 digits, so a value just above 2 is not rounded
-          # back into range.
+          # Printed in full, so a value just above 2 is not rounded back
+          # into range.
           (CLUTTER, "--norm=2.0000001",
-           "norm target must lie in (0, 2], got 2.0000000999999998"),
+           "norm target must lie in (0, 2], got 2.0000001"),
           (CLUTTER, "--floor-db=5", "floor_db must be negative"),
           (SWEEP, "-L 0", "candidates must be a positive integer"),
           (SWEEP, "--floor-db=5", "floor_db must be negative"),

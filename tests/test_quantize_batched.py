@@ -131,11 +131,12 @@ def test_oracle_takes_any_batch_shape(bits):
 @pytest.mark.parametrize("chunk", [1, 20, 200])
 def test_oracle_gives_the_same_pair_in_any_number_of_chunks(monkeypatch,
                                                            chunk):
-    # With 20 entries a pass, bits 3's 64 codes run [0, 20), [20, 40),
-    # [40, 60) and [60, 64), which splits rows 2 and 7 mid-row; with 1,
-    # every row is one run.  With 200, bits 1-3 score their whole square
-    # against several weights per pass, and bits 4's 256 codes run [0, 200)
-    # and [200, 256) one weight at a time, which splits row 12 mid-row.
+    # With 20 entries a pass, bits 1-2 score their whole square in one run,
+    # bits 3's 8 rows run two at a time and bits 4-6 one row at a time, one
+    # weight a pass; with 1, every row is one run, so each pair's twin
+    # (j, i) lies in a later run.  With 200, bits 1-3 score their whole
+    # square against several weights per pass, and bits 4's 16 rows run
+    # [0, 12) and [12, 16), one weight at a time.
     monkeypatch.setattr(dps_quantize, "ORACLE_CHUNK_ENTRIES", chunk)
     for bits in range(1, 7):
         grid = PhaseGrid(bits)
@@ -143,6 +144,23 @@ def test_oracle_gives_the_same_pair_in_any_number_of_chunks(monkeypatch,
         # A batch, and one weight alone, across the same chunks.
         for shaped in (w, w[:1], w[0].item()):
             _assert_oracle_matches_reference(shaped, grid)
+
+
+@pytest.mark.parametrize("bits", range(1, 10))
+def test_pair_sums_and_their_errors_are_symmetric_bit_for_bit(bits):
+    # The oracle scores the ordered square and keeps the least code: that
+    # is the canonical pair only if (j, i) ties (i, j) exactly.
+    grid = PhaseGrid(bits)
+    p = grid.phasors
+    square = np.add(p[:, None], p)
+    assert square.tobytes() == square.T.tobytes()
+    rng = np.random.default_rng([bits, 8])
+    i, j = rng.integers(0, grid.size, (2, 8))
+    weights = np.concatenate([_disk(rng, 8), p[i] + p[j],
+                              [0.0, 2.0, 1.7e308 * (1 + 1j)]])
+    for c in weights.tolist():
+        e = np.abs(np.subtract(square, c))
+        assert e.tobytes() == e.T.tobytes()
 
 
 class _PassSizes:
