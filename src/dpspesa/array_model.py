@@ -72,6 +72,8 @@ class ArrayConfig:
     def __post_init__(self):
         if not _is_count(self.n_antennas) or self.n_antennas < 1:
             raise ValueError("n_antennas must be a positive integer")
+        # A numpy integer would wrap in the grid and matrix size bounds.
+        object.__setattr__(self, "n_antennas", int(self.n_antennas))
         _check_real("spacing_wavelengths", self.spacing_wavelengths)
         if not self.spacing_wavelengths > 0:
             raise ValueError("spacing_wavelengths must be positive")

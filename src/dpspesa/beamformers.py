@@ -72,8 +72,8 @@ def _check_gamma(gamma: float | None) -> None:
 
 def _check_mvdr_size(n: int) -> None:
     """An N x N MVDR system must not exceed `array_model.MAX_GRID_ENTRIES`
-    entries."""
-    if n * n > MAX_GRID_ENTRIES:
+    entries.  ``n`` is squared as a Python int, which cannot wrap."""
+    if int(n)**2 > MAX_GRID_ENTRIES:
         raise ValueError(
             f"a {n} x {n} MVDR matrix exceeds {MAX_GRID_ENTRIES} entries; "
             "use fewer antennas"

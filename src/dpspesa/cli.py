@@ -18,7 +18,7 @@ written as bytes by `_write`, each line ended by a line feed on every
 platform; floats are printed as ``%.9g``.
 
 `build_parser` returns one parser shared by every call in the process;
-callers must not mutate it.
+callers must not mutate it or its subparsers.
 """
 
 from __future__ import annotations
@@ -430,8 +430,9 @@ def _help(command: str, key: str) -> str:
 
 
 @functools.lru_cache(maxsize=1)
-def build_parser() -> argparse.ArgumentParser:
-    """A subparser per `COMMANDS` entry; `_resolve` parses what it collects."""
+def _parsers() -> tuple[argparse.ArgumentParser, dict]:
+    """The top parser and its map of subparsers, one per `COMMANDS` entry;
+    `_resolve` parses what they collect."""
     parser = argparse.ArgumentParser(
         prog="dpspesa", allow_abbrev=False,
         description="Double-phase-shifter PESA beamforming experiments",
@@ -439,13 +440,20 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for command, (_, help, keys, _) in COMMANDS.items():
         p = sub.add_parser(command, help=help, allow_abbrev=False)
-        p.set_defaults(parser=p)
+        # What the top parser would add, so that a subparser parsing alone
+        # gives the same namespace.
+        p.set_defaults(parser=p, command=command)
         p.add_argument("--config", help="key=value scenario file; inline flags win")
         for key in keys.split():
             flags = ("-L",) if key == "candidates" else ()
             p.add_argument(*flags, "--" + key.replace("_", "-"),
                            help=_help(command, key))
-    return parser
+    return parser, sub.choices
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The top parser, with a subparser per `COMMANDS` entry."""
+    return _parsers()[0]
 
 
 def _print_warning(message, *_) -> None:
@@ -458,7 +466,15 @@ def _print_warning(message, *_) -> None:
 
 
 def main(argv=None) -> int:
-    args, extras = build_parser().parse_known_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser, commands = _parsers()
+    # The top parser has no option but -h, so for a named subcommand it would
+    # only hand every argument on to that subparser: it parses alone.  The
+    # top parser prints --help and rejects a missing or unknown command.
+    if argv and argv[0] in commands:
+        args, extras = commands[argv[0]].parse_known_args(argv[1:])
+    else:
+        args, extras = parser.parse_known_args(argv)
     if extras:  # reported with the usage of the subcommand that was chosen
         args.parser.error(f"unrecognized arguments: {' '.join(extras)}")
     # A warning prints as it is raised, in order with the lines below.

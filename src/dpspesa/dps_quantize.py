@@ -43,6 +43,8 @@ class PhaseGrid:
     def __post_init__(self):
         if not _is_count(self.bits) or not 1 <= self.bits <= MAX_GRID_BITS:
             raise ValueError(f"bits must be in [1, {MAX_GRID_BITS}]")
+        # A numpy integer would size the grid in its own fixed width.
+        object.__setattr__(self, "bits", int(self.bits))
 
     @property
     def size(self) -> int:
@@ -70,6 +72,19 @@ def _grid_tables(grid: PhaseGrid) -> tuple[np.ndarray, np.ndarray]:
     phases.setflags(write=False)
     phasors.setflags(write=False)
     return phases, phasors
+
+
+@lru_cache(maxsize=MAX_GRID_BITS)
+def _canonical_pairs(grid: PhaseGrid) -> tuple[np.ndarray, np.ndarray]:
+    """The read-only phasor sums and codes ``lo * size + hi`` of ``grid``'s
+    canonical pairs (lo <= hi), each ``(pairs, 1)``: the full-grid search's
+    table, built once per process, one per bits value."""
+    ks = np.arange(grid.size)
+    lo, hi = (k[:, None] for k in np.nonzero(ks[:, None] <= ks))
+    sums, code = grid.phasors[lo] + grid.phasors[hi], lo * grid.size + hi
+    sums.setflags(write=False)
+    code.setflags(write=False)
+    return sums, code
 
 
 @dataclass(frozen=True)
@@ -280,6 +295,7 @@ def approximate(w, grid, candidates: int = 3, norm_target=2.0):
     grids = _as_grids(grid)
     wn = normalize_to_max(w, norm_target)
     counts = _check_candidates(candidates, grids)
+    candidates = int(candidates)
     # A grid ranks only when candidates < its size.
     ranked = [g for g in grids if candidates < g.size]
     chunk = max(1, MAX_GRID_ENTRIES // max(max(counts)**2,
@@ -317,7 +333,7 @@ def _check_candidates(candidates: int, grids) -> list[int]:
     pairs per weight may exceed `MAX_GRID_ENTRIES`."""
     if not _is_count(candidates) or candidates < 1:
         raise ValueError("candidates must be a positive integer")
-    counts = [min(candidates, grid.size) for grid in grids]
+    counts = [min(int(candidates), grid.size) for grid in grids]
     for count in counts:
         if count**2 > MAX_GRID_ENTRIES:
             raise ValueError(
@@ -337,24 +353,30 @@ def _best_pairs(wn: np.ndarray, cands: np.ndarray | None,
     a candidate, takes None.
 
     The pairs are scored candidate-major, ``(pairs, E)``, so each pick
-    below reduces over the leading axis in contiguous passes."""
+    below reduces over the leading axis in contiguous passes.
+
+    Every weight of a full-grid search scores the same canonical pairs, read
+    from the grid's `_canonical_pairs` table, so no call or chunk rebuilds
+    them.  Only grids of at most 11 bits reach that branch
+    (`_check_candidates` bounds L**2 = size**2 by `MAX_GRID_ENTRIES`); the
+    tables of bits 1-11 would hold about 67 MB together, 50 MB of it at 11
+    bits, as much as the temporaries of one weight's search there."""
     if cands is None:
-        # Every weight scores the same canonical pairs; the pick below does
-        # not depend on their order.
-        ks = np.arange(grid.size)
-        lo, hi = (k[:, None] for k in np.nonzero(ks[:, None] <= ks))
+        # The pick below does not depend on the pairs' order.
+        sums, code = _canonical_pairs(grid)
     else:
         # Each phase's candidates ``(L, E)``, views without a copy.
         idx_a, idx_b = cands.swapaxes(1, 2)
         idx_a, idx_b = idx_a[:, None], idx_b[None, :]
         lo = np.minimum(idx_a, idx_b).reshape(-1, wn.size)
         hi = np.maximum(idx_a, idx_b).reshape(-1, wn.size)
-    err = np.abs(grid.phasors[lo] + grid.phasors[hi] - wn)
+        sums, code = grid.phasors[lo] + grid.phasors[hi], lo * grid.size + hi
+    err = np.abs(sums - wn)
     # The first lexicographically smallest (err, lo, hi): among the pairs of
     # least error, the least code lo * size + hi, which orders (lo, hi) pairs.
     code = np.minimum.reduce(
-        np.where(err == np.minimum.reduce(err, axis=0), lo * grid.size + hi,
-                 grid.size**2), axis=0)
+        np.where(err == np.minimum.reduce(err, axis=0), code, grid.size**2),
+        axis=0)
     lo, hi = code >> grid.bits, code & (grid.size - 1)
     return np.stack((lo, hi), axis=-1), grid.phasors[lo] + grid.phasors[hi]
 

@@ -9,6 +9,8 @@ worker count, block boundaries or execution order.
 
 from __future__ import annotations
 
+import ctypes
+import glob
 import math
 import os
 from dataclasses import dataclass, replace
@@ -284,6 +286,28 @@ def _sweep_block(spec: ScenarioSpec, bits_list, norm_list, trials: range):
     return rms[:, n_bits:].reshape(-1, n_bits, n_norms), rms[:, :n_bits]
 
 
+def _openblas():
+    """numpy's bundled OpenBLAS, ``numpy.libs/libscipy_openblas64_-*.so`` as
+    numpy's Linux wheels ship it, as a `ctypes` library; None if not found."""
+    libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)),
+                        "numpy.libs", "libscipy_openblas64_-*.so")
+    found = sorted(glob.glob(libs))
+    return ctypes.CDLL(found[0]) if found else None
+
+
+def _one_blas_thread() -> None:
+    """Sweep pool initializer: numpy's OpenBLAS runs on one thread in this
+    worker.  Otherwise each forked worker starts BLAS threads on every CPU,
+    and their contention made 2-worker sweeps up to 35x slower.  The setter
+    is no stable API: without the library or the symbol, nothing is set."""
+    set_threads = getattr(_openblas(), "scipy_openblas_set_num_threads64_",
+                          None)
+    if set_threads is not None:
+        set_threads.argtypes = [ctypes.c_int]
+        set_threads.restype = None
+        set_threads(1)
+
+
 def run_monte_carlo(base: ScenarioSpec, bits_sweep, norm_sweep,
                     trials: int, workers: int = 1) -> SweepResult:
     """Mean beampattern errors over random three-target scenarios.
@@ -308,7 +332,7 @@ def run_monte_carlo(base: ScenarioSpec, bits_sweep, norm_sweep,
             raise ValueError(f"{name} must be >= 1")
     trials = int(trials)
     grids = [PhaseGrid(b) for b in bits_sweep]
-    bits_list = tuple(int(grid.bits) for grid in grids)
+    bits_list = tuple(grid.bits for grid in grids)
     if not bits_list or not norm_list:
         raise ValueError("bits_sweep and norm_sweep must be non-empty")
     _check_candidates(base.candidates_l, grids)
@@ -326,7 +350,8 @@ def run_monte_carlo(base: ScenarioSpec, bits_sweep, norm_sweep,
     else:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=workers,
+                                 initializer=_one_blas_thread) as pool:
             results = list(pool.map(_sweep_block, repeat(base), repeat(bits_list),
                                     repeat(norm_list), blocks))
 

@@ -50,6 +50,18 @@ def test_config_takes_numpy_integer_antenna_counts():
     assert ArrayConfig(np.int32(1)).n_antennas == 1
 
 
+def test_a_narrow_numpy_antenna_count_is_held_as_an_int():
+    # An int8 count of 100 would overflow in the grid bound (1801 x 100).
+    config = ArrayConfig(np.int8(100))
+    assert type(config.n_antennas) is int and config == ArrayConfig(100)
+    w = steering_vector(ArrayConfig(100), 20.0)
+    want = beampattern_trace(ArrayConfig(100), w)
+    got = beampattern_trace(config, w)
+    assert np.array_equal(got.power_db, want.power_db)
+    assert np.array_equal(levels_db(config, w, [20.0, -3.0]),
+                          levels_db(ArrayConfig(100), w, [20.0, -3.0]))
+
+
 def test_steering_broadside_is_all_ones():
     a = steering_vector(ArrayConfig(4, 0.5), 0.0)
     assert_allclose(a, np.ones(4), rtol=0, atol=0)

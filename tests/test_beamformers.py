@@ -131,6 +131,15 @@ def test_mvdr_bounds_n_squared_before_building_arrays(monkeypatch):
         mvdr_beamformer(ArrayConfig(9, 0.5), targets, 0.1)
 
 
+@pytest.mark.parametrize("n", [np.int16(4096), np.int32(65536), 4096],
+                         ids=["int16", "int32", "int"])
+def test_mvdr_bound_squares_a_numpy_count_without_wrapping(n):
+    # 4096 * 4096 wraps to 0 in int16 and 65536 * 65536 in int32, which
+    # would get a numpy count round the bound that refuses the Python int.
+    with pytest.raises(ValueError, match=f"^a {n} x {n} MVDR matrix exceeds"):
+        beamformers._check_mvdr_size(n)
+
+
 @pytest.mark.parametrize("n_antennas, spacing, gamma", [
     (16, 0.5, 0.1), (12, 0.37, 0.05), (5, 0.8, 1.0)])
 def test_batched_mvdr_equals_the_inline_solve_bit_for_bit(n_antennas, spacing,

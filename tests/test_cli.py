@@ -1109,6 +1109,59 @@ def test_help_text_is_pinned(command, monkeypatch, capsys):
         HELP_SHA256[command]
 
 
+def test_a_named_subcommand_parses_without_the_top_parser(monkeypatch,
+                                                          tmp_path, capsys):
+    def top_parse(*args):
+        raise AssertionError("the top parser parsed a subcommand's call")
+
+    monkeypatch.setattr(cli.build_parser(), "parse_known_args", top_parse)
+    assert run_cli(["oracle-check", "--bits=2", "--trials=3"]) == 0
+    assert capsys.readouterr().out == \
+        "oracle check passed: 3 weights, bits=2, candidates=4\n"
+    assert run_cli(["clutter", "--targets=-47,30,49", "--desired=49",
+                    "--grid-step=1", f"--out={tmp_path / 'c'}"]) == 0
+    assert run_cli(["sweep", "--bits=2", "--norms=2", "--trials=2",
+                    "--grid-step=1", f"--out={tmp_path / 's'}"]) == 0
+    # An unknown flag is still reported with the subcommand's usage.
+    assert run_cli(["sweep", "--bogus"]) == 2
+    assert capsys.readouterr().err.endswith(
+        "dpspesa sweep: error: unrecognized arguments: --bogus\n")
+
+
+@pytest.mark.parametrize("command", list(cli.COMMANDS))
+def test_a_subparser_alone_gives_the_top_parsers_namespace(command):
+    argv = [command, "--bits=3", "--config=x.cfg", "--extra"]
+    top = cli.build_parser().parse_known_args(argv)
+    sub = cli._parsers()[1][command].parse_known_args(argv[1:])
+    assert vars(top[0]) == vars(sub[0]) and top[1] == sub[1] == ["--extra"]
+
+
+_TOP_USAGE = ("usage: dpspesa [-h] {pattern,single,clutter,sweep,oracle-check}"
+              " ...\n")
+
+
+@pytest.mark.skipif(sys.version_info[:2] != (3, 11),
+                    reason="usage texts are recorded on CPython 3.11")
+@pytest.mark.parametrize("argv, message", [
+    ([], "the following arguments are required: command"),
+    (["oracle"], "argument command: invalid choice: 'oracle' (choose from "
+     "'pattern', 'single', 'clutter', 'sweep', 'oracle-check')"),
+], ids=["no-command", "unknown-command"])
+def test_the_top_parser_rejects_a_missing_or_unknown_command(
+        argv, message, monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert run_cli(argv) == 2
+    assert capsys.readouterr() == ("", f"{_TOP_USAGE}dpspesa: error: {message}\n")
+
+
+def test_main_reads_its_arguments_from_sys_argv(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "argv",
+                        ["dpspesa", "oracle-check", "--bits=1", "--trials=1"])
+    assert cli.main() == 0
+    assert capsys.readouterr().out == \
+        "oracle check passed: 1 weights, bits=1, candidates=2\n"
+
+
 README = Path(__file__).parents[1] / "README.md"
 
 

@@ -61,6 +61,17 @@ def test_grid_takes_numpy_integer_bits_and_keeps_no_tables_of_its_own():
     assert vars(grid) == {"bits": 3}  # the tables live in `_grid_tables`
 
 
+def test_a_narrow_numpy_bit_count_is_held_as_an_int():
+    # In int8, 1 << 7 is -128: such a grid would size its tables as empty
+    # and leave them cached under the key of the equal PhaseGrid(7).
+    grid = PhaseGrid(np.int8(7))
+    assert type(grid.bits) is int and grid.size == 128
+    assert grid.phasors.size == PhaseGrid(7).phasors.size == 128
+    w = _random_disk(np.random.default_rng(3), size=8)
+    assert np.array_equal(exhaustive_oracle(w, grid),
+                          exhaustive_oracle(w, PhaseGrid(7)))
+
+
 def test_grid_tables_are_one_read_only_copy_per_bits():
     for bits in (1, 4, 12):
         grid = PhaseGrid(bits)
@@ -315,6 +326,34 @@ def test_approximate_takes_a_numpy_integer_candidate_count():
             == approximate(w, PhaseGrid(3), 2).pairs.tolist())
 
 
+def test_approximate_takes_a_narrow_numpy_integer_candidate_count():
+    # The chunk size divides the pair bound by L: an int8 L overflowed.
+    w = _random_disk(np.random.default_rng(4), size=(3, 5))
+    got, want = (approximate(w, PhaseGrid(4), c) for c in (np.int8(3), 3))
+    assert np.array_equal(got.pairs, want.pairs)
+
+
+def test_canonical_pairs_are_one_read_only_table_per_bits():
+    dps_quantize._canonical_pairs.cache_clear()
+    w = _random_disk(np.random.default_rng(5), size=40)
+    for _ in range(2):
+        approximate(w, PhaseGrid(3), 8)
+        oracle_mismatches(w, PhaseGrid(np.int64(3)))
+    info = dps_quantize._canonical_pairs.cache_info()
+    assert (info.misses, info.currsize) == (1, 1)
+    for bits in range(1, 9):
+        grid = PhaseGrid(bits)
+        sums, code = dps_quantize._canonical_pairs(grid)
+        assert not sums.flags.writeable and not code.flags.writeable
+        # Each pair (i, j >= i) in row order, summed as a Python complex:
+        # the same float additions, so the same bits.
+        p, n = grid.phasors.tolist(), grid.size
+        pairs = [(i, j) for i in range(n) for j in range(i, n)]
+        assert sums.shape == code.shape == (len(pairs), 1)
+        assert sums[:, 0].tolist() == [p[i] + p[j] for i, j in pairs]
+        assert code[:, 0].tolist() == [i * n + j for i, j in pairs]
+
+
 def test_candidate_search_runs_in_chunks_under_the_pair_bound(monkeypatch):
     # Weights are searched in chunks of at most MAX_GRID_ENTRIES // L^2, here
     # 100 // 9 = 11 of 24 and 100 // 16 = 6 of 8 (L clamped to the grid
@@ -381,6 +420,31 @@ def test_approximate_error_bound_above_the_oracle_bits(candidates):
     for dps in approximate(w, grids, candidates):
         err = np.abs(dps.realized - dps.normalized)
         assert err.max() <= 3.0 * math.pi / dps.grid.size, dps.grid.bits
+
+
+def test_search_commutes_with_the_grid_symmetries_above_the_oracle_bits():
+    # No oracle runs above 12 bits; the grid's symmetries check the search
+    # there for wrap and index faults.  Rotating a weight by one grid step
+    # shifts its pair by one index, conjugating it mirrors the pair, and
+    # the errors agree to rounding.  Each weight is its own vector with its
+    # own modulus as the norm target, so normalization leaves it exact.
+    w = 0.999 * _random_disk(np.random.default_rng(7), size=4000)
+
+    def search(c, grid, candidates):
+        dps = approximate(c[:, None], grid, candidates, np.abs(c))
+        assert np.array_equal(dps.normalized[:, 0], c)
+        return dps.pairs[:, 0], np.abs(dps.realized - dps.normalized)[:, 0]
+
+    for bits in (8, 12, 13, 16, 20):
+        grid = PhaseGrid(bits)
+        for candidates in (2, 3):
+            pairs, err = search(w, grid, candidates)
+            for moved, image in ((w * np.exp(2j * math.pi / grid.size),
+                                  pairs + 1), (np.conj(w), -pairs)):
+                got, got_err = search(moved, grid, candidates)
+                want = np.sort(image % grid.size, axis=-1)
+                assert np.array_equal(got, want), (bits, candidates)
+                assert np.abs(got_err - err).max() <= 2e-15, (bits, candidates)
 
 
 # ------------------------------------------------------ exhaustive_oracle

@@ -1,7 +1,9 @@
+import ctypes
 import math
 import os
 import re
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -508,6 +510,57 @@ def test_a_sweep_clamps_its_workers_to_the_usable_cpus(monkeypatch):
     base = ScenarioSpec(config=ArrayConfig(4), grid_step_deg=1.0)
     run_monte_carlo(base, (2,), (2.0,), trials=4, workers=2)
     assert cpus_seen == [1]
+
+
+@pytest.mark.parametrize("openblas", [None, SimpleNamespace()],
+                         ids=["no-library", "no-setter"])
+def test_a_pooled_sweep_runs_without_the_openblas_thread_setter(monkeypatch,
+                                                                openblas):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1},
+                        raising=False)
+    monkeypatch.setattr(experiments, "_openblas", lambda: openblas)
+    base = ScenarioSpec(config=ArrayConfig(4), grid_step_deg=1.0)
+    want = run_monte_carlo(base, (2, 3), (2.0,), 4, workers=1)
+    assert run_monte_carlo(base, (2, 3), (2.0,), 4, workers=2) == want
+
+
+def _openblas_threads():
+    """numpy's OpenBLAS thread getter and setter; skips the test without
+    them."""
+    lib = experiments._openblas()
+    try:
+        get = lib.scipy_openblas_get_num_threads64_
+        set_ = lib.scipy_openblas_set_num_threads64_
+    except AttributeError:
+        pytest.skip("numpy's OpenBLAS thread calls are not found")
+    get.argtypes, get.restype = [], ctypes.c_int
+    set_.argtypes, set_.restype = [ctypes.c_int], None
+    return get, set_
+
+
+def _sweep_block_on_one_blas_thread(*args):
+    """`_sweep_block`, in a pool worker whose BLAS must run on one thread."""
+    get, _ = _openblas_threads()
+    assert get() == 1
+    return _sweep_block(*args)
+
+
+def test_pooled_sweep_workers_run_blas_on_one_thread(monkeypatch):
+    # Forked workers inherit the parent's BLAS thread count, here two, and
+    # two workers each running two BLAS threads on two CPUs made sweeps up
+    # to 35x slower.  The pool's initializer sets each worker's to one.
+    get, set_threads = _openblas_threads()
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1},
+                        raising=False)
+    monkeypatch.setattr(experiments, "_sweep_block",
+                        _sweep_block_on_one_blas_thread)
+    threads = get()
+    set_threads(2)
+    try:
+        base = ScenarioSpec(config=ArrayConfig(4), grid_step_deg=1.0)
+        run_monte_carlo(base, (2,), (2.0,), 4, workers=2)
+    finally:
+        set_threads(threads)
 
 
 def test_a_pooled_sweep_never_imports_scipy_linalg(fresh_python):
